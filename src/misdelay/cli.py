@@ -272,6 +272,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "events": events,
         "wall_clock_s": walls,
         "best_wall_clock_s": min(walls),
+        "events_per_s": events / min(walls),
     }
     print(json.dumps(report, indent=2))
     return EXIT_OK

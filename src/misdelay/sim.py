@@ -16,7 +16,8 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gates import CGateParams, DelayQuery, NorGateParams, cgate_delay, nor_delay
+from .gates import (CGateParams, NorGateParams, _cgate_delay_value,
+                    _cgate_family, _nor_delay_value, _nor_tables)
 
 GATE_KINDS = ("nor2", "cgate", "input_source")
 
@@ -253,21 +254,45 @@ def validate_netlist(nl: Netlist) -> None:
 
 
 class _NetState:
-    __slots__ = ("value", "last_rise", "last_fall")
+    __slots__ = ("name", "value", "last_rise", "last_fall", "fanout")
 
-    def __init__(self, value: int):
+    def __init__(self, name: str, value: int):
+        self.name = name
         self.value = value
         self.last_rise = -math.inf
         self.last_fall = -math.inf
+        self.fanout: List[_GateRun] = []
 
 
 class _GateRun:
-    __slots__ = ("gate", "params", "pending_seq", "pending_time",
+    """One gate bound for a run: its nets and its delay tables.
+
+    NOR gates hold their `_nor_tables`; C gates hold one family per
+    output value, indexed by the target level.
+    """
+
+    __slots__ = ("gate", "is_nor", "a", "b", "out", "inverted", "delta_min",
+                 "tables", "families", "pending_seq", "pending_time",
                  "pending_value")
 
-    def __init__(self, gate: Gate, params):
+    def __init__(self, gate: Gate, params, nets: Dict[str, _NetState]):
         self.gate = gate
-        self.params = params
+        self.is_nor = gate.kind == "nor2"
+        self.a = nets[gate.inputs[0]]
+        self.b = nets[gate.inputs[1]]
+        self.out = nets[gate.output]
+        self.delta_min = params.delta_min
+        if self.is_nor:
+            self.inverted = False
+            self.tables = _nor_tables(params)
+            self.families = None
+        else:
+            self.inverted = params.inverted
+            self.tables = None
+            # the pair that drives output level `target` rises exactly
+            # when (target == 1) != inverted, as in cgate_delay
+            self.families = (_cgate_family(params, params.inverted),
+                             _cgate_family(params, not params.inverted))
         self.pending_seq = -1
         self.pending_time = 0.0
         self.pending_value = 0
@@ -279,14 +304,14 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
 
     Returns the per-net transition trace and run statistics.  The event
     loop is serial by contract; determinism over (netlist, seeds) is
-    part of the interface.
+    part of the interface.  Each gate's delay tables are bound once at
+    set-up, so an event costs the closed form's flops and heap work.
     """
     validate_netlist(nl)
     started = _time.perf_counter()
 
-    nets = {name: _NetState(v) for name, v in nl.nets.items()}
-    gates: Dict[str, _GateRun] = {}
-    fanout: Dict[str, List[str]] = {name: [] for name in nl.nets}
+    nets = {name: _NetState(name, v) for name, v in nl.nets.items()}
+    bound = []
     problems = []
     for g in nl.gates:
         if g.kind == "input_source":
@@ -304,93 +329,39 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                 if nl.nets[g.output] != expect:
                     problems.append(f"gate {g.id}: initial output "
                                     f"inconsistent with agreeing inputs")
-        gates[g.id] = _GateRun(g, params)
-        for net in g.inputs:
-            fanout[net].append(g.id)
+        bound.append((g, params))
     if problems:
         raise NetlistError(problems)
+    for g, params in bound:
+        gr = _GateRun(g, params, nets)
+        for net in g.inputs:
+            nets[net].fanout.append(gr)
 
-    heap: List[Tuple[float, int, str, str, int]] = []
+    # heap entries are (time, seq, driving _GateRun or None for a
+    # stimulus, _NetState, value); seq is unique, so tuples never
+    # compare past it
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heap: List[Tuple[float, int, Optional[_GateRun], _NetState, int]] = []
     seq = 0
     for g in nl.gates:
         if g.kind != "input_source" or g.id not in nl.stimuli:
             continue
         spec = nl.stimuli[g.id]
+        st = nets[g.output]
         train = generate_stimulus(spec.mu, spec.sigma, spec.n_transitions,
                                   spec.seed, net=g.output,
                                   start_value=nl.nets[g.output])
         for ev in train:
-            heapq.heappush(heap, (ev.time, seq, "", ev.net, ev.value))
+            heappush(heap, (ev.time, seq, None, st, ev.value))
             seq += 1
 
-    trace: Dict[str, List[Tuple[float, int]]] = {name: [] for name in nl.nets}
     changes: List[Tuple[float, str, int]] = []
-    transitions = {name: 0 for name in nl.nets}
-    processed = 0
+    record = changes.append
+    horizon = math.inf if t_end is None else t_end
+    isfinite = math.isfinite
+    inf = math.inf
     popped = 0
-
-    def cancel(gr: _GateRun) -> None:
-        gr.pending_seq = -1
-
-    def revise(gr: _GateRun, now: float) -> None:
-        nonlocal seq
-        g = gr.gate
-        p = gr.params
-        a = nets[g.inputs[0]]
-        b = nets[g.inputs[1]]
-        out = nets[g.output]
-        if g.kind == "nor2":
-            target = 0 if (a.value or b.value) else 1
-        else:
-            if a.value != b.value:
-                cancel(gr)
-                return
-            target = (1 - a.value) if p.inverted else a.value
-        if target == out.value:
-            cancel(gr)
-            return
-        if g.kind == "nor2":
-            if target == 0:
-                t_a = a.last_rise if a.value else math.inf
-                t_b = b.last_rise if b.value else math.inf
-                ref = min(t_a, t_b)
-                direction = "falling"
-            else:
-                t_a = a.last_fall
-                t_b = b.last_fall
-                ref = max(t_a, t_b)
-                direction = "rising"
-            delta = 0.0 if t_a == t_b else t_b - t_a
-            if not math.isfinite(ref):
-                ref = now  # input held since the start of time
-            t_new = ref + nor_delay(p, DelayQuery(direction, delta))
-        else:
-            if a.value:
-                t_a, t_b = a.last_rise, b.last_rise
-            else:
-                t_a, t_b = a.last_fall, b.last_fall
-            delta = 0.0 if t_a == t_b else t_b - t_a
-            direction = "rising" if target == 1 else "falling"
-            t_new = now + cgate_delay(p, DelayQuery(direction, delta))
-        if gr.pending_seq >= 0 and gr.pending_value == target \
-                and gr.pending_time == t_new:
-            return
-        if t_new < now - _CAUSALITY_SLACK:
-            raise CausalityError(
-                f"gate {g.id}: output scheduled at {t_new:.6g} s, before "
-                f"the input event at {now:.6g} s")
-        floor = now + p.delta_min
-        if t_new < floor:
-            # a revision (third transition while the output is mid
-            # flight) can pull the analytic crossing inside the
-            # interconnect transport window; the wire still imposes
-            # delta_min from the event that revealed the change
-            t_new = floor
-        heapq.heappush(heap, (t_new, seq, g.id, g.output, target))
-        gr.pending_seq = seq
-        gr.pending_time = t_new
-        gr.pending_value = target
-        seq += 1
 
     while heap:
         popped += 1
@@ -398,28 +369,80 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             raise LivelockError(
                 f"event count exceeded the cap of {max_events}; the netlist "
                 f"is livelocked or the cap is too small for this workload")
-        t, s, gate_id, net, value = heapq.heappop(heap)
-        if t_end is not None and t > t_end:
+        t, s, driver, st, value = heappop(heap)
+        if t > horizon:
             break
-        if gate_id:
-            gr = gates[gate_id]
-            if gr.pending_seq != s:
+        if driver is not None:
+            if driver.pending_seq != s:
                 continue  # superseded or cancelled
-            gr.pending_seq = -1
-        st = nets[net]
+            driver.pending_seq = -1
         st.value = value
         if value:
             st.last_rise = t
         else:
             st.last_fall = t
-        trace[net].append((t, value))
-        changes.append((t, net, value))
-        transitions[net] += 1
-        processed += 1
-        for gid in fanout[net]:
-            revise(gates[gid], t)
+        record((t, st.name, value))
+        for gr in st.fanout:
+            # revise gr's pending output event after an input change at t
+            a = gr.a
+            b = gr.b
+            if gr.is_nor:
+                target = 0 if (a.value or b.value) else 1
+            else:
+                if a.value != b.value:
+                    gr.pending_seq = -1
+                    continue
+                target = (1 - a.value) if gr.inverted else a.value
+            if target == gr.out.value:
+                gr.pending_seq = -1
+                continue
+            if gr.is_nor:
+                if target == 0:
+                    t_a = a.last_rise if a.value else inf
+                    t_b = b.last_rise if b.value else inf
+                    ref = min(t_a, t_b)
+                else:
+                    t_a = a.last_fall
+                    t_b = b.last_fall
+                    ref = max(t_a, t_b)
+                delta = 0.0 if t_a == t_b else t_b - t_a
+                if not isfinite(ref):
+                    ref = t  # input held since the start of time
+                t_new = ref + _nor_delay_value(gr.tables, target == 1, delta)
+            else:
+                if a.value:
+                    t_a, t_b = a.last_rise, b.last_rise
+                else:
+                    t_a, t_b = a.last_fall, b.last_fall
+                delta = 0.0 if t_a == t_b else t_b - t_a
+                t_new = t + _cgate_delay_value(gr.families[target], delta)
+            if gr.pending_seq >= 0 and gr.pending_value == target \
+                    and gr.pending_time == t_new:
+                continue
+            if t_new < t - _CAUSALITY_SLACK:
+                raise CausalityError(
+                    f"gate {gr.gate.id}: output scheduled at {t_new:.6g} s, "
+                    f"before the input event at {t:.6g} s")
+            floor = t + gr.delta_min
+            if t_new < floor:
+                # a revision (third transition while the output is mid
+                # flight) can pull the analytic crossing inside the
+                # interconnect transport window; the wire still imposes
+                # delta_min from the event that revealed the change
+                t_new = floor
+            heappush(heap, (t_new, seq, gr, gr.out, target))
+            gr.pending_seq = seq
+            gr.pending_time = t_new
+            gr.pending_value = target
+            seq += 1
 
-    stats = SimStats(events=processed, transitions=transitions,
+    # each event is recorded once, in changes; the per-net trace and
+    # the transition counts are derived from it
+    trace: Dict[str, List[Tuple[float, int]]] = {name: [] for name in nl.nets}
+    for t, net, value in changes:
+        trace[net].append((t, value))
+    transitions = {name: len(tr) for name, tr in trace.items()}
+    stats = SimStats(events=len(changes), transitions=transitions,
                      wall_clock_s=_time.perf_counter() - started)
     return SimResult(trace=trace, changes=tuple(changes), stats=stats)
 

@@ -285,6 +285,9 @@ class TestBench:
         assert report["events"] > 0
         assert len(report["wall_clock_s"]) == 2
         assert report["best_wall_clock_s"] == min(report["wall_clock_s"])
+        assert report["events_per_s"] > 0
+        assert report["events_per_s"] == (report["events"]
+                                          / report["best_wall_clock_s"])
 
     def test_bad_counts_exit_2(self, capsys):
         assert main(["bench", "--stages", "0"]) == 2

@@ -1,14 +1,20 @@
 """Tests for the event-driven simulator and its RNG."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from misdelay import load_fixture
 from misdelay.gates import (
     CGateParams,
     DelayQuery,
     NorGateParams,
+    cgate_breakpoints,
     cgate_delay,
+    nor_breakpoints,
     nor_delay,
 )
 from misdelay.sim import (
@@ -51,7 +57,8 @@ def single_nor(stim_a=None, stim_b=None, init=(0, 0)):
         stimuli=stimuli)
 
 
-def single_cgate(stim_a=None, stim_b=None, params_ref="cg", out0=0):
+def single_cgate(stim_a=None, stim_b=None, params_ref="cg", out0=0,
+                 level=0):
     stimuli = {}
     if stim_a is not None:
         stimuli["sa"] = stim_a
@@ -61,7 +68,7 @@ def single_cgate(stim_a=None, stim_b=None, params_ref="cg", out0=0):
         gates=(Gate("sa", "input_source", (), "na"),
                Gate("sb", "input_source", (), "nb"),
                Gate("g1", "cgate", ("na", "nb"), "out", params_ref)),
-        nets={"na": 0, "nb": 0, "out": out0},
+        nets={"na": level, "nb": level, "out": out0},
         stimuli=stimuli)
 
 
@@ -303,12 +310,101 @@ class TestChain:
         cut = 1.5e-9
         part = run(nl, LIB, t_end=cut)
         assert part.changes == tuple(c for c in full.changes if c[0] <= cut)
+        # trace and transitions are derived from changes, so they must
+        # be cut at the same event
+        assert 0 < len(part.changes) < len(full.changes)
+        for net in nl.nets:
+            want = [(t, v) for t, n, v in part.changes if n == net]
+            assert part.trace[net] == want
+            assert part.stats.transitions[net] == len(want)
+
+    def test_run_builds_no_delay_queries(self, monkeypatch):
+        # run() binds each gate's tables at set-up and calls the closed
+        # forms directly; a validated DelayQuery per event is the cost
+        # that binding removed
+        built = []
+        post_init = DelayQuery.__post_init__
+
+        def counting(query):
+            built.append(query)
+            post_init(query)
+
+        monkeypatch.setattr(DelayQuery, "__post_init__", counting)
+        nl = build_cross_coupled_chain(5, mu=5e-11, sigma=3e-11,
+                                       n_transitions=50, seed=11)
+        res = run(nl, LIB)
+        assert res.stats.events > 0
+        assert built == []
+        DelayQuery("rising", 0.0)  # the counter itself does count
+        assert len(built) == 1
 
     def test_livelock_cap(self):
         nl = build_cross_coupled_chain(2, mu=5e-11, sigma=0.0,
                                        n_transitions=30, seed=1)
         with pytest.raises(LivelockError):
             run(nl, LIB, max_events=10)
+
+
+# Separations as a multiple of the breakpoint on their side: zero,
+# inside the MIS window, on it, and beyond it on the clamped branch.
+bp_multiples = st.one_of(
+    st.just(0.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(1.0, 4.0),
+    st.floats(-4.0, -1.0),
+)
+
+T_FIRST = 5e-11
+
+
+class TestBoundPathMatchesClosedForms:
+    """run() calls the bound tables; they must give the public delays."""
+
+    @given(rising=st.booleans(), multiple=bp_multiples)
+    @settings(max_examples=150, deadline=None)
+    def test_single_nor(self, rising, multiple):
+        p = load_fixture("nor15_l3")
+        assert p.r5 > 0.0 and p.delta_min > 0.0
+        bps = nor_breakpoints(p)
+        if rising:
+            bp = bps.up_plus if multiple >= 0 else bps.up_minus
+        else:
+            bp = bps.down_plus if multiple >= 0 else bps.down_minus
+        t_a = T_FIRST
+        t_b = T_FIRST + multiple * bp
+        # a rising output needs both inputs falling from 1, a falling
+        # one both inputs rising from 0
+        level = 1 if rising else 0
+        nl = single_nor(stim_a=StimulusSpec(t_a, 0.0, 1, 1),
+                        stim_b=StimulusSpec(t_b, 0.0, 1, 1),
+                        init=(level, level))
+        res = run(nl, {"nor": p})
+        direction = "rising" if rising else "falling"
+        ref = max(t_a, t_b) if rising else min(t_a, t_b)
+        want = ref + nor_delay(p, DelayQuery(direction, t_b - t_a))
+        assert res.trace["out"] == [(want, level)]
+
+    @given(inverted=st.booleans(), pair_rising=st.booleans(),
+           multiple=bp_multiples)
+    @settings(max_examples=150, deadline=None)
+    def test_single_cgate(self, inverted, pair_rising, multiple):
+        p = replace(load_fixture("cgate15_l3"), inverted=inverted)
+        assert p.r5 > 0.0 and p.delta_min > 0.0
+        bp_plus, bp_minus = cgate_breakpoints(
+            p, "rising" if pair_rising else "falling")
+        t_a = T_FIRST
+        t_b = T_FIRST + multiple * (bp_plus if multiple >= 0 else bp_minus)
+        level = 0 if pair_rising else 1
+        out0 = (1 - level) if inverted else level
+        nl = single_cgate(stim_a=StimulusSpec(t_a, 0.0, 1, 1),
+                          stim_b=StimulusSpec(t_b, 0.0, 1, 1),
+                          out0=out0, level=level)
+        res = run(nl, {"cg": p})
+        direction = "rising" if out0 == 0 else "falling"
+        want = max(t_a, t_b) + cgate_delay(p, DelayQuery(direction,
+                                                         t_b - t_a))
+        assert res.trace["out"] == [(want, 1 - out0)]
 
 
 class TestNetlistValidation:
