@@ -171,33 +171,41 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
     for direction, fam_pos, fam_neg in _FAMILY_AXES:
         bp_plus, bp_minus = _family_clamps(params, direction)
         is_exact = kind == "nor2" and direction == "falling"
+        # each point is inverted once; keyed on the float, so -0.0 and
+        # 0.0 (which invert alike) share an entry
+        inverted: Dict[float, float] = {}
+
+        def inversion(d: float) -> float:
+            ref = inverted.get(d)
+            if ref is None:
+                ref = inverted[d] = delay_by_inversion(kind, direction, d,
+                                                       params)
+            return ref
+
         for family, sign, bp in ((fam_pos, 1.0, bp_plus),
                                  (fam_neg, -1.0, bp_minus)):
             if is_exact:
                 grid = [sign * 2.0 * bp * i / (_EXACT_GRID - 1)
                         for i in range(_EXACT_GRID)]
                 exact[family] = max(
-                    abs(closed(direction, d)
-                        - delay_by_inversion(kind, direction, d, params))
-                    for d in grid)
+                    abs(closed(direction, d) - inversion(d)) for d in grid)
             else:
                 anchors = (0.0, sign * math.inf)
                 exact[family] = max(
-                    abs(closed(direction, d)
-                        - delay_by_inversion(kind, direction, d, params))
+                    abs(closed(direction, d) - inversion(d))
                     for d in anchors)
                 interior = [sign * bp * i / (_LINEAR_GRID + 1)
                             for i in range(1, _LINEAR_GRID + 1)]
                 dev = 0.0
                 for d in interior:
-                    ref = delay_by_inversion(kind, direction, d, params)
+                    ref = inversion(d)
                     dev = max(dev, abs(closed(direction, d) - ref) / ref)
                 linearized[family] = dev
             dev = 0.0
             for frac in _ODE_FRACTIONS:
                 d = sign * frac * bp
                 full = delay_by_ode(kind, direction, d, params)
-                ref = delay_by_inversion(kind, direction, d, params)
+                ref = inversion(d)
                 dev = max(dev, abs(ref - full) / full)
             ode[family] = dev
     return {"exact_s": exact, "linearized_rel": linearized, "ode_rel": ode}

@@ -310,7 +310,9 @@ def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float
     return 0.5 * (t_lo + t_hi)
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.
+# 6, 1980).  The last stage row equals the fifth-order weights (FSAL),
+# and c = 1 for the last two stages.
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _DP_A = (
     (),
@@ -320,13 +322,13 @@ _DP_A = (
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
      -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
 )
 _DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
           11.0 / 84.0, 0.0)
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+# error weights b5 - b4
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 _MIN_STEP = 1e-18
 
@@ -388,14 +390,21 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
     """
     if not (t1 > t0):
         raise ValueError(f"integrate_ode needs t1 > t0, got [{t0!r}, {t1!r}]")
+    # one straight-line step; each sum runs left to right in tableau
+    # order and skips the zero weights, so results are reproducible
+    # to the bit against the generic tableau loop
+    _, c2, c3, c4, c5, _, _ = _DP_C
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65)) = _DP_A
+    b1, _, b3, b4, b5, b6, _ = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+    tol_abs, tol_rel = tol.abs, tol.rel
     ts = [t0]
     vs = [v0]
     k1 = f(t0, v0)
     dvs = [k1]
     t, v = t0, v0
     h = (t1 - t0) / 64.0
-    k = [0.0] * 7
-    k[0] = k1
     max_steps = 1_000_000
     for _ in range(max_steps):
         if t >= t1:
@@ -404,29 +413,29 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
         if h < _MIN_STEP:
             raise StepUnderflowError(
                 f"step size {h!r} below {_MIN_STEP!r} at t={t!r}")
-        for i in range(1, 7):
-            vi = v
-            a_row = _DP_A[i]
-            for j in range(i):
-                if a_row[j] != 0.0:
-                    vi += h * a_row[j] * k[j]
-            k[i] = f(t + _DP_C[i] * h, vi)
-        v5 = v
-        err = 0.0
-        for j in range(7):
-            if _DP_B5[j] != 0.0:
-                v5 += h * _DP_B5[j] * k[j]
-            err += h * (_DP_B5[j] - _DP_B4[j]) * k[j]
-        scale = tol.abs + tol.rel * max(abs(v), abs(v5))
+        k2 = f(t + c2 * h, v + h * a21 * k1)
+        k3 = f(t + c3 * h, v + h * a31 * k1 + h * a32 * k2)
+        k4 = f(t + c4 * h, v + h * a41 * k1 + h * a42 * k2 + h * a43 * k3)
+        k5 = f(t + c5 * h, v + h * a51 * k1 + h * a52 * k2 + h * a53 * k3
+               + h * a54 * k4)
+        k6 = f(t + h, v + h * a61 * k1 + h * a62 * k2 + h * a63 * k3
+               + h * a64 * k4 + h * a65 * k5)
+        # the last stage is evaluated at the fifth-order solution (FSAL)
+        v5 = (v + h * b1 * k1 + h * b3 * k3 + h * b4 * k4 + h * b5 * k5
+              + h * b6 * k6)
+        k7 = f(t + h, v5)
+        err = (0.0 + h * e1 * k1 + h * e2 * k2 + h * e3 * k3 + h * e4 * k4
+               + h * e5 * k5 + h * e6 * k6 + h * e7 * k7)
+        scale = tol_abs + tol_rel * max(abs(v), abs(v5))
         if scale <= 0.0:
-            scale = tol.abs if tol.abs > 0.0 else 1e-300
+            scale = tol_abs if tol_abs > 0.0 else 1e-300
         ratio = abs(err) / scale
         if ratio <= 1.0:
             t, v = t + h, v5
             ts.append(t)
             vs.append(v)
-            k[0] = k[6]  # FSAL; a rejected step keeps the old stage-1 slope
-            dvs.append(k[0])
+            k1 = k7  # FSAL; a rejected step keeps the old stage-1 slope
+            dvs.append(k1)
         factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
     raise ConvergenceError(f"integrate_ode: exceeded {max_steps} steps")

@@ -148,22 +148,27 @@ def _dual_transient_context(alpha_aged: float, alpha_fresh: float, r: float,
                              c_eff=c_eff, v_dd=v_dd, v_th=0.5 * v_dd)
 
 
-def _log_phi(ctx: TrajectoryContext, r: float, t: float, delta: float) -> float:
-    """log of the homogeneous decay factor of a dual-transient mode."""
+def _phi(ctx: TrajectoryContext, r: float, delta: float):
+    """Homogeneous decay factor of a dual-transient mode.
+
+    Returns it as a function of mode time t, with everything that does
+    not depend on t computed once.
+    """
     tau = 2.0 * r * ctx.c_eff
-    if math.isinf(delta):
-        af = ctx.a
-        return (-t + af * math.log1p(t / af)) / tau
-    if delta < 1e-6 * ctx.a:
-        # near-simultaneous switching: the exact form degenerates and
-        # loses all precision; use its analytic limit
-        return (-t + ctx.a * math.log1p(t / ctx.a)) / tau
+    a = ctx.a
+    exp, log1p = math.exp, math.log1p
+    if math.isinf(delta) or delta < 1e-6 * a:
+        # settled aged transistor (ctx.a is then the fresh term alone),
+        # or near-simultaneous switching, where the exact form
+        # degenerates and loses all precision: use its analytic limit
+        return lambda t: exp((-t + a * log1p(t / a)) / tau)
     sqrt_chi = math.sqrt(ctx.chi) if ctx.chi > 0.0 else 0.0
     p_plus = ctx.d + sqrt_chi
     p_minus = 4.0 * ctx.c_prime / p_plus
-    return (-t
-            + (ctx.a - ctx.a_exp) * math.log1p(2.0 * t / p_plus)
-            + ctx.a_exp * math.log1p(2.0 * t / p_minus)) / tau
+    a_exp = ctx.a_exp
+    a_rest = a - a_exp
+    return lambda t: exp((-t + a_rest * log1p(2.0 * t / p_plus)
+                          + a_exp * log1p(2.0 * t / p_minus)) / tau)
 
 
 def _mode_constants(params, kind: str, delta: float, v_dd: float):
@@ -222,7 +227,7 @@ def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> floa
         v0 = ms.initial_v if ms.initial_v is not None else v_dd
         return v0 * math.exp(-t / law[1])
     _, ctx, r, toward_vdd = law
-    phi = math.exp(_log_phi(ctx, r, t, ms.delta))
+    phi = _phi(ctx, r, ms.delta)(t)
     if toward_vdd:
         v0 = ms.initial_v if ms.initial_v is not None else 0.0
         return v_dd + (v0 - v_dd) * phi
@@ -254,13 +259,13 @@ def implicit_I(t: float, delta: float, params,
         kind = "10->11"
     law = _mode_constants(params, kind, delta, 1.0)
     _, ctx, r, _ = law
-    return math.exp(_log_phi(ctx, r, t, delta)) - 0.5
+    return _phi(ctx, r, delta)(t) - 0.5
 
 
 def _bisect_phi_half(ctx: TrajectoryContext, r: float, delta: float,
                      hint: float) -> float:
     """Root of phi = 1/2; phi decays monotonically from 1."""
-    phi = lambda t: math.exp(_log_phi(ctx, r, t, delta))
+    phi = _phi(ctx, r, delta)
     hi = max(hint, 1e-15)
     for _ in range(200):
         if phi(hi) < 0.5:

@@ -4,6 +4,8 @@ Nothing in here may import the algorithms under test; every routine is
 a deliberately naive construction (plain bisection, direct summation)
 so it can serve as an oracle for the fast library code.  The one
 parameter map here, exact_divider_gate, uses dataclasses.replace only.
+reference_integrate_ode walks the Runge-Kutta tableau in generic loops,
+the form the library's straight-line step must match bit for bit.
 """
 
 import math
@@ -75,3 +77,72 @@ def exact_divider_gate(p):
                        alpha3=p.alpha3 * k_p, alpha4=p.alpha4 * k_p)
     k = (p.r5 + 2.0 * p.r) / (2.0 * p.r)
     return replace(p, alpha1=p.alpha1 * k, alpha2=p.alpha2 * k)
+
+
+# Dormand-Prince 5(4) tableau, seven stage rows as the generic loop
+# below reads them
+_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+     11.0 / 84.0),
+)
+_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+          11.0 / 84.0, 0.0)
+_DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
+          -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+
+
+def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12):
+    """Adaptive Dormand-Prince 5(4) as a generic tableau loop.
+
+    Returns the accepted (ts, vs, dvs) lists.  Step control is the
+    library's: mixed error criterion abs_ + rel * max(|v|, |v5|), FSAL,
+    step factor min(5, max(0.2, 0.9 * ratio**-0.2)).  Raises
+    RuntimeError("step underflow") below a 1e-18 step and
+    RuntimeError("step budget") after a million steps.
+    """
+    ts, vs = [t0], [v0]
+    k = [0.0] * 7
+    k[0] = f(t0, v0)
+    dvs = [k[0]]
+    t, v = t0, v0
+    h = (t1 - t0) / 64.0
+    for _ in range(1_000_000):
+        if t >= t1:
+            return ts, vs, dvs
+        h = min(h, t1 - t)
+        if h < 1e-18:
+            raise RuntimeError("step underflow")
+        for i in range(1, 7):
+            vi = v
+            a_row = _DP_A[i]
+            for j in range(i):
+                if a_row[j] != 0.0:
+                    vi += h * a_row[j] * k[j]
+            k[i] = f(t + _DP_C[i] * h, vi)
+        v5 = v
+        err = 0.0
+        for j in range(7):
+            if _DP_B5[j] != 0.0:
+                v5 += h * _DP_B5[j] * k[j]
+            err += h * (_DP_B5[j] - _DP_B4[j]) * k[j]
+        scale = abs_ + rel * max(abs(v), abs(v5))
+        if scale <= 0.0:
+            scale = abs_ if abs_ > 0.0 else 1e-300
+        ratio = abs(err) / scale
+        if ratio <= 1.0:
+            t, v = t + h, v5
+            ts.append(t)
+            vs.append(v)
+            k[0] = k[6]
+            dvs.append(k[0])
+        factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    raise RuntimeError("step budget")

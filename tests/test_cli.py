@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from misdelay.characterize import MeasuredDelays
 from misdelay.cli import main
 from misdelay.fileio import (
     fixture_dir,
+    list_fixtures,
     load_fixture,
     parse_params,
     serialize_measured,
@@ -178,6 +180,56 @@ class TestDelayCurve:
         assert "--dmax" in _stderr_diag(capsys)["message"]
 
 
+# SHA-256 of `misdelay verify --params <fixture>` standard output per
+# bundled fixture.  The oracles behind verify must reproduce these bytes
+# exactly; ROADMAP item D, which moves the rising closed forms, changes
+# the reported deviations and re-records these hashes.
+VERIFY_STDOUT_SHA256 = {
+    "cgate15_doublecap":
+        "f8252074d1f484840f4307e4cb31c9af2e39b75466e1ec37208e63ce567fc162",
+    "cgate15_doublecap_r5zero":
+        "6773c854e4823449e03b08490d7777210cc5479c43a7565a6497e9a5bc605469",
+    "cgate15_halfres":
+        "26cb238b6445b741eba8d793b36d3a94ad9957647e92084e8a4b7c0295a42ebe",
+    "cgate15_halfres_r5zero":
+        "16113cbca8e9fc41901cb89e40dc2d1b602fabd74bea89182081b8735447fba4",
+    "cgate15_isolated":
+        "8ea5673b7a2b88df8eab6682252cf489d1bfa784437ed7bde235db01341a7031",
+    "cgate15_l15":
+        "e315b88181235de68f378227b5c3c06f176bff7ab4ce59c1548f0e66249a232c",
+    "cgate15_l15_r5zero":
+        "3d3ac9940584598b3f15eafd1b120bec4002913aa0c92e68d00004c231841a1f",
+    "cgate15_l3":
+        "7e731b242b0f1c323ec91c29ed66730c472d2fca423a539d2d846067ff294b70",
+    "cgate15_l3_r5zero":
+        "7275025d99df54893490beaa16d248e4fe36f80c781ed88a6fa01010437d1cda",
+    "nor15_l15":
+        "54f61b6cddb422756114e21cedece302f79295ca41fe2f21d439c4e4f7b808d1",
+    "nor15_l15_doublecap":
+        "9c4db7af4ac90a3d26c12e35950766ba1749e368786f67cbbcaa982cbbfb4bb6",
+    "nor15_l15_fanout2":
+        "31662fe8e85bb6ae6cedaec5f41d254280fca7ce8cb606315d3379778e351a02",
+    "nor15_l15_fanout8":
+        "c98424c42d65dd9b2abd85495627284920d2174914cbd589666b5cd1517e17bb",
+    "nor15_l15_halfres":
+        "6c361a521a32e87d8aa14b913710a27764ee5daf1798a9a8b22c916d54275373",
+    "nor15_l15_strong":
+        "9a55f7c54b2b70befe4f8552d7fd1ef0a6b534907eca7fed20ac5188d76b0778",
+    "nor15_l15_weak":
+        "2be2acdc513d2c57946cb60f82c192ceb21b5ab1f1990d2e4589adac1edca050",
+    "nor15_l3":
+        "101ee159e63cb88bf576cd33e953b4fdb0cd7649b534f89481309a899a3adf2d",
+    "nor15_l3_fanout2":
+        "8a3e2318ef647abdedaa4b8615b2adf58bf989b63f14124082946e3b5d5fdacc",
+    "nor15_l3_fanout8":
+        "50a889037eeb251ea29ccd47f703f1fe400a63ab9f8df9ab01d643890f885a4d",
+    "nor65_l25":
+        "a005ac41fe3a928355a871df36ea57fba7b70a3361ed5dd16093e405153fd2ee",
+    "nor65_l5":
+        "38050be4e72daf8a72ca8792600834a01ccd6314f19dfffeac2156f163b6879b",
+}
+
+
 class TestVerify:
 
     def test_single_fixture_report(self, capsys):
@@ -203,6 +255,15 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert len(report["fixtures"]) == 21
+
+    def test_stdout_bytes_pinned_per_fixture(self, capsys):
+        assert sorted(VERIFY_STDOUT_SHA256) == list_fixtures()
+        for name, want in VERIFY_STDOUT_SHA256.items():
+            code = main(["verify", "--params",
+                         str(fixture_dir() / f"{name}.json")])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, name
 
     def test_tight_tolerance_fails_with_exit_3(self, capsys):
         code = main(["verify", "--params", L3_PATH,

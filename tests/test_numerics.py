@@ -16,7 +16,9 @@ from misdelay.numerics import (
     integrate_ode,
     lambert_w_m1,
 )
-from oracles import lambert_w_m1_bisect
+from misdelay.fileio import load_fixture
+from misdelay.trajectories import _T_EPS, _ode_rhs, delay_by_inversion
+from oracles import lambert_w_m1_bisect, reference_integrate_ode
 
 
 class TestLambertWm1:
@@ -186,6 +188,88 @@ class TestIntegrateOde:
     def test_endpoint_hit_exactly(self):
         sol = integrate_ode(lambda t, v: -v, 0.0, 1.0, 1.0)
         assert sol.t1 == 1.0
+
+
+def _counting(f):
+    """f, plus a list whose length is the number of calls made."""
+    calls = []
+
+    def g(t, v):
+        calls.append(t)
+        return f(t, v)
+
+    return g, calls
+
+
+class TestIntegrateOdeMatchesReference:
+    """integrate_ode reproduces the generic tableau loop to the bit."""
+
+    @staticmethod
+    def _assert_same(f, t0, t1, v0, tol):
+        sol = integrate_ode(f, t0, t1, v0, tol)
+        ts, vs, dvs = reference_integrate_ode(f, t0, t1, v0, tol.rel, tol.abs)
+        assert sol.ts == ts
+        assert sol.vs == vs
+        assert sol.dvs == dvs
+        return sol
+
+    def test_linear_decay(self):
+        tau = 1e-12
+        self._assert_same(lambda t, v: -v / tau, 0.0, 5 * tau, 1.0,
+                          Tolerance(rel=1e-10, abs=1e-14))
+        self._assert_same(lambda t, v: -v / 2.0, 0.0, 10.0, 1.0,
+                          Tolerance(rel=1e-10, abs=1e-12))
+
+    def test_forced(self):
+        self._assert_same(lambda t, v: (1.0 - v) / 0.7, 0.0, 3.0, 0.0,
+                          Tolerance(rel=1e-11, abs=1e-14))
+        self._assert_same(lambda t, v: math.sin(3.0 * t) - 0.5 * v,
+                          0.0, 4.0, 0.2, Tolerance(rel=1e-10, abs=1e-12))
+
+    @pytest.mark.parametrize("exact_f", [True, False])
+    @pytest.mark.parametrize("name,direction,kind,sep,v0", [
+        ("nor15_l3", "rising", "01->00", 0.0, 0.0),
+        ("nor15_l3", "rising", "10->00", 3e-12, 0.0),
+        ("nor65_l5", "rising", "01->00", 2e-11, 0.0),
+        ("cgate15_l3", "rising", "10->11", 0.0, 0.0),
+        ("cgate15_l3", "rising", "01->11", 4e-12, 0.0),
+        ("cgate15_l3", "falling", "01->00", 4e-12, 1.0),
+    ])
+    def test_dual_transient_modes(self, name, direction, kind, sep, v0,
+                                  exact_f):
+        # the switch-on modes delay_by_ode integrates, over its horizon
+        p = load_fixture(name)
+        gate_kind = "nor2" if name.startswith("nor") else "cgate"
+        inv = delay_by_inversion(gate_kind, direction, sep, p)
+        horizon = 12.0 * (inv - p.delta_min)
+        rhs = _ode_rhs(p, kind, sep, exact_f, 1.0)
+        self._assert_same(rhs, _T_EPS, horizon, v0,
+                          Tolerance(rel=1e-10, abs=1e-13))
+
+    def test_rejected_steps(self):
+        # a slope jump at t = 0.37 that the opening step size overshoots
+        def f(t, v):
+            return -v if t < 0.37 else -40.0 * (v - 2.0)
+
+        tol = Tolerance(rel=1e-9, abs=1e-12)
+        sol = self._assert_same(f, 0.0, 2.0, 1.0, tol)
+        g, calls = _counting(f)
+        integrate_ode(g, 0.0, 2.0, 1.0, tol)
+        # each accepted step costs six calls; more means rejections
+        assert len(calls) > 1 + 6 * (len(sol.ts) - 1)
+
+    def test_nan_stage_rejects_and_grows_step(self):
+        # NaN stages in the first attempt make the error ratio NaN: the
+        # step is rejected and, since the ratio is not > 0, grows 5x
+        def f(t, v):
+            return math.nan if 2 <= len(calls) <= 7 else -v
+
+        g, calls = _counting(f)
+        sol = integrate_ode(g, 0.0, 1.0, 1.0)
+        assert calls[7] == 0.2 * (5.0 / 64.0)  # second attempt's stage 2
+        g, calls = _counting(f)
+        ts, vs, dvs = reference_integrate_ode(g, 0.0, 1.0, 1.0, 1e-10, 1e-12)
+        assert (sol.ts, sol.vs, sol.dvs) == (ts, vs, dvs)
 
 
 class TestTolerance:
