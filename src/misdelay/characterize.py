@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from .gates import CGateParams, NorGateParams, ParamError
-from .numerics import DomainError, lambert_w_m1, find_root_bracketed
+from .numerics import (DomainError, _branch_series, find_root_bracketed,
+                       lambert_w_m1)
 
 _LN2 = math.log(2.0)
 
@@ -131,9 +132,7 @@ def _a_from_extremal(t: float, z: float, c: float) -> float:
         # instead of subtracting nearly equal numbers
         s = u + (u - 1.0) * math.expm1(u)
         p = math.sqrt(2.0 * s)
-        w_plus_1 = -p * (1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0
-                         + p * (43.0 / 540.0 + p * (769.0 / 17280.0)))))
-        denom = w_plus_1 - u
+        denom = -p * _branch_series(p) - u
     else:
         x = (u - 1.0) * math.exp(u - 1.0)
         denom = lambert_w_m1(x) + 1.0 - u

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Tuple
 
-from .numerics import DomainError, lambert_w_m1
+from .numerics import DomainError, _branch_series, lambert_w_m1
 
 __all__ = [
     "ParamError",
@@ -207,9 +207,7 @@ def _extremal_delay(alpha_sum: float, r: float, r5: float, c: float) -> float:
         # forming -exp(-1-e) and taking W of it loses e to rounding;
         # expand 1+W about the branch point from e directly instead
         p = math.sqrt(-2.0 * math.expm1(-e))
-        return (alpha_sum / (2.0 * r)) * p * (
-            1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0 + p * (43.0 / 540.0
-            + p * (769.0 / 17280.0 + p * (221.0 / 8505.0))))))
+        return (alpha_sum / (2.0 * r)) * p * _branch_series(p)
     arg = -math.exp(-1.0 - e)
     if arg == 0.0:
         raise DomainError(
@@ -219,21 +217,64 @@ def _extremal_delay(alpha_sum: float, r: float, r5: float, c: float) -> float:
     return -(alpha_sum / (2.0 * r)) * (1.0 + w)
 
 
-@lru_cache(maxsize=512)
-def _nor_extremals(p: NorGateParams) -> ExtremalDelays:
-    return ExtremalDelays(
-        d0=_extremal_delay(p.alpha1 + p.alpha2, p.r, p.r5, p.c_load),
-        d_inf=_extremal_delay(p.alpha2, p.r, p.r5, p.c_load),
-        d_minus_inf=_extremal_delay(p.alpha1, p.r, p.r5, p.c_load),
+def _switch_on_pair(p: NorGateParams | CGateParams, pair_rising: bool
+                    ) -> Tuple[float, float, float]:
+    """(first, second, r) of the switch-on stack an input pair engages.
+
+    first and second are the transient coefficients of the earlier and
+    the later switching input, r the per-transistor on-resistance.  A
+    NOR has one such stack, its pullup, engaged by a falling pair.
+    """
+    if isinstance(p, NorGateParams):
+        return p.alpha1, p.alpha2, p.r
+    if pair_rising:
+        # rising input pair drives the nMOS stack
+        return p.alpha1, p.alpha2, p.r_n
+    # falling input pair drives the pMOS stack; the aged/fresh roles of
+    # the two coefficients mirror the rising case
+    return p.alpha4, p.alpha3, p.r_p
+
+
+class _Family(NamedTuple):
+    # one switch-on delay family, precomputed so the hot path is a few
+    # flops
+    dmin: float
+    d0: float
+    d_inf: float
+    d_minus_inf: float
+    slope_pos: float    # a_first / (a_first + a_second)
+    slope_neg: float
+    bp_plus: float
+    bp_minus: float
+
+
+def _family(a_first: float, a_second: float, r: float, r5: float, c: float,
+            dmin: float) -> _Family:
+    asum = a_first + a_second
+    d0 = _extremal_delay(asum, r, r5, c)
+    d_inf = _extremal_delay(a_second, r, r5, c)
+    d_minus_inf = _extremal_delay(a_first, r, r5, c)
+    return _Family(
+        dmin=dmin,
+        d0=d0,
+        d_inf=d_inf,
+        d_minus_inf=d_minus_inf,
+        slope_pos=a_first / asum,
+        slope_neg=a_second / asum,
+        bp_plus=asum * (d0 - d_inf) / a_first,
+        bp_minus=asum * (d0 - d_minus_inf) / a_second,
     )
 
 
-def nor_extremal_rising(p: NorGateParams) -> ExtremalDelays:
-    """Rising-output delays at delta = 0 and in the two one-sided limits.
-
-    The transport term delta_min is not included.
-    """
-    return _nor_extremals(p)
+def _family_delay(fam: _Family, delta: float) -> float:
+    if delta >= 0.0:
+        if delta >= fam.bp_plus:
+            return fam.d_inf + fam.dmin
+        return fam.d0 - fam.slope_pos * delta + fam.dmin
+    mag = -delta
+    if mag >= fam.bp_minus:
+        return fam.d_minus_inf + fam.dmin
+    return fam.d0 - fam.slope_neg * mag + fam.dmin
 
 
 class _NorTables(NamedTuple):
@@ -244,13 +285,7 @@ class _NorTables(NamedTuple):
     fall_frac_neg: float
     bp_down_plus: float
     bp_down_minus: float
-    d0: float
-    d_inf: float
-    d_minus_inf: float
-    rise_slope_pos: float    # alpha1 / (alpha1 + alpha2)
-    rise_slope_neg: float
-    bp_up_plus: float
-    bp_up_minus: float
+    rise: _Family
 
 
 @lru_cache(maxsize=512)
@@ -258,8 +293,6 @@ def _nor_tables(p: NorGateParams) -> _NorTables:
     caps = effective_caps(p)
     ra, rb = p.r_n_a, p.r_n_b
     fall_k = _LN2 * caps.c2 * ra * rb / (ra + rb)
-    ext = _nor_extremals(p)
-    asum = p.alpha1 + p.alpha2
     return _NorTables(
         dmin=p.delta_min,
         fall_k=fall_k,
@@ -267,33 +300,30 @@ def _nor_tables(p: NorGateParams) -> _NorTables:
         fall_frac_neg=caps.c2 * ra / (caps.c1_prime * (ra + rb)),
         bp_down_plus=_LN2 * caps.c1 * ra,
         bp_down_minus=_LN2 * caps.c1_prime * rb,
-        d0=ext.d0,
-        d_inf=ext.d_inf,
-        d_minus_inf=ext.d_minus_inf,
-        rise_slope_pos=p.alpha1 / asum,
-        rise_slope_neg=p.alpha2 / asum,
-        bp_up_plus=asum * (ext.d0 - ext.d_inf) / p.alpha1,
-        bp_up_minus=asum * (ext.d0 - ext.d_minus_inf) / p.alpha2,
+        rise=_family(*_switch_on_pair(p, False), p.r5, p.c_load,
+                     p.delta_min),
     )
+
+
+def nor_extremal_rising(p: NorGateParams) -> ExtremalDelays:
+    """Rising-output delays at delta = 0 and in the two one-sided limits.
+
+    The transport term delta_min is not included.
+    """
+    fam = _nor_tables(p).rise
+    return ExtremalDelays(fam.d0, fam.d_inf, fam.d_minus_inf)
 
 
 def nor_breakpoints(p: NorGateParams) -> Breakpoints:
     """|delta| beyond which each family sits on its single-input branch."""
     t = _nor_tables(p)
-    return Breakpoints(t.bp_down_plus, t.bp_down_minus, t.bp_up_plus,
-                       t.bp_up_minus)
+    return Breakpoints(t.bp_down_plus, t.bp_down_minus, t.rise.bp_plus,
+                       t.rise.bp_minus)
 
 
 def _nor_delay_value(t: _NorTables, rising: bool, delta: float) -> float:
     if rising:
-        if delta >= 0.0:
-            if delta >= t.bp_up_plus:
-                return t.d_inf + t.dmin
-            return t.d0 - t.rise_slope_pos * delta + t.dmin
-        mag = -delta
-        if mag >= t.bp_up_minus:
-            return t.d_minus_inf + t.dmin
-        return t.d0 - t.rise_slope_neg * mag + t.dmin
+        return _family_delay(t.rise, delta)
     if delta >= 0.0:
         if delta >= t.bp_down_plus:
             return t.bp_down_plus + t.dmin
@@ -315,40 +345,18 @@ def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
                             q.delta)
 
 
-class _CGateFamily(NamedTuple):
-    dmin: float
-    d0: float
-    d_inf: float
-    d_minus_inf: float
-    slope_pos: float
-    slope_neg: float
-    bp_plus: float
-    bp_minus: float
-
-
 @lru_cache(maxsize=512)
-def _cgate_family(p: CGateParams, pair_rising: bool) -> _CGateFamily:
-    if pair_rising:
-        # rising input pair drives the nMOS stack
-        a_first, a_second, r = p.alpha1, p.alpha2, p.r_n
-    else:
-        # falling input pair drives the pMOS stack; the aged/fresh roles
-        # of the two coefficients mirror the rising case
-        a_first, a_second, r = p.alpha4, p.alpha3, p.r_p
-    asum = a_first + a_second
-    d0 = _extremal_delay(asum, r, p.r5, p.c_load)
-    d_inf = _extremal_delay(a_second, r, p.r5, p.c_load)
-    d_minus_inf = _extremal_delay(a_first, r, p.r5, p.c_load)
-    return _CGateFamily(
-        dmin=p.delta_min,
-        d0=d0,
-        d_inf=d_inf,
-        d_minus_inf=d_minus_inf,
-        slope_pos=a_first / asum,
-        slope_neg=a_second / asum,
-        bp_plus=asum * (d0 - d_inf) / a_first,
-        bp_minus=asum * (d0 - d_minus_inf) / a_second,
-    )
+def _cgate_family(p: CGateParams, pair_rising: bool) -> _Family:
+    return _family(*_switch_on_pair(p, pair_rising), p.r5, p.c_load,
+                   p.delta_min)
+
+
+def _input_pair_family(p: CGateParams, input_direction: str) -> _Family:
+    if input_direction not in _DIRECTIONS:
+        raise ValueError(
+            f"input_direction must be one of {_DIRECTIONS}, "
+            f"got {input_direction!r}")
+    return _cgate_family(p, input_direction == "rising")
 
 
 def cgate_extremal(p: CGateParams, input_direction: str) -> ExtremalDelays:
@@ -356,33 +364,14 @@ def cgate_extremal(p: CGateParams, input_direction: str) -> ExtremalDelays:
 
     The transport term delta_min is not included.
     """
-    if input_direction not in _DIRECTIONS:
-        raise ValueError(
-            f"input_direction must be one of {_DIRECTIONS}, "
-            f"got {input_direction!r}")
-    fam = _cgate_family(p, input_direction == "rising")
+    fam = _input_pair_family(p, input_direction)
     return ExtremalDelays(fam.d0, fam.d_inf, fam.d_minus_inf)
 
 
 def cgate_breakpoints(p: CGateParams, input_direction: str) -> Tuple[float, float]:
     """(plus, minus) |delta| values where this input pair's family clamps."""
-    if input_direction not in _DIRECTIONS:
-        raise ValueError(
-            f"input_direction must be one of {_DIRECTIONS}, "
-            f"got {input_direction!r}")
-    fam = _cgate_family(p, input_direction == "rising")
+    fam = _input_pair_family(p, input_direction)
     return fam.bp_plus, fam.bp_minus
-
-
-def _cgate_delay_value(fam: _CGateFamily, delta: float) -> float:
-    if delta >= 0.0:
-        if delta >= fam.bp_plus:
-            return fam.d_inf + fam.dmin
-        return fam.d0 - fam.slope_pos * delta + fam.dmin
-    mag = -delta
-    if mag >= fam.bp_minus:
-        return fam.d_minus_inf + fam.dmin
-    return fam.d0 - fam.slope_neg * mag + fam.dmin
 
 
 def cgate_delay(p: CGateParams, q: DelayQuery) -> float:
@@ -394,4 +383,4 @@ def cgate_delay(p: CGateParams, q: DelayQuery) -> float:
     delta_min.
     """
     pair_rising = (q.output_direction == "rising") != p.inverted
-    return _cgate_delay_value(_cgate_family(p, pair_rising), q.delta)
+    return _family_delay(_cgate_family(p, pair_rising), q.delta)

@@ -71,19 +71,20 @@ class Tolerance:
 
 _EXP_NEG1 = math.exp(-1.0)
 
-# Coefficients of the branch-point series W(x) = -1 - p - p^2/3 - ... with
-# p = sqrt(2(1 + e*x)); see Corless et al., "On the Lambert W function".
-_BRANCH_SERIES = (-1.0, -1.0, -1.0 / 3.0, -11.0 / 72.0, -43.0 / 540.0,
-                  -769.0 / 17280.0, -221.0 / 8505.0)
+
+def _branch_series(p: float) -> float:
+    """S(p) of the branch-point series W_-1(x) = -1 - p * S(p).
+
+    p = sqrt(2(1 + e*x)); six terms of Corless et al., "On the Lambert
+    W function" (1996).  The gate delays and the characterization use
+    it too, for 1 + W near the branch point.
+    """
+    return 1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0 + p * (43.0 / 540.0
+        + p * (769.0 / 17280.0 + p * (221.0 / 8505.0)))))
 
 
 def _residual(w: float, x: float) -> float:
-    # w * e^w - x, with e^w underflow treated as an exact zero
-    try:
-        ew = math.exp(w)
-    except OverflowError:  # pragma: no cover - w <= -1 never overflows
-        raise
-    return w * ew - x
+    return w * math.exp(w) - x
 
 
 def _mantissa_trailing_zeros(w: float) -> int:
@@ -141,11 +142,7 @@ def lambert_w_m1(x: float) -> float:
     if s <= 1e-4:
         # Branch-point series; truncation error ~ p^7 is far below the
         # residual floor here because d(w e^w)/dw vanishes at the branch.
-        w = 0.0
-        for coef in reversed(_BRANCH_SERIES):
-            w = w * p + coef
-        # Horner above gives c0 + p(c1 + p(...)); c0 term is -1.
-        return _snap_to_best_neighbor(w, x)
+        return _snap_to_best_neighbor(-(p * _branch_series(p)) - 1.0, x)
 
     # Initial guess: branch-point series close in, asymptotic expansion
     # in log(-x) farther out.
@@ -385,8 +382,9 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
     Returns a dense OdeSolution.  Step acceptance uses the mixed local
     error criterion ``|err| <= tol.abs + tol.rel * max(|v|, |v_new|)``.
     Raises StepUnderflowError if controlling the error would need steps
-    below 1e-18 (stiff or singular right-hand side).  The integration is
-    exactly reproducible: identical inputs give identical solutions.
+    below 1e-18 (stiff, singular or non-finite right-hand side).  The
+    integration is exactly reproducible: identical inputs give identical
+    solutions.
     """
     if not (t1 > t0):
         raise ValueError(f"integrate_ode needs t1 > t0, got [{t0!r}, {t1!r}]")
@@ -436,6 +434,9 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
             vs.append(v)
             k1 = k7  # FSAL; a rejected step keeps the old stage-1 slope
             dvs.append(k1)
-        factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else 5.0
+        # a NaN ratio (from a non-finite stage) rejects the step above;
+        # shrink it like any other rejection
+        factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else (
+            5.0 if ratio == 0.0 else 0.2)
         h *= min(5.0, max(0.2, factor))
     raise ConvergenceError(f"integrate_ode: exceeded {max_steps} steps")

@@ -16,8 +16,8 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gates import (CGateParams, NorGateParams, _cgate_delay_value,
-                    _cgate_family, _nor_delay_value, _nor_tables)
+from .gates import (CGateParams, NorGateParams, _cgate_family, _family_delay,
+                    _nor_delay_value, _nor_tables)
 
 GATE_KINDS = ("nor2", "cgate", "input_source")
 
@@ -415,7 +415,7 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                 else:
                     t_a, t_b = a.last_fall, b.last_fall
                 delta = 0.0 if t_a == t_b else t_b - t_a
-                t_new = t + _cgate_delay_value(gr.families[target], delta)
+                t_new = t + _family_delay(gr.families[target], delta)
             if gr.pending_seq >= 0 and gr.pending_value == target \
                     and gr.pending_time == t_new:
                 continue

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import CGateParams, NorGateParams, effective_caps
+from .gates import CGateParams, NorGateParams, _switch_on_pair, effective_caps
 from .numerics import (
     DomainError,
     NoCrossingError,
@@ -67,6 +67,7 @@ CGATE_MODE_KINDS = NOR_MODE_KINDS
 
 _DOUBLE_UP = {"10->11", "01->11"}     # second input rises
 _DOUBLE_DOWN = {"01->00", "10->00"}   # second input falls
+_A_FIRST = {"10->11", "01->00"}       # input A switched first
 
 # starting integration a tick after a switch keeps the 1/t transient
 # coefficients finite; the voltage moved in that tick is O(1e-9) of the
@@ -171,6 +172,28 @@ def _phi(ctx: TrajectoryContext, r: float, delta: float):
                           + a_exp * log1p(2.0 * t / p_minus)) / tau)
 
 
+def _switch_on(params, kind: str):
+    """(aged, fresh, r, c_eff, up) of the switch-on mode of a double
+    transition.
+
+    aged is the coefficient of the earlier input's transistor; c_eff is
+    the divider-corrected load; up tells whether the mode drives the
+    output toward the supply (the NOR pullup, the C gate's nMOS side).
+    """
+    up = kind in _DOUBLE_UP
+    first, second, r = _switch_on_pair(params, up)
+    aged, fresh = (first, second) if kind in _A_FIRST else (second, first)
+    c_eff = params.c_load * (params.r5 + 2.0 * r) / (2.0 * r)
+    return aged, fresh, r, c_eff, up or isinstance(params, NorGateParams)
+
+
+def _switch_on_kind(pair_rising: bool, delta: float) -> str:
+    # the double transition of a pair whose B input switches delta after A
+    if pair_rising:
+        return "10->11" if delta >= 0.0 else "01->11"
+    return "01->00" if delta >= 0.0 else "10->00"
+
+
 def _mode_constants(params, kind: str, delta: float, v_dd: float):
     """Resolve per-mode law: ('exp', tau) | ('dual', ctx, r, toward_vdd)
     | ('hold',)."""
@@ -183,29 +206,15 @@ def _mode_constants(params, kind: str, delta: float, v_dd: float):
         if kind in _DOUBLE_UP:
             rpar = params.r_n_a * params.r_n_b / (params.r_n_a + params.r_n_b)
             return ("exp", caps.c2 * rpar)
-        aged, fresh = ((params.alpha1, params.alpha2) if kind == "01->00"
-                       else (params.alpha2, params.alpha1))
-        ctx = _dual_transient_context(aged, fresh, params.r, delta, caps.c3,
-                                      v_dd)
-        return ("dual", ctx, params.r, True)
-    if isinstance(params, CGateParams):
-        if kind in _DOUBLE_UP:
-            aged, fresh = ((params.alpha1, params.alpha2) if kind == "10->11"
-                           else (params.alpha2, params.alpha1))
-            r = params.r_n
-            c_eff = params.c_load * (params.r5 + 2.0 * r) / (2.0 * r)
-            ctx = _dual_transient_context(aged, fresh, r, delta, c_eff, v_dd)
-            return ("dual", ctx, r, True)
-        if kind in _DOUBLE_DOWN:
-            aged, fresh = ((params.alpha4, params.alpha3) if kind == "01->00"
-                           else (params.alpha3, params.alpha4))
-            r = params.r_p
-            c_eff = params.c_load * (params.r5 + 2.0 * r) / (2.0 * r)
-            ctx = _dual_transient_context(aged, fresh, r, delta, c_eff, v_dd)
-            return ("dual", ctx, r, False)
-        # single transition breaks the conduction path; the keeper holds
-        return ("hold",)
-    raise TypeError(f"unsupported params type {type(params).__name__}")
+    elif isinstance(params, CGateParams):
+        if kind not in _DOUBLE_UP and kind not in _DOUBLE_DOWN:
+            # single transition breaks the conduction path; the keeper holds
+            return ("hold",)
+    else:
+        raise TypeError(f"unsupported params type {type(params).__name__}")
+    aged, fresh, r, c_eff, up = _switch_on(params, kind)
+    ctx = _dual_transient_context(aged, fresh, r, delta, c_eff, v_dd)
+    return ("dual", ctx, r, up)
 
 
 def trajectory_context(params, ms: ModeSwitch, v_dd: float = 1.0) -> TrajectoryContext:
@@ -296,11 +305,12 @@ def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
             raise TypeError("gate_kind nor2 needs NorGateParams")
         if direction == "falling":
             return _nor_fall_by_inversion(params, delta)
-        return _nor_rise_by_inversion(params, delta)
+        return _switch_on_by_inversion(params, False, delta)
     if gate_kind == "cgate":
         if not isinstance(params, CGateParams):
             raise TypeError("gate_kind cgate needs CGateParams")
-        return _cgate_by_inversion(params, direction, delta)
+        return _switch_on_by_inversion(
+            params, (direction == "rising") != params.inverted, delta)
     raise ValueError(f"unknown gate_kind {gate_kind!r}")
 
 
@@ -326,27 +336,10 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
     return t_cross + p.delta_min
 
 
-def _nor_rise_by_inversion(p: NorGateParams, delta: float) -> float:
-    if delta >= 0.0:
-        aged, fresh = p.alpha1, p.alpha2
-    else:
-        aged, fresh = p.alpha2, p.alpha1
+def _switch_on_by_inversion(p, pair_rising: bool, delta: float) -> float:
+    aged, fresh, r, c_eff, _ = _switch_on(p, _switch_on_kind(pair_rising,
+                                                             delta))
     sep = abs(delta)
-    caps = effective_caps(p)
-    ctx = _dual_transient_context(aged, fresh, p.r, sep, caps.c3, 1.0)
-    hint = 8.0 * p.r * caps.c3 + (aged + fresh) / p.r
-    return _bisect_phi_half(ctx, p.r, sep, hint) + p.delta_min
-
-
-def _cgate_by_inversion(p: CGateParams, direction: str, delta: float) -> float:
-    pair_rising = (direction == "rising") != p.inverted
-    if pair_rising:
-        first, second, r = p.alpha1, p.alpha2, p.r_n
-    else:
-        first, second, r = p.alpha4, p.alpha3, p.r_p
-    aged, fresh = (first, second) if delta >= 0.0 else (second, first)
-    sep = abs(delta)
-    c_eff = p.c_load * (p.r5 + 2.0 * r) / (2.0 * r)
     ctx = _dual_transient_context(aged, fresh, r, sep, c_eff, 1.0)
     hint = 8.0 * r * c_eff + (aged + fresh) / r
     return _bisect_phi_half(ctx, r, sep, hint) + p.delta_min
@@ -388,29 +381,17 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool, v_dd: float):
     c, r5 = params.c_load, params.r5
     if isinstance(params, NorGateParams):
         if kind in ("00->10", "11->10"):
-            rg_const, drive = params.r_n_a, 0.0
-        elif kind in ("00->01", "11->01"):
-            rg_const, drive = params.r_n_b, 0.0
-        elif kind in _DOUBLE_UP:
-            rg_const = params.r_n_a * params.r_n_b / (params.r_n_a + params.r_n_b)
-            drive = 0.0
-        else:
-            aged, fresh = ((params.alpha1, params.alpha2) if kind == "01->00"
-                           else (params.alpha2, params.alpha1))
-            return _dual_rhs(c, r5, aged, fresh, 2.0 * params.r, delta,
-                             exact_f, v_dd)
-        return _const_rhs(c, r5, rg_const, drive)
-    if kind in _DOUBLE_UP:
-        aged, fresh = ((params.alpha1, params.alpha2) if kind == "10->11"
-                       else (params.alpha2, params.alpha1))
-        return _dual_rhs(c, r5, aged, fresh, 2.0 * params.r_n, delta,
-                         exact_f, v_dd)
-    if kind in _DOUBLE_DOWN:
-        aged, fresh = ((params.alpha4, params.alpha3) if kind == "01->00"
-                       else (params.alpha3, params.alpha4))
-        return _dual_rhs(c, r5, aged, fresh, 2.0 * params.r_p, delta,
-                         exact_f, 0.0)
-    return None
+            return _const_rhs(c, r5, params.r_n_a, 0.0)
+        if kind in ("00->01", "11->01"):
+            return _const_rhs(c, r5, params.r_n_b, 0.0)
+        if kind in _DOUBLE_UP:
+            rpar = params.r_n_a * params.r_n_b / (params.r_n_a + params.r_n_b)
+            return _const_rhs(c, r5, rpar, 0.0)
+    elif kind not in _DOUBLE_UP and kind not in _DOUBLE_DOWN:
+        return None
+    aged, fresh, r, _, up = _switch_on(params, kind)
+    return _dual_rhs(c, r5, aged, fresh, 2.0 * r, delta, exact_f,
+                     v_dd if up else 0.0)
 
 
 def _const_rhs(c: float, r5: float, rg: float, drive: float):
@@ -496,43 +477,29 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     coefficients are scaled by (r5 + R_s)/R_s (see the module notes),
     so with r5 > 0 the two settings integrate different gates.
     """
+    # the oracle also checks gate_kind, direction and the params type
     inv_hint = delay_by_inversion(gate_kind, direction, delta, params)
     horizon = 12.0 * max(inv_hint - params.delta_min, 1e-15)
     sep = abs(delta)
 
-    if gate_kind == "nor2":
-        if not isinstance(params, NorGateParams):
-            raise TypeError("gate_kind nor2 needs NorGateParams")
-        if direction == "falling":
-            if delta >= 0.0:
-                chain = ["00->10", "10->11"]
-            else:
-                chain = ["00->01", "01->11"]
-            if math.isinf(sep):
-                modes = [ModeSwitch(chain[0], delta=math.inf)]
-            elif sep == 0.0:
-                modes = [ModeSwitch(chain[1], delta=0.0, initial_v=1.0)]
-            else:
-                modes = [ModeSwitch(chain[0]), ModeSwitch(chain[1], delta=sep)]
-            t_end = (0.0 if math.isinf(sep) else sep) + horizon
+    if gate_kind == "nor2" and direction == "falling":
+        if delta >= 0.0:
+            chain = ["00->10", "10->11"]
         else:
-            kind = "01->00" if delta >= 0.0 else "10->00"
-            modes = [ModeSwitch(kind, delta=sep, initial_v=0.0)]
-            t_end = horizon
-    elif gate_kind == "cgate":
-        if not isinstance(params, CGateParams):
-            raise TypeError("gate_kind cgate needs CGateParams")
-        pair_rising = (direction == "rising") != params.inverted
-        if pair_rising:
-            kind = "10->11" if delta >= 0.0 else "01->11"
-            initial = 0.0
+            chain = ["00->01", "01->11"]
+        if math.isinf(sep):
+            modes = [ModeSwitch(chain[0], delta=math.inf)]
+        elif sep == 0.0:
+            modes = [ModeSwitch(chain[1], delta=0.0, initial_v=1.0)]
         else:
-            kind = "01->00" if delta >= 0.0 else "10->00"
-            initial = 1.0
-        modes = [ModeSwitch(kind, delta=sep, initial_v=initial)]
-        t_end = horizon
+            modes = [ModeSwitch(chain[0]), ModeSwitch(chain[1], delta=sep)]
+        t_end = (0.0 if math.isinf(sep) else sep) + horizon
     else:
-        raise ValueError(f"unknown gate_kind {gate_kind!r}")
+        # the mode starts at its natural level, the rail it drives away from
+        pair_rising = gate_kind == "cgate" and (
+            (direction == "rising") != params.inverted)
+        modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
+        t_end = horizon
 
     sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f, tol=tol)
     # the crossing may sit in any segment (a falling output past the

@@ -103,8 +103,10 @@ def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12):
     """Adaptive Dormand-Prince 5(4) as a generic tableau loop.
 
     Returns the accepted (ts, vs, dvs) lists.  Step control is the
-    library's: mixed error criterion abs_ + rel * max(|v|, |v5|), FSAL,
-    step factor min(5, max(0.2, 0.9 * ratio**-0.2)).  Raises
+    library's for finite right-hand sides: mixed error criterion
+    abs_ + rel * max(|v|, |v5|), FSAL, step factor
+    min(5, max(0.2, 0.9 * ratio**-0.2)).  A NaN ratio grows the step 5x
+    here; the library shrinks it 5x.  Raises
     RuntimeError("step underflow") below a 1e-18 step and
     RuntimeError("step budget") after a million steps.
     """

@@ -1,5 +1,6 @@
 """Tests for parameter extraction from extremal delays."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from misdelay.characterize import (
     characterize_nor,
     validate_measured,
 )
+from misdelay.fileio import list_fixtures, load_fixture, serialize_params
 from misdelay.gates import (
     CGateParams,
     DelayQuery,
@@ -299,3 +301,83 @@ class TestRoundTripProperties:
                 a = cgate_delay(p, DelayQuery(d, x))
                 b = cgate_delay(rec, DelayQuery(d, x))
                 assert math.isclose(a, b, rel_tol=1e-9)
+
+
+# SHA-256 of serialize_params for the gate fitted from each bundled
+# fixture's six extremal delays; C gates are fitted at r5_choice = 0
+# and at the fixture's own r5, in that order.  The fits must reproduce
+# these bytes exactly.
+FIT_SHA256 = {
+    "cgate15_doublecap": (
+        "073cacfe19098873260eb465b94f1bf9bb4befe3b6bda86f6c86097c3d34d95e",
+        "e31e6c2be7093d45fc517b470e685cc6e698df78cba5441143f1e6dbea705529"),
+    "cgate15_doublecap_r5zero": (
+        "4afdcc2af909425cf97d05a355cbbf6e377bca9e503fbbf80a72dcaab35667b9",
+        "4afdcc2af909425cf97d05a355cbbf6e377bca9e503fbbf80a72dcaab35667b9"),
+    "cgate15_halfres": (
+        "c1953f58a7d1b1e63a288a3ec585ebe764e295af06e811d08a5ae02e30ff54ad",
+        "93f4750fdfbd599fd095207b60458a333f712e895da875c82c016f7fa25e336d"),
+    "cgate15_halfres_r5zero": (
+        "31595da571d57b4a0114c328b4430af18b4af95b7077a3c5be7efdcaedb0f66a",
+        "31595da571d57b4a0114c328b4430af18b4af95b7077a3c5be7efdcaedb0f66a"),
+    "cgate15_isolated": (
+        "b5655c00c44b85fe12a686022acacadfa420de3b56c347d7a15c3cd2ab167448",
+        "b5655c00c44b85fe12a686022acacadfa420de3b56c347d7a15c3cd2ab167448"),
+    "cgate15_l15": (
+        "6b211d9f023793c9ef63f33c9c0b83f90a09880080cb8d5ea7e8bb8d5413df60",
+        "62a2a2a33b46f9f6ca0ce23e4f134ea9cf32ca76594ccc3f62370f10cc8c0ff4"),
+    "cgate15_l15_r5zero": (
+        "f37518de703e9b042df178ceb692e0f4850758829901e883fbf886915b876fcd",
+        "f37518de703e9b042df178ceb692e0f4850758829901e883fbf886915b876fcd"),
+    "cgate15_l3": (
+        "a760166f59ed9bc03281ab7329f58c56972e02234a50c6b2e9f88210f6a3bb14",
+        "1736d6012a70426c46e339cafee7bc6bc8302484cdca0132501a0287b7c4bf61"),
+    "cgate15_l3_r5zero": (
+        "712785252d9db8f94a7e95cc4a4e44aa9a6f2215352cdd47cc3668da6f56139e",
+        "712785252d9db8f94a7e95cc4a4e44aa9a6f2215352cdd47cc3668da6f56139e"),
+    "nor15_l15":
+        "bd3c0bc2021a896e4334c57a8b7e41f37196805bd1ff5df582af9f3c3a73f8a7",
+    "nor15_l15_doublecap":
+        "e901ba725623026f239b85ea9387ebfaeb35ff240495abe03c74cead34d691c3",
+    "nor15_l15_fanout2":
+        "24eada35aaed44cd99e10fc8ff7ec97cf66322e0c4f58689618b8977cf3ba546",
+    "nor15_l15_fanout8":
+        "fe8c23252d7801719dc1748c0c4d042cdb45d23de6d58569388b8a7e28df3ae7",
+    "nor15_l15_halfres":
+        "05b1d1d043425eaf6276ff0f02701dead9a45f8930da6efb2c2f784c89c35488",
+    "nor15_l15_strong":
+        "5ed2822e7449f943e358944964443bfb8ec007a656e90dd47fc612a4dbcd6167",
+    "nor15_l15_weak":
+        "063472fcdb32d2a3cecb07672446d043ff28bac7a140c4e0911f249abd2497e7",
+    "nor15_l3":
+        "cecb219350220c507a32a0cab9880d7656f5f99939a4a3f07e92c17d04fc60e1",
+    "nor15_l3_fanout2":
+        "2e0f12218355756024d5f206a4ae43ef6e69badbcf97d325fc5257eb00403238",
+    "nor15_l3_fanout8":
+        "b5b62afa36740e01e83f452d1148b2b4cb9176e86b7b5f14e4cc7aaa31c793fc",
+    "nor65_l25":
+        "367c9665bfb4bce4de3c9becfe8a0f392206c9037796f3fde7b8dd4b7a25e615",
+    "nor65_l5":
+        "7827cc0442dd5098a31eed75ce1a87f6f287dc060b4da6e61eb4a5435a3cc416",
+}
+
+
+def _sha256(params):
+    return hashlib.sha256(serialize_params(params).encode("utf-8")).hexdigest()
+
+
+class TestFitBytesPinned:
+    @pytest.mark.parametrize("name", sorted(FIT_SHA256))
+    def test_fixture_fit(self, name):
+        p = load_fixture(name)
+        want = FIT_SHA256[name]
+        if isinstance(p, NorGateParams):
+            assert _sha256(characterize_nor(nor_measured(p))) == want
+            return
+        m = cgate_measured(p)
+        got = tuple(_sha256(characterize_cgate(m, r5, inverted=p.inverted))
+                    for r5 in (0.0, p.r5))
+        assert got == want
+
+    def test_every_fixture_pinned(self):
+        assert sorted(FIT_SHA256) == list_fixtures()

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -308,6 +309,34 @@ class TestSimulate:
         assert main(args(v1, s1)) == 0
         assert main(args(v2, s2)) == 0
         assert v1.read_bytes() == v2.read_bytes()
+
+    # SHA-256 of the VCD and the stats event count for a seeded 5-stage
+    # chain: of NOR gates (nor15_l3), and of inverted C gates (cgate15_l3)
+    @pytest.mark.parametrize("kind,fixture,vcd_sha256,events", [
+        ("nor2", "nor15_l3",
+         "3ac1590f5c707eed1a75b571ecb8b65bfe9c7ef264c4d539e258488047f743f4",
+         920),
+        ("cgate", "cgate15_l3",
+         "5c26b9fcd0806bfb6de722cec70d3d8eb47c762b112d540b8a23eaeadb9212af",
+         700),
+    ])
+    def test_vcd_bytes_pinned(self, tmp_path, kind, fixture, vcd_sha256,
+                              events):
+        nl = build_cross_coupled_chain(5, params_ref="g", mu=5e-11,
+                                       sigma=3e-11, n_transitions=100, seed=7)
+        params = load_fixture(fixture)
+        if kind == "cgate":
+            params = replace(params, inverted=True)
+            nl = replace(nl, gates=tuple(
+                replace(g, kind="cgate") if g.kind == "nor2" else g
+                for g in nl.gates))
+        netlist = tmp_path / "chain.json"
+        netlist.write_text(serialize_netlist(nl, {"g": params}))
+        vcd, stats = tmp_path / "trace.vcd", tmp_path / "stats.json"
+        assert main(["simulate", "--netlist", str(netlist), "-o", str(vcd),
+                     "--stats", str(stats)]) == 0
+        assert hashlib.sha256(vcd.read_bytes()).hexdigest() == vcd_sha256
+        assert json.loads(stats.read_text())["events"] == events
 
     def test_t_end_truncates(self, tmp_path):
         netlist = self._write_chain(tmp_path, n_transitions=20)

@@ -23,6 +23,7 @@ from misdelay.gates import (
     nor_extremal_rising,
 )
 from misdelay.numerics import DomainError
+from misdelay.trajectories import delay_by_inversion
 
 LN2 = math.log(2.0)
 
@@ -456,3 +457,32 @@ class TestCGateProperties:
                     a = cgate_delay(p, DelayQuery(direction, delta))
                     b = cgate_delay(q, DelayQuery(direction, delta))
                     assert math.isclose(a, b, rel_tol=1e-12)
+
+
+class TestSharedSwitchOnFamily:
+    """The NOR's rising family is the C gate's rising-pair family.
+
+    Both are the switch-on transient of two series transistors with
+    coefficients alpha1 (first input) and alpha2 (second input), so a
+    non-inverted C gate with r_n = r and the NOR's alpha1, alpha2, r5,
+    c_load and delta_min must give the NOR's rising delays to the bit.
+    The falling-pair stack (r_p, alpha3, alpha4) plays no part.
+    """
+
+    @given(nor_params, st.floats(300.0, 2500.0), st.floats(5e-10, 1e-8),
+           st.floats(5e-10, 1e-8))
+    @settings(max_examples=30, deadline=None)
+    def test_rising_delays_identical(self, p, r_p, alpha3, alpha4):
+        c = CGateParams(r_n=p.r, r_p=r_p, alpha1=p.alpha1, alpha2=p.alpha2,
+                        alpha3=alpha3, alpha4=alpha4, c_load=p.c_load,
+                        r5=p.r5, delta_min=p.delta_min)
+        bps = nor_breakpoints(p)
+        assert cgate_breakpoints(c, "rising") == (bps.up_plus, bps.up_minus)
+        deltas = [0.0, math.inf, -math.inf]
+        for bp, sign in ((bps.up_plus, 1.0), (bps.up_minus, -1.0)):
+            deltas += [sign * k * bp for k in (0.01, 0.5, 1.0, 3.0)]
+        for delta in deltas:
+            q = DelayQuery("rising", delta)
+            assert nor_delay(p, q) == cgate_delay(c, q), delta
+            assert delay_by_inversion("nor2", "rising", delta, p) == \
+                delay_by_inversion("cgate", "rising", delta, c), delta

@@ -258,18 +258,25 @@ class TestIntegrateOdeMatchesReference:
         # each accepted step costs six calls; more means rejections
         assert len(calls) > 1 + 6 * (len(sol.ts) - 1)
 
-    def test_nan_stage_rejects_and_grows_step(self):
+    def test_nan_stage_rejects_and_shrinks_step(self):
         # NaN stages in the first attempt make the error ratio NaN: the
-        # step is rejected and, since the ratio is not > 0, grows 5x
+        # step is rejected and shrinks 5x, as any rejection does
         def f(t, v):
             return math.nan if 2 <= len(calls) <= 7 else -v
 
         g, calls = _counting(f)
         sol = integrate_ode(g, 0.0, 1.0, 1.0)
-        assert calls[7] == 0.2 * (5.0 / 64.0)  # second attempt's stage 2
-        g, calls = _counting(f)
-        ts, vs, dvs = reference_integrate_ode(g, 0.0, 1.0, 1.0, 1e-10, 1e-12)
-        assert (sol.ts, sol.vs, sol.dvs) == (ts, vs, dvs)
+        assert calls[7] == 0.2 * (0.2 / 64.0)  # second attempt's stage 2
+        assert sol.t1 == 1.0
+        assert sol.v1 == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rhs_underflows_quickly(self, value):
+        g, calls = _counting(lambda t, v: value)
+        with pytest.raises(StepUnderflowError):
+            integrate_ode(g, 0.0, 1.0, 0.0)
+        # each attempt shrinks the step 5x from 1/64 down to 1e-18
+        assert len(calls) <= 1 + 6 * 30
 
 
 class TestTolerance:
