@@ -26,8 +26,8 @@ from .fileio import (SchemaError, atomic_write, list_fixtures, load_fixture,
                      parse_measured, parse_netlist, parse_params,
                      serialize_params, serialize_stats, write_curve_csv,
                      write_vcd)
-from .gates import (CGateParams, DelayQuery, NorGateParams, ParamError,
-                    cgate_breakpoints, cgate_delay, nor_breakpoints, nor_delay)
+from .gates import (DelayQuery, NorGateParams, ParamError, _output_family,
+                    cgate_delay, nor_delay)
 from .numerics import (ConvergenceError, DomainError, NoCrossingError,
                        NoSignChangeError, StepUnderflowError)
 from .sim import (CausalityError, LivelockError, NetlistError,
@@ -80,13 +80,8 @@ def _closed_delay(params) -> Callable[[str, float], float]:
 
 def _family_clamps(params, direction: str) -> Tuple[float, float]:
     """(plus, minus) |delta| where this output direction's family clamps."""
-    if isinstance(params, NorGateParams):
-        bps = nor_breakpoints(params)
-        if direction == "falling":
-            return bps.down_plus, bps.down_minus
-        return bps.up_plus, bps.up_minus
-    pair = "rising" if (direction == "rising") != params.inverted else "falling"
-    return cgate_breakpoints(params, pair)
+    table = _output_family(params, direction == "rising")[1]
+    return table.bp_plus, table.bp_minus
 
 
 # -- characterize -----------------------------------------------------------
@@ -245,6 +240,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- simulate -----------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.t_end is not None and not args.t_end >= 0.0:
+        raise CliUsageError("--t-end must be a non-negative time")
     nl, library = parse_netlist(_read(args.netlist))
     result = run(nl, library, t_end=args.t_end)
     atomic_write(args.output, write_vcd(result.trace, nl.nets))

@@ -97,7 +97,13 @@ def _number(obj: dict, key: str, path: str) -> float:
     val = obj.pop(key)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(_join(path, key), "expected a number")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise SchemaError(_join(path, key), "expected a finite number")
+    return num
 
 
 def _integer(obj: dict, key: str, path: str) -> int:

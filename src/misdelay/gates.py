@@ -217,6 +217,12 @@ def _extremal_delay(alpha_sum: float, r: float, r5: float, c: float) -> float:
     return -(alpha_sum / (2.0 * r)) * (1.0 + w)
 
 
+def _pair_rising(p: NorGateParams | CGateParams, rising: bool) -> bool:
+    """Whether the input pair driving a rising (or falling) output rises."""
+    # a NOR output rises on a falling pair, as an inverted C gate's does
+    return rising != (isinstance(p, NorGateParams) or p.inverted)
+
+
 def _switch_on_pair(p: NorGateParams | CGateParams, pair_rising: bool
                     ) -> Tuple[float, float, float]:
     """(first, second, r) of the switch-on stack an input pair engages.
@@ -283,8 +289,8 @@ class _NorTables(NamedTuple):
     fall_k: float            # down-family delay at delta = 0
     fall_frac_pos: float     # c2*r_n_b / (c1*(r_n_a + r_n_b))
     fall_frac_neg: float
-    bp_down_plus: float
-    bp_down_minus: float
+    bp_plus: float
+    bp_minus: float
     rise: _Family
 
 
@@ -298,8 +304,8 @@ def _nor_tables(p: NorGateParams) -> _NorTables:
         fall_k=fall_k,
         fall_frac_pos=caps.c2 * rb / (caps.c1 * (ra + rb)),
         fall_frac_neg=caps.c2 * ra / (caps.c1_prime * (ra + rb)),
-        bp_down_plus=_LN2 * caps.c1 * ra,
-        bp_down_minus=_LN2 * caps.c1_prime * rb,
+        bp_plus=_LN2 * caps.c1 * ra,
+        bp_minus=_LN2 * caps.c1_prime * rb,
         rise=_family(*_switch_on_pair(p, False), p.r5, p.c_load,
                      p.delta_min),
     )
@@ -317,20 +323,18 @@ def nor_extremal_rising(p: NorGateParams) -> ExtremalDelays:
 def nor_breakpoints(p: NorGateParams) -> Breakpoints:
     """|delta| beyond which each family sits on its single-input branch."""
     t = _nor_tables(p)
-    return Breakpoints(t.bp_down_plus, t.bp_down_minus, t.rise.bp_plus,
+    return Breakpoints(t.bp_plus, t.bp_minus, t.rise.bp_plus,
                        t.rise.bp_minus)
 
 
-def _nor_delay_value(t: _NorTables, rising: bool, delta: float) -> float:
-    if rising:
-        return _family_delay(t.rise, delta)
+def _nor_fall_delay(t: _NorTables, delta: float) -> float:
     if delta >= 0.0:
-        if delta >= t.bp_down_plus:
-            return t.bp_down_plus + t.dmin
+        if delta >= t.bp_plus:
+            return t.bp_plus + t.dmin
         return t.fall_k - t.fall_frac_pos * delta + delta + t.dmin
     mag = -delta
-    if mag >= t.bp_down_minus:
-        return t.bp_down_minus + t.dmin
+    if mag >= t.bp_minus:
+        return t.bp_minus + t.dmin
     return t.fall_k - t.fall_frac_neg * mag + mag + t.dmin
 
 
@@ -341,14 +345,23 @@ def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
     outputs to the second falling input.  The result includes the
     interconnect transport delay delta_min.
     """
-    return _nor_delay_value(_nor_tables(p), q.output_direction == "rising",
-                            q.delta)
+    evaluate, table = _output_family(p, q.output_direction == "rising")
+    return evaluate(table, q.delta)
 
 
 @lru_cache(maxsize=512)
 def _cgate_family(p: CGateParams, pair_rising: bool) -> _Family:
     return _family(*_switch_on_pair(p, pair_rising), p.r5, p.c_load,
                    p.delta_min)
+
+
+def _output_family(p: NorGateParams | CGateParams, rising: bool):
+    """(evaluate, table) of the family driving a rising (or falling)
+    output; evaluate(table, delta) is its delay."""
+    if isinstance(p, NorGateParams):
+        t = _nor_tables(p)
+        return (_family_delay, t.rise) if rising else (_nor_fall_delay, t)
+    return _family_delay, _cgate_family(p, _pair_rising(p, rising))
 
 
 def _input_pair_family(p: CGateParams, input_direction: str) -> _Family:
@@ -382,5 +395,5 @@ def cgate_delay(p: CGateParams, q: DelayQuery) -> float:
     are referenced to the second input transition and include
     delta_min.
     """
-    pair_rising = (q.output_direction == "rising") != p.inverted
-    return _family_delay(_cgate_family(p, pair_rising), q.delta)
+    evaluate, table = _output_family(p, q.output_direction == "rising")
+    return evaluate(table, q.delta)

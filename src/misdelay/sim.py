@@ -16,8 +16,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gates import (CGateParams, NorGateParams, _cgate_family, _family_delay,
-                    _nor_delay_value, _nor_tables)
+from .gates import CGateParams, NorGateParams, _output_family
 
 GATE_KINDS = ("nor2", "cgate", "input_source")
 
@@ -149,6 +148,26 @@ class Xoshiro256StarStar:
         return radius * math.cos(theta)
 
 
+def _stimulus_problems(mu, sigma, n, seed) -> List[str]:
+    """Why generate_stimulus cannot draw this train; empty if it can."""
+    def finite(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool) \
+            and math.isfinite(x)
+
+    def integer(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    checks = (
+        (finite(mu) and mu > 0.0,
+         f"mu must be a finite positive time, got {mu!r}"),
+        (finite(sigma) and sigma >= 0.0,
+         f"sigma must be finite and non-negative, got {sigma!r}"),
+        (integer(n) and n >= 1, f"n must be a positive count, got {n!r}"),
+        (integer(seed), f"seed must be an integer, got {seed!r}"),
+    )
+    return [message for ok, message in checks if not ok]
+
+
 def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
                       net: str = "input", start_value: int = 0) -> List[SimEvent]:
     """Alternating pulse train with Normal(mu, sigma) gaps.
@@ -156,13 +175,9 @@ def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
     Gaps are truncated below at 1 ps; with sigma = 0 the transitions
     land on exact multiples of mu.  Deterministic for a fixed seed.
     """
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"mu must be a positive time, got {mu!r}")
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma)
-            and sigma >= 0.0):
-        raise ValueError(f"sigma must be non-negative, got {sigma!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive count, got {n!r}")
+    problems = _stimulus_problems(mu, sigma, n, seed)
+    if problems:
+        raise ValueError("; ".join(problems))
     rng = Xoshiro256StarStar(seed)
     events = []
     t = 0.0
@@ -246,9 +261,13 @@ def validate_netlist(nl: Netlist) -> None:
             problems.append(f"stimulus for unknown source {src!r}")
         elif next(g.kind for g in nl.gates if g.id == src) != "input_source":
             problems.append(f"stimulus target {src!r} is not a source")
-        if not (isinstance(spec, StimulusSpec) and spec.mu > 0.0
-                and spec.sigma >= 0.0 and spec.n_transitions >= 1):
+        if not isinstance(spec, StimulusSpec):
             problems.append(f"stimulus for {src!r} is malformed: {spec!r}")
+            continue
+        problems.extend(
+            f"stimulus for {src!r} is malformed: {problem}"
+            for problem in _stimulus_problems(spec.mu, spec.sigma,
+                                              spec.n_transitions, spec.seed))
     if problems:
         raise NetlistError(problems)
 
@@ -265,15 +284,14 @@ class _NetState:
 
 
 class _GateRun:
-    """One gate bound for a run: its nets and its delay tables.
+    """One gate bound for a run: its nets and its delay families.
 
-    NOR gates hold their `_nor_tables`; C gates hold one family per
-    output value, indexed by the target level.
+    families holds the (evaluate, table) pair of `_output_family` for
+    each output value, indexed by the target level.
     """
 
     __slots__ = ("gate", "is_nor", "a", "b", "out", "inverted", "delta_min",
-                 "tables", "families", "pending_seq", "pending_time",
-                 "pending_value")
+                 "families", "pending_seq", "pending_time", "pending_value")
 
     def __init__(self, gate: Gate, params, nets: Dict[str, _NetState]):
         self.gate = gate
@@ -282,17 +300,9 @@ class _GateRun:
         self.b = nets[gate.inputs[1]]
         self.out = nets[gate.output]
         self.delta_min = params.delta_min
-        if self.is_nor:
-            self.inverted = False
-            self.tables = _nor_tables(params)
-            self.families = None
-        else:
-            self.inverted = params.inverted
-            self.tables = None
-            # the pair that drives output level `target` rises exactly
-            # when (target == 1) != inverted, as in cgate_delay
-            self.families = (_cgate_family(params, params.inverted),
-                             _cgate_family(params, not params.inverted))
+        self.inverted = not self.is_nor and params.inverted
+        self.families = (_output_family(params, False),
+                         _output_family(params, True))
         self.pending_seq = -1
         self.pending_time = 0.0
         self.pending_value = 0
@@ -307,6 +317,8 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
     part of the interface.  Each gate's delay tables are bound once at
     set-up, so an event costs the closed form's flops and heap work.
     """
+    if t_end is not None and math.isnan(t_end):
+        raise ValueError("t_end must not be NaN")
     validate_netlist(nl)
     started = _time.perf_counter()
 
@@ -396,26 +408,24 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             if target == gr.out.value:
                 gr.pending_seq = -1
                 continue
-            if gr.is_nor:
-                if target == 0:
-                    t_a = a.last_rise if a.value else inf
-                    t_b = b.last_rise if b.value else inf
-                    ref = min(t_a, t_b)
-                else:
-                    t_a = a.last_fall
-                    t_b = b.last_fall
-                    ref = max(t_a, t_b)
-                delta = 0.0 if t_a == t_b else t_b - t_a
+            if gr.is_nor and not target:
+                # falling NOR output, referenced to the first rising input
+                t_a = a.last_rise if a.value else inf
+                t_b = b.last_rise if b.value else inf
+                ref = min(t_a, t_b)
                 if not isfinite(ref):
                     ref = t  # input held since the start of time
-                t_new = ref + _nor_delay_value(gr.tables, target == 1, delta)
             else:
+                # switch-on family, referenced to the pair's second input:
+                # the one that switched now, as pops come in time order
+                ref = t
                 if a.value:
                     t_a, t_b = a.last_rise, b.last_rise
                 else:
                     t_a, t_b = a.last_fall, b.last_fall
-                delta = 0.0 if t_a == t_b else t_b - t_a
-                t_new = t + _family_delay(gr.families[target], delta)
+            delta = 0.0 if t_a == t_b else t_b - t_a
+            evaluate, table = gr.families[target]
+            t_new = ref + evaluate(table, delta)
             if gr.pending_seq >= 0 and gr.pending_value == target \
                     and gr.pending_time == t_new:
                 continue

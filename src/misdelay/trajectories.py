@@ -5,12 +5,20 @@ approximations of a mode-switched first-order circuit.  This module
 carries the underlying machinery: the exact per-mode output voltage
 trajectories (with the interconnect folded in by a constant divider),
 the implicit crossing function for the rising-output family, and two
-delay oracles that do not share code with the closed forms:
+delay oracles:
 
 * trajectory inversion, which chains mode trajectories and bisects the
   threshold crossing;
 * full ODE integration, with the interconnect either as the constant
   divider or as the exact time-varying divider f(t).
+
+The oracles share with the closed forms only the description of the
+gate: which input pair drives an output (`gates._pair_rising`), which
+transient coefficients and stack that pair engages
+(`gates._switch_on_pair`) and the divider-corrected loads
+(`effective_caps`).  The crossing formulas and their solves stay
+independent: the closed forms use Lambert W and a linearization, the
+oracles bisect the chained trajectories or integrate the ODE.
 
 The constant divider is exact for this circuit, not an approximation.
 The constant-resistance modes need no divider correction at all; a
@@ -34,7 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import CGateParams, NorGateParams, _switch_on_pair, effective_caps
+from .gates import (CGateParams, NorGateParams, _pair_rising, _switch_on_pair,
+                    effective_caps)
 from .numerics import (
     DomainError,
     NoCrossingError,
@@ -172,19 +181,34 @@ def _phi(ctx: TrajectoryContext, r: float, delta: float):
                           + a_exp * log1p(2.0 * t / p_minus)) / tau)
 
 
-def _switch_on(params, kind: str):
-    """(aged, fresh, r, c_eff, up) of the switch-on mode of a double
-    transition.
+def _mode_law(params, kind: str):
+    """Conduction law of one mode: ('exp', rg, c_eff) for a constant
+    resistance rg, ('dual', aged, fresh, r, c_eff, up) for the switch-on
+    mode of a double transition, or ('hold',) when no path conducts.
 
-    aged is the coefficient of the earlier input's transistor; c_eff is
-    the divider-corrected load; up tells whether the mode drives the
+    c_eff is the divider-corrected load; aged is the coefficient of the
+    earlier input's transistor; up tells whether the mode drives the
     output toward the supply (the NOR pullup, the C gate's nMOS side).
     """
+    if not isinstance(params, (NorGateParams, CGateParams)):
+        raise TypeError(f"unsupported params type {type(params).__name__}")
+    nor = isinstance(params, NorGateParams)
     up = kind in _DOUBLE_UP
+    if nor and kind not in _DOUBLE_DOWN:
+        caps = effective_caps(params)
+        if kind in ("00->10", "11->10"):
+            return ("exp", params.r_n_a, caps.c1)
+        if kind in ("00->01", "11->01"):
+            return ("exp", params.r_n_b, caps.c1_prime)
+        rpar = params.r_n_a * params.r_n_b / (params.r_n_a + params.r_n_b)
+        return ("exp", rpar, caps.c2)
+    if not up and kind not in _DOUBLE_DOWN:
+        # single transition breaks the conduction path; the keeper holds
+        return ("hold",)
     first, second, r = _switch_on_pair(params, up)
     aged, fresh = (first, second) if kind in _A_FIRST else (second, first)
     c_eff = params.c_load * (params.r5 + 2.0 * r) / (2.0 * r)
-    return aged, fresh, r, c_eff, up or isinstance(params, NorGateParams)
+    return ("dual", aged, fresh, r, c_eff, up or nor)
 
 
 def _switch_on_kind(pair_rising: bool, delta: float) -> str:
@@ -197,22 +221,13 @@ def _switch_on_kind(pair_rising: bool, delta: float) -> str:
 def _mode_constants(params, kind: str, delta: float, v_dd: float):
     """Resolve per-mode law: ('exp', tau) | ('dual', ctx, r, toward_vdd)
     | ('hold',)."""
-    if isinstance(params, NorGateParams):
-        caps = effective_caps(params)
-        if kind in ("00->10", "11->10"):
-            return ("exp", caps.c1 * params.r_n_a)
-        if kind in ("00->01", "11->01"):
-            return ("exp", caps.c1_prime * params.r_n_b)
-        if kind in _DOUBLE_UP:
-            rpar = params.r_n_a * params.r_n_b / (params.r_n_a + params.r_n_b)
-            return ("exp", caps.c2 * rpar)
-    elif isinstance(params, CGateParams):
-        if kind not in _DOUBLE_UP and kind not in _DOUBLE_DOWN:
-            # single transition breaks the conduction path; the keeper holds
-            return ("hold",)
-    else:
-        raise TypeError(f"unsupported params type {type(params).__name__}")
-    aged, fresh, r, c_eff, up = _switch_on(params, kind)
+    law = _mode_law(params, kind)
+    if law[0] == "exp":
+        _, rg, c_eff = law
+        return ("exp", c_eff * rg)
+    if law[0] == "hold":
+        return law
+    _, aged, fresh, r, c_eff, up = law
     ctx = _dual_transient_context(aged, fresh, r, delta, c_eff, v_dd)
     return ("dual", ctx, r, up)
 
@@ -260,14 +275,9 @@ def implicit_I(t: float, delta: float, params,
         raise ValueError(f"delta must be >= 0, got {delta!r}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    if isinstance(params, NorGateParams):
-        kind = "01->00"
-    elif input_direction == "falling":
-        kind = "01->00"
-    else:
-        kind = "10->11"
-    law = _mode_constants(params, kind, delta, 1.0)
-    _, ctx, r, _ = law
+    kind = _switch_on_kind(isinstance(params, CGateParams)
+                           and input_direction == "rising", delta)
+    _, ctx, r, _ = _mode_constants(params, kind, delta, 1.0)
     return _phi(ctx, r, delta)(t) - 0.5
 
 
@@ -305,24 +315,21 @@ def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
             raise TypeError("gate_kind nor2 needs NorGateParams")
         if direction == "falling":
             return _nor_fall_by_inversion(params, delta)
-        return _switch_on_by_inversion(params, False, delta)
-    if gate_kind == "cgate":
+    elif gate_kind == "cgate":
         if not isinstance(params, CGateParams):
             raise TypeError("gate_kind cgate needs CGateParams")
-        return _switch_on_by_inversion(
-            params, (direction == "rising") != params.inverted, delta)
-    raise ValueError(f"unknown gate_kind {gate_kind!r}")
+    else:
+        raise ValueError(f"unknown gate_kind {gate_kind!r}")
+    return _switch_on_by_inversion(
+        params, _pair_rising(params, direction == "rising"), delta)
 
 
 def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
-    caps = effective_caps(p)
-    if delta >= 0.0:
-        tau1 = caps.c1 * p.r_n_a
-    else:
-        tau1 = caps.c1_prime * p.r_n_b
+    # the single pulldown of the first rising input, then both
+    tau1 = _mode_constants(p, "00->10" if delta >= 0.0 else "00->01",
+                           0.0, 1.0)[1]
+    tau2 = _mode_constants(p, "10->11", 0.0, 1.0)[1]
     sep = abs(delta)
-    rpar = p.r_n_a * p.r_n_b / (p.r_n_a + p.r_n_b)
-    tau2 = caps.c2 * rpar
 
     def traj(t: float) -> float:
         if t <= sep:
@@ -337,8 +344,8 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
 
 
 def _switch_on_by_inversion(p, pair_rising: bool, delta: float) -> float:
-    aged, fresh, r, c_eff, _ = _switch_on(p, _switch_on_kind(pair_rising,
-                                                             delta))
+    _, aged, fresh, r, c_eff, _ = _mode_law(p, _switch_on_kind(pair_rising,
+                                                               delta))
     sep = abs(delta)
     ctx = _dual_transient_context(aged, fresh, r, sep, c_eff, 1.0)
     hint = 8.0 * r * c_eff + (aged + fresh) / r
@@ -378,18 +385,13 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool, v_dd: float):
 
     s is local mode time.  Returns None for non-conducting modes.
     """
-    c, r5 = params.c_load, params.r5
-    if isinstance(params, NorGateParams):
-        if kind in ("00->10", "11->10"):
-            return _const_rhs(c, r5, params.r_n_a, 0.0)
-        if kind in ("00->01", "11->01"):
-            return _const_rhs(c, r5, params.r_n_b, 0.0)
-        if kind in _DOUBLE_UP:
-            rpar = params.r_n_a * params.r_n_b / (params.r_n_a + params.r_n_b)
-            return _const_rhs(c, r5, rpar, 0.0)
-    elif kind not in _DOUBLE_UP and kind not in _DOUBLE_DOWN:
+    law = _mode_law(params, kind)
+    if law[0] == "hold":
         return None
-    aged, fresh, r, _, up = _switch_on(params, kind)
+    c, r5 = params.c_load, params.r5
+    if law[0] == "exp":
+        return _const_rhs(c, r5, law[1], 0.0)
+    _, aged, fresh, r, _, up = law
     return _dual_rhs(c, r5, aged, fresh, 2.0 * r, delta, exact_f,
                      v_dd if up else 0.0)
 
@@ -496,8 +498,7 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
         t_end = (0.0 if math.isinf(sep) else sep) + horizon
     else:
         # the mode starts at its natural level, the rail it drives away from
-        pair_rising = gate_kind == "cgate" and (
-            (direction == "rising") != params.inverted)
+        pair_rising = _pair_rising(params, direction == "rising")
         modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
         t_end = horizon
 

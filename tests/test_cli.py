@@ -266,6 +266,23 @@ class TestVerify:
             assert code == 0
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, name
 
+    def test_inverted_cgate_swaps_families(self, tmp_path, capsys):
+        # no bundled fixture is inverted; the inverted gate's falling
+        # output is the plain gate's rising one, grid and clamps included
+        base = load_fixture("cgate15_l3")
+        path = tmp_path / "inverted.json"
+        path.write_text(serialize_params(replace(base, inverted=True)))
+        assert main(["verify", "--params", CG_PATH]) == 0
+        plain = json.loads(capsys.readouterr().out)["fixtures"]["cgate15_l3"]
+        assert main(["verify", "--params", str(path)]) == 0
+        inv = json.loads(capsys.readouterr().out)["fixtures"]["inverted"]
+        for column in ("exact_s", "linearized_rel", "ode_rel"):
+            for side in ("plus", "minus"):
+                assert inv[column][f"down_{side}"] == \
+                    plain[column][f"up_{side}"], (column, side)
+                assert inv[column][f"up_{side}"] == \
+                    plain[column][f"down_{side}"], (column, side)
+
     def test_tight_tolerance_fails_with_exit_3(self, capsys):
         code = main(["verify", "--params", L3_PATH,
                      "--tol-linearized", "1e-6"])
@@ -350,6 +367,30 @@ class TestSimulate:
         short = json.loads(stats.read_text())["events"]
         assert 0 < short < full
 
+    def test_infinite_stimulus_exit_2(self, tmp_path, capsys):
+        netlist = self._write_chain(tmp_path)
+        text = netlist.read_text()
+        assert '"mu_s": 5e-11' in text
+        netlist.write_text(text.replace('"mu_s": 5e-11', '"mu_s": 1e999'))
+        code = main(["simulate", "--netlist", str(netlist),
+                     "-o", str(tmp_path / "x.vcd"),
+                     "--stats", str(tmp_path / "x.json")])
+        assert code == 2
+        diag = _stderr_diag(capsys)
+        assert diag["type"] == "SchemaError"
+        assert diag["path"].endswith(".mu_s")
+
+    @pytest.mark.parametrize("t_end", ["nan", "-1e-10"])
+    def test_bad_t_end_exit_2(self, tmp_path, capsys, t_end):
+        # a NaN horizon would never stop the run; reject it up front
+        netlist = self._write_chain(tmp_path)
+        code = main(["simulate", "--netlist", str(netlist),
+                     "-o", str(tmp_path / "x.vcd"),
+                     "--stats", str(tmp_path / "x.json"), "--t-end", t_end])
+        assert code == 2
+        assert _stderr_diag(capsys)["type"] == "CliUsageError"
+        assert not (tmp_path / "x.vcd").exists()
+
     def test_bad_netlist_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -382,3 +423,12 @@ class TestBench:
     def test_bad_counts_exit_2(self, capsys):
         assert main(["bench", "--stages", "0"]) == 2
         assert _stderr_diag(capsys)["error"] == "validation"
+
+    @pytest.mark.parametrize("flag,value", [("--mu", "inf"),
+                                            ("--sigma", "nan")])
+    def test_non_finite_stimulus_exit_2(self, capsys, flag, value):
+        assert main(["bench", "--stages", "2", "--transitions", "5",
+                     flag, value]) == 2
+        diag = _stderr_diag(capsys)
+        assert diag["type"] == "NetlistError"
+        assert all(flag[2:] in p for p in diag["problems"])

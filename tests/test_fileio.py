@@ -95,6 +95,14 @@ class TestParamsDocuments:
         with pytest.raises(SchemaError):
             parse_params(text)
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
+    def test_number_fields_reject_values_beyond_float_range(self, literal):
+        # 1e999 parses to inf and a long integer literal overflows float();
+        # both must name the field, as a NaN literal does
+        text = serialize_params(NOR_A).replace("1277.1", literal)
+        with pytest.raises(SchemaError, match="r_ohm: expected a finite"):
+            parse_params(text)
+
     def test_top_level_and_syntax_errors(self):
         with pytest.raises(SchemaError):
             parse_params("[1, 2]")
@@ -208,6 +216,15 @@ class TestNetlistDocuments:
                                  "n_transitions": 2.5, "seed": 1}}}
         with pytest.raises(SchemaError, match="n_transitions"):
             parse_netlist(json.dumps(doc))
+
+    def test_stimulus_rejects_infinite_mu(self):
+        doc = {"gates": [{"id": "s", "kind": "input_source", "output": "a"}],
+               "nets": {"a": 0},
+               "stimuli": {"s": {"mu_s": 1e-11, "sigma_s": 0.0,
+                                 "n_transitions": 2, "seed": 1}}}
+        text = json.dumps(doc).replace("1e-11", "1e999")
+        with pytest.raises(SchemaError, match="stimuli.s.mu_s"):
+            parse_netlist(text)
 
     def test_gate_unknown_field(self):
         doc = {"gates": [{"id": "s", "kind": "input_source", "output": "a",

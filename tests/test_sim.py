@@ -152,6 +152,21 @@ class TestStimulus:
         with pytest.raises(ValueError):
             generate_stimulus(1e-11, 1e-12, 0, seed=1)
 
+    @pytest.mark.parametrize("mu,sigma,n,seed,field", [
+        (math.inf, 0.0, 5, 1, "mu"),
+        (math.nan, 0.0, 5, 1, "mu"),
+        (True, 0.0, 5, 1, "mu"),
+        (1e-11, math.inf, 5, 1, "sigma"),
+        (1e-11, math.nan, 5, 1, "sigma"),
+        (1e-11, False, 5, 1, "sigma"),
+        (1e-11, 0.0, True, 1, "n"),
+        (1e-11, 0.0, 5, 1.0, "seed"),
+    ])
+    def test_rejects_non_finite_bool_and_non_integer(self, mu, sigma, n,
+                                                     seed, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            generate_stimulus(mu, sigma, n, seed)
+
 
 class TestSingleNor:
     def test_quiet_b_output_is_delayed_complement(self):
@@ -424,6 +439,26 @@ class TestNetlistValidation:
         assert "must be 0 or 1" in text
         assert "no driver" in text
         assert "unknown source" in text
+
+    @pytest.mark.parametrize("spec,field", [
+        (StimulusSpec(math.inf, 0.0, 3, 1), "mu"),
+        (StimulusSpec(1e-11, math.inf, 3, 1), "sigma"),
+        (StimulusSpec(1e-11, 0.0, 3, 1.5), "seed"),
+    ])
+    def test_stimulus_checked_as_generate_stimulus_checks_it(self, spec,
+                                                              field):
+        # validation must catch what generate_stimulus would raise on,
+        # so run() fails with NetlistError before any event
+        nl = single_nor(stim_a=spec)
+        with pytest.raises(NetlistError, match=f"'sa' is malformed: {field}"):
+            validate_netlist(nl)
+        with pytest.raises(NetlistError):
+            run(nl, LIB)
+
+    def test_nan_t_end_rejected(self):
+        nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
+        with pytest.raises(ValueError, match="t_end"):
+            run(nl, LIB, t_end=math.nan)
 
     def test_initial_state_must_be_steady(self):
         nl = single_nor()

@@ -10,6 +10,7 @@ from misdelay.gates import (
     CGateParams,
     DelayQuery,
     NorGateParams,
+    cgate_breakpoints,
     cgate_delay,
     cgate_extremal,
     effective_caps,
@@ -17,6 +18,7 @@ from misdelay.gates import (
     nor_delay,
     nor_extremal_rising,
 )
+from misdelay.fileio import load_fixture
 from misdelay.numerics import Tolerance
 from misdelay.trajectories import (
     ModeSwitch,
@@ -227,6 +229,22 @@ class TestInversionOracle:
         for delta in (0.0, 4e-12, -7e-12):
             assert delay_by_inversion("cgate", "rising", delta, inv) == \
                 delay_by_inversion("cgate", "falling", delta, CG_ISO)
+
+    @pytest.mark.parametrize("oracle", [delay_by_inversion, delay_by_ode])
+    def test_cgate_inverted_swaps_output_directions(self, oracle):
+        # an inverted C gate drives each output direction from the input
+        # pair that drives the other direction of the plain gate; no
+        # fixture is inverted, so pin the relabelling on both oracles
+        base = load_fixture("cgate15_l3")
+        inv = replace(base, inverted=True)
+        for direction, other in (("rising", "falling"),
+                                 ("falling", "rising")):
+            bp_plus, bp_minus = cgate_breakpoints(base, other)
+            for delta in (0.0, 0.5 * bp_plus, -0.5 * bp_minus,
+                          1.5 * bp_plus, -1.5 * bp_minus,
+                          math.inf, -math.inf):
+                assert oracle("cgate", direction, delta, inv) == \
+                    oracle("cgate", other, delta, base), (direction, delta)
 
     def test_rejects_bad_queries(self):
         with pytest.raises(ValueError):
