@@ -11,6 +11,7 @@ the series resistance seen by the recharge path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List
@@ -62,9 +63,14 @@ class MeasuredDelays:
     c_chosen: float
 
 
+def _is_real(value) -> bool:
+    """A finite int or float; a bool is a flag, not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _is_pos(value) -> bool:
-    return (isinstance(value, (int, float)) and math.isfinite(value)
-            and value > 0.0)
+    return _is_real(value) and value > 0.0
 
 
 def validate_measured(m: MeasuredDelays, kind: str) -> None:
@@ -81,8 +87,7 @@ def validate_measured(m: MeasuredDelays, kind: str) -> None:
         if not _is_pos(getattr(m, name)):
             problems.append(f"{name} must be a finite positive delay, "
                             f"got {getattr(m, name)!r}")
-    dm_ok = (isinstance(m.delta_min, (int, float))
-             and math.isfinite(m.delta_min) and m.delta_min >= 0.0)
+    dm_ok = _is_real(m.delta_min) and m.delta_min >= 0.0
     if not dm_ok:
         problems.append(f"delta_min must be finite and non-negative, "
                         f"got {m.delta_min!r}")
@@ -148,7 +153,7 @@ def alpha_from_extremal_delay(t: float, r: float, r5: float,
         raise DomainError(f"delay must be finite and positive, got {t!r}")
     if not (_is_pos(r) and _is_pos(c)):
         raise DomainError("resistance and capacitance must be positive")
-    if not (isinstance(r5, (int, float)) and math.isfinite(r5) and r5 >= 0.0):
+    if not (_is_real(r5) and r5 >= 0.0):
         raise DomainError(f"r5 must be finite and non-negative, got {r5!r}")
     return 2.0 * r * _a_from_extremal(t, r5 + 2.0 * r, c)
 
@@ -172,10 +177,42 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
     if not z_lo < z_hi:
         raise InvalidMeasurementsError(
             ["extremal delays leave no admissible pull resistance"])
-    # g can approach either sign limit at the low end, so scan a log
-    # grid for a bracket instead of trusting the endpoints
+    # g can approach either sign limit at the low end, so the bracket
+    # comes from a log grid instead of the endpoints.  The sign change
+    # sits near the high end (index 121 of 127 in the median solve), so
+    # gallop down from there in doubling strides and bisect the last
+    # stride to an adjacent grid pair.  Where g changes sign once, that
+    # is the pair a scan up from the low end finds, and the root is the
+    # same to the bit.  A search that sees no flip scans every point.
     ratio = z_hi / z_lo
-    zs = [z_lo * ratio ** (i / (_GRID - 1)) for i in range(_GRID)]
+
+    def z_at(i: int) -> float:
+        return z_lo * ratio ** (i / (_GRID - 1))
+
+    hi = _GRID - 1
+    g_hi = g_top = g(z_at(hi))
+    stride = 1
+    while hi > 0:
+        lo = max(hi - stride, 0)
+        g_lo = g(z_at(lo))
+        if g_lo * g_top > 0.0:
+            hi, g_hi = lo, g_lo
+            stride *= 2
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            g_mid = g(z_at(mid))
+            if g_mid * g_top > 0.0:
+                hi, g_hi = mid, g_mid
+            else:
+                lo, g_lo = mid, g_mid
+        if g_lo == 0.0:
+            return z_at(lo)
+        if g_lo * g_hi < 0.0:
+            return find_root_bracketed(g, z_at(lo), z_at(hi))
+        break
+
+    zs = [z_at(i) for i in range(_GRID)]
     gs = [g(z) for z in zs]
     for i in range(_GRID - 1):
         if gs[i] == 0.0:
@@ -188,6 +225,17 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
         ["rising extremal delays are mutually inconsistent: no series "
          "resistance makes the zero-separation transient the sum of "
          "the single-input ones"])
+
+
+@functools.lru_cache(maxsize=32)
+def _series_totals(up: tuple, down: tuple, c: float) -> tuple:
+    """Series totals (x, y) of the C gate's up and down switch-on pairs.
+
+    They do not depend on r5_choice, so a sweep of conventions over one
+    measurement set solves them once.
+    """
+    return (_solve_z(*up, c, z_lo=2.0 * _R_MIN),
+            _solve_z(*down, c, z_lo=2.0 * _R_MIN))
 
 
 def characterize_nor(m: MeasuredDelays) -> NorGateParams:
@@ -230,10 +278,11 @@ def characterize_cgate(m: MeasuredDelays, r5_choice: float = 0.0,
     [0, min of the two totals) yields the same delay model.
     """
     validate_measured(m, "cgate")
-    if not (isinstance(r5_choice, (int, float)) and math.isfinite(r5_choice)
-            and r5_choice >= 0.0):
+    if not (_is_real(r5_choice) and r5_choice >= 0.0):
         raise ParamError(f"r5_choice must be finite and non-negative, "
                          f"got {r5_choice!r}")
+    if not isinstance(inverted, bool):
+        raise ParamError(f"inverted must be a bool, got {inverted!r}")
     t_dm = m.d_down_minus_inf - m.delta_min
     t_d0 = m.d_down_zero - m.delta_min
     t_di = m.d_down_inf - m.delta_min
@@ -246,8 +295,8 @@ def characterize_cgate(m: MeasuredDelays, r5_choice: float = 0.0,
         (t_u0, t_ui, t_um), (t_d0, t_di, t_dm) = \
             (t_d0, t_di, t_dm), (t_u0, t_ui, t_um)
 
-    x = _solve_z(t_u0, t_ui, t_um, m.c_chosen, z_lo=2.0 * _R_MIN)
-    y = _solve_z(t_d0, t_di, t_dm, m.c_chosen, z_lo=2.0 * _R_MIN)
+    x, y = _series_totals((t_u0, t_ui, t_um), (t_d0, t_di, t_dm),
+                          m.c_chosen)
     if not r5_choice < min(x, y):
         raise ParamError(
             f"r5_choice must stay below {min(x, y):.6g} ohm, the smaller "

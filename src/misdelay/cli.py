@@ -207,6 +207,12 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for flag, tol in (("--tol-exact", args.tol_exact),
+                      ("--tol-linearized", args.tol_linearized),
+                      ("--tol-ode", args.tol_ode)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise CliUsageError(f"{flag} must be finite and non-negative, "
+                                f"got {tol!r}")
     if args.params:
         targets = [(Path(p).stem, parse_params(_read(p))) for p in args.params]
     else:

@@ -6,6 +6,9 @@ so it can serve as an oracle for the fast library code.  The one
 parameter map here, exact_divider_gate, uses dataclasses.replace only.
 reference_integrate_ode walks the Runge-Kutta tableau in generic loops,
 the form the library's straight-line step must match bit for bit.
+reference_solve_z is the full 128-point bracket scan of the
+characterization solve; it borrows the library's g terms and Brent
+solve, so it pins only the bracket search, bit for bit.
 """
 
 import math
@@ -148,3 +151,43 @@ def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12):
         factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
     raise RuntimeError("step budget")
+
+
+def reference_solve_z(t_zero, t_first, t_second, c, z_lo):
+    """Series resistance by evaluating g at every grid point, then scanning.
+
+    The first grid zero, or the first adjacent pair whose g values
+    differ in sign, decides the result; Brent refines the pair.  Raises
+    the library's InvalidMeasurementsError with its messages.
+    """
+    from misdelay.characterize import (InvalidMeasurementsError,
+                                       _a_from_extremal)
+    from misdelay.numerics import find_root_bracketed
+
+    r_min, r_max, n_grid = 1e-2, 1e9, 128
+
+    def g(z):
+        return (_a_from_extremal(t_zero, z, c)
+                - _a_from_extremal(t_first, z, c)
+                - _a_from_extremal(t_second, z, c))
+
+    z_lo = max(z_lo, 2.0 * r_min)
+    z_hi = min(t_zero, t_first, t_second) / (c * math.log(2.0)) * (1.0 - 1e-12)
+    z_hi = min(z_hi, z_lo + 2.0 * r_max)
+    if not z_lo < z_hi:
+        raise InvalidMeasurementsError(
+            ["extremal delays leave no admissible pull resistance"])
+    ratio = z_hi / z_lo
+    zs = [z_lo * ratio ** (i / (n_grid - 1)) for i in range(n_grid)]
+    gs = [g(z) for z in zs]
+    for i in range(n_grid - 1):
+        if gs[i] == 0.0:
+            return zs[i]
+        if gs[i] * gs[i + 1] < 0.0:
+            return find_root_bracketed(g, zs[i], zs[i + 1])
+    if gs[-1] == 0.0:
+        return zs[-1]
+    raise InvalidMeasurementsError(
+        ["rising extremal delays are mutually inconsistent: no series "
+         "resistance makes the zero-separation transient the sum of "
+         "the single-input ones"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from misdelay import characterize
 from misdelay.characterize import (
     InvalidMeasurementsError,
     MeasuredDelays,
@@ -156,6 +157,18 @@ class TestValidation:
         with pytest.raises(InvalidMeasurementsError):
             validate_measured(bad, "cgate")
 
+    def test_bools_are_not_numbers(self):
+        m = nor_measured(NOR_A)
+        for name in ("d_up_zero", "c_chosen", "delta_min"):
+            with pytest.raises(InvalidMeasurementsError, match=name):
+                validate_measured(replace(m, **{name: True}), "nor2")
+        with pytest.raises(InvalidMeasurementsError, match="delta_min"):
+            validate_measured(replace(m, delta_min=False), "nor2")
+        for args in ((True, 1e3, 0.0, 1e-15), (1e-11, True, 0.0, 1e-15),
+                     (1e-11, 1e3, False, 1e-15), (1e-11, 1e3, 0.0, True)):
+            with pytest.raises(DomainError):
+                alpha_from_extremal_delay(*args)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             validate_measured(nor_measured(NOR_A), "nand2")
@@ -255,6 +268,15 @@ class TestCGateRoundTrip:
             characterize_cgate(m, r5_choice=-1.0)
         with pytest.raises(ParamError, match="below"):
             characterize_cgate(m, r5_choice=1e9)
+
+    def test_flag_arguments_checked_before_any_solve(self):
+        m = cgate_measured(CG_W3)
+        for kwargs in ({"r5_choice": True}, {"r5_choice": False},
+                       {"inverted": 1}, {"inverted": None}):
+            calls = _solve_calls(
+                lambda: pytest.raises(ParamError, characterize_cgate, m,
+                                      **kwargs))
+            assert calls == []
 
 
 nor_params = st.builds(
@@ -381,3 +403,103 @@ class TestFitBytesPinned:
 
     def test_every_fixture_pinned(self):
         assert sorted(FIT_SHA256) == list_fixtures()
+
+
+def _fit(p):
+    """Fit p from its own six extremal delays; C gates at r5_choice = 0."""
+    if isinstance(p, NorGateParams):
+        return characterize_nor(nor_measured(p))
+    return characterize_cgate(cgate_measured(p), inverted=p.inverted)
+
+
+def _solve_calls(fit):
+    """(args, kwargs) of each _solve_z call that fit() makes, with the
+    memo of C gate series totals emptied first."""
+    characterize._series_totals.cache_clear()
+    calls = []
+    real = characterize._solve_z
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characterize, "_solve_z", spy)
+        fit()
+    return calls
+
+
+def _assert_solves_match_reference(calls):
+    for args, kwargs in calls:
+        assert (characterize._solve_z(*args, **kwargs)
+                == oracles.reference_solve_z(*args, **kwargs))
+
+
+def _invalid_message(solve, *args):
+    with pytest.raises(InvalidMeasurementsError) as info:
+        solve(*args)
+    return str(info.value)
+
+
+class TestSolveMatchesReference:
+    """The bracket search returns the bits of the full-grid scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nor_params, cgate_params, st.booleans())
+    def test_random_gates(self, nor, cg, inverted):
+        cg = replace(cg, inverted=inverted)
+        calls = _solve_calls(lambda: (_fit(nor), _fit(cg)))
+        assert len(calls) == 3
+        _assert_solves_match_reference(calls)
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_fixture(self, name):
+        p = load_fixture(name)
+        gates = [p]
+        if isinstance(p, CGateParams):
+            gates.append(replace(p, inverted=not p.inverted))
+        for gate in gates:
+            calls = _solve_calls(lambda: _fit(gate))
+            assert calls
+            _assert_solves_match_reference(calls)
+
+    def test_inconsistent_triple_same_message(self):
+        args = (2e-10, 2e-12, 2e-12, NOR_A.c_load, NOR_A.r5 + 0.02)
+        want = _invalid_message(oracles.reference_solve_z, *args)
+        assert "inconsistent" in want
+        assert _invalid_message(characterize._solve_z, *args) == want
+
+    def test_no_admissible_resistance_same_message(self):
+        args = (2e-11, 3e-13, 1e-11, NOR_A.c_load, NOR_A.r5 + 0.02)
+        want = _invalid_message(oracles.reference_solve_z, *args)
+        assert "no admissible pull resistance" in want
+        assert _invalid_message(characterize._solve_z, *args) == want
+
+
+class TestSolveWork:
+    def test_g_evaluations_per_solve_bounded(self):
+        calls = []
+        for name in list_fixtures():
+            p = load_fixture(name)
+            calls += _solve_calls(lambda: _fit(p))
+        real = characterize._a_from_extremal
+        worst = 0
+        for args, kwargs in calls:
+            terms = []
+
+            def counting(*a):
+                terms.append(a)
+                return real(*a)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(characterize, "_a_from_extremal", counting)
+                characterize._solve_z(*args, **kwargs)
+            # each g evaluation takes three transient scales
+            worst = max(worst, len(terms) // 3)
+        assert worst <= 40
+
+    def test_r5_sweep_solves_series_totals_once(self):
+        m = cgate_measured(CG_W3)
+        calls = _solve_calls(lambda: [characterize_cgate(m, r5_choice=r5)
+                                      for r5 in (0.0, CG_W3.r5, 100.0)])
+        assert len(calls) == 2

@@ -266,6 +266,25 @@ class TestVerify:
             assert code == 0
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, name
 
+    @pytest.mark.parametrize("flag", ["--tol-exact", "--tol-linearized",
+                                      "--tol-ode"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, flag, value):
+        # checked before any parameter file is read: this one is missing
+        code = main(["verify", "--params", str(tmp_path / "absent.json"),
+                     f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["type"] == \
+            "CliUsageError"
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code = main(["verify", "--params", L3_PATH, "--tol-linearized", "0"])
+        assert code == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["tolerances"]["linearized_rel"] == 0.0
+
     def test_inverted_cgate_swaps_families(self, tmp_path, capsys):
         # no bundled fixture is inverted; the inverted gate's falling
         # output is the plain gate's rising one, grid and clamps included
