@@ -11,7 +11,6 @@ the series resistance seen by the recharge path.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List
@@ -178,64 +177,38 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
         raise InvalidMeasurementsError(
             ["extremal delays leave no admissible pull resistance"])
     # g can approach either sign limit at the low end, so the bracket
-    # comes from a log grid instead of the endpoints.  The sign change
-    # sits near the high end (index 121 of 127 in the median solve), so
-    # gallop down from there in doubling strides and bisect the last
-    # stride to an adjacent grid pair.  Where g changes sign once, that
-    # is the pair a scan up from the low end finds, and the root is the
-    # same to the bit.  A search that sees no flip scans every point.
+    # comes from a fixed log grid instead of the endpoints.  Where g
+    # changes sign once on the grid (every fixture and every sampled
+    # gate in the model's ranges), the grid's ends differ in sign and
+    # bisecting the indices finds the adjacent pair that a scan up from
+    # the low end finds: 9 evaluations instead of 128, and the same
+    # root to the bit.  Ends of one sign bracket no root, or an even
+    # number of them, and no single z can be trusted.
     ratio = z_hi / z_lo
 
     def z_at(i: int) -> float:
         return z_lo * ratio ** (i / (_GRID - 1))
 
-    hi = _GRID - 1
-    g_hi = g_top = g(z_at(hi))
-    stride = 1
-    while hi > 0:
-        lo = max(hi - stride, 0)
-        g_lo = g(z_at(lo))
-        if g_lo * g_top > 0.0:
-            hi, g_hi = lo, g_lo
-            stride *= 2
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            g_mid = g(z_at(mid))
-            if g_mid * g_top > 0.0:
-                hi, g_hi = mid, g_mid
-            else:
-                lo, g_lo = mid, g_mid
-        if g_lo == 0.0:
-            return z_at(lo)
-        if g_lo * g_hi < 0.0:
-            return find_root_bracketed(g, z_at(lo), z_at(hi))
-        break
-
-    zs = [z_at(i) for i in range(_GRID)]
-    gs = [g(z) for z in zs]
-    for i in range(_GRID - 1):
-        if gs[i] == 0.0:
-            return zs[i]
-        if gs[i] * gs[i + 1] < 0.0:
-            return find_root_bracketed(g, zs[i], zs[i + 1])
-    if gs[-1] == 0.0:
-        return zs[-1]
-    raise InvalidMeasurementsError(
-        ["rising extremal delays are mutually inconsistent: no series "
-         "resistance makes the zero-separation transient the sum of "
-         "the single-input ones"])
-
-
-@functools.lru_cache(maxsize=32)
-def _series_totals(up: tuple, down: tuple, c: float) -> tuple:
-    """Series totals (x, y) of the C gate's up and down switch-on pairs.
-
-    They do not depend on r5_choice, so a sweep of conventions over one
-    measurement set solves them once.
-    """
-    return (_solve_z(*up, c, z_lo=2.0 * _R_MIN),
-            _solve_z(*down, c, z_lo=2.0 * _R_MIN))
+    lo, hi = 0, _GRID - 1
+    g_lo = g(z_at(lo))
+    if g_lo == 0.0:
+        return z_at(lo)
+    g_hi = g(z_at(hi))
+    if g_lo * g_hi > 0.0:
+        raise InvalidMeasurementsError(
+            ["rising extremal delays are mutually inconsistent: no series "
+             "resistance makes the zero-separation transient the sum of "
+             "the single-input ones"])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        g_mid = g(z_at(mid))
+        if g_mid * g_lo > 0.0:
+            lo = mid
+        else:
+            hi, g_hi = mid, g_mid
+    if g_hi == 0.0:
+        return z_at(hi)
+    return find_root_bracketed(g, z_at(lo), z_at(hi))
 
 
 def characterize_nor(m: MeasuredDelays) -> NorGateParams:
@@ -295,8 +268,8 @@ def characterize_cgate(m: MeasuredDelays, r5_choice: float = 0.0,
         (t_u0, t_ui, t_um), (t_d0, t_di, t_dm) = \
             (t_d0, t_di, t_dm), (t_u0, t_ui, t_um)
 
-    x, y = _series_totals((t_u0, t_ui, t_um), (t_d0, t_di, t_dm),
-                          m.c_chosen)
+    x = _solve_z(t_u0, t_ui, t_um, m.c_chosen, z_lo=2.0 * _R_MIN)
+    y = _solve_z(t_d0, t_di, t_dm, m.c_chosen, z_lo=2.0 * _R_MIN)
     if not r5_choice < min(x, y):
         raise ParamError(
             f"r5_choice must stay below {min(x, y):.6g} ohm, the smaller "

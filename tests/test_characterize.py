@@ -413,9 +413,7 @@ def _fit(p):
 
 
 def _solve_calls(fit):
-    """(args, kwargs) of each _solve_z call that fit() makes, with the
-    memo of C gate series totals emptied first."""
-    characterize._series_totals.cache_clear()
+    """(args, kwargs) of each _solve_z call that fit() makes."""
     calls = []
     real = characterize._solve_z
 
@@ -497,9 +495,3 @@ class TestSolveWork:
             # each g evaluation takes three transient scales
             worst = max(worst, len(terms) // 3)
         assert worst <= 40
-
-    def test_r5_sweep_solves_series_totals_once(self):
-        m = cgate_measured(CG_W3)
-        calls = _solve_calls(lambda: [characterize_cgate(m, r5_choice=r5)
-                                      for r5 in (0.0, CG_W3.r5, 100.0)])
-        assert len(calls) == 2
