@@ -12,6 +12,7 @@ the series resistance seen by the recharge path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, List
 
@@ -63,9 +64,13 @@ class MeasuredDelays:
 
 
 def _is_real(value) -> bool:
-    """A finite int or float; a bool is a flag, not a number."""
+    """A finite int or float; a bool is a flag, not a number.
+
+    The range test compares an int exactly, so an int beyond the float
+    range is rejected where math.isfinite would raise OverflowError.
+    """
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _is_pos(value) -> bool:

@@ -12,15 +12,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import tempfile
 from io import StringIO
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .characterize import MeasuredDelays
 from .gates import CGateParams, NorGateParams
-from .sim import Gate, Netlist, SimStats, StimulusSpec
+from .sim import Gate, Netlist, SimStats, StimulusSpec, _is_bit
 
 GateParams = Union[NorGateParams, CGateParams]
 
@@ -264,7 +266,7 @@ def parse_netlist(text: str, strict: bool = True
         raise SchemaError("nets", "expected an object")
     nets: Dict[str, int] = {}
     for name, val in raw_nets.items():
-        if isinstance(val, bool) or not isinstance(val, int) or val not in (0, 1):
+        if not _is_bit(val):
             raise SchemaError(_join("nets", name), "expected 0 or 1")
         nets[name] = val
 
@@ -378,48 +380,53 @@ def write_vcd(trace: Mapping[str, Sequence[Tuple[float, int]]],
     """Render per-net value changes as a VCD document.
 
     `initial` maps every net to its value at time zero; `trace` holds
-    time-ordered (time, value) changes per net.  The timescale is 1 fs
-    so sub-picosecond delays stay representable; change times are
-    rounded to the nearest femtosecond.
+    time-ordered (time, value) changes per net.  Every value must be
+    the int 0 or 1.  The timescale is 1 fs so sub-picosecond delays
+    stay representable; change times are rounded to the nearest
+    femtosecond.  Changes are written in (femtosecond, net index)
+    order, nets indexed by name; one net's changes within one
+    femtosecond keep their trace order.
     """
     unknown = sorted(set(trace) - set(initial))
     if unknown:
         raise ValueError(f"trace nets missing from the net map: {unknown}")
     nets = sorted(initial)
-    codes = {net: _vcd_id(i) for i, net in enumerate(nets)}
+    codes = [_vcd_id(i) for i in range(len(nets))]
 
     lines = ["$timescale 1 fs $end", "$scope module top $end"]
-    for net in nets:
-        lines.append(f"$var wire 1 {codes[net]} {net} $end")
-    lines.append("$upscope $end")
-    lines.append("$enddefinitions $end")
-    lines.append("$dumpvars")
-    for net in nets:
+    lines += [f"$var wire 1 {code} {net} $end"
+              for net, code in zip(nets, codes)]
+    lines += ["$upscope $end", "$enddefinitions $end", "$dumpvars"]
+    for net, code in zip(nets, codes):
         value = initial[net]
-        if value not in (0, 1):
+        if not _is_bit(value):
             raise ValueError(f"net {net!r}: initial value must be 0 or 1")
-        lines.append(f"{value}{codes[net]}")
+        lines.append(f"{value}{code}")
     lines.append("$end")
 
-    order = {net: i for i, net in enumerate(nets)}
-    merged = []
-    for net in nets:
-        prev = -math.inf
-        for t, value in trace.get(net, ()):
-            if value not in (0, 1):
-                raise ValueError(f"net {net!r}: change value must be 0 or 1")
-            if t < prev:
-                raise ValueError(f"net {net!r}: trace not time-ordered")
-            prev = t
-            merged.append((round(t * 1e15), order[net], value))
-    merged.sort(key=lambda item: (item[0], item[1]))
+    # nets are concatenated in index order, so a stable sort on the
+    # femtosecond alone gives (fs, index) order, trace order within both
+    fs: List[int] = []
+    tokens: List[str] = []
+    for net, code in zip(nets, codes):
+        changes = trace.get(net)
+        if not changes:
+            continue
+        times, values = zip(*changes)
+        if not (set(values) <= {0, 1} and set(map(type, values)) == {int}):
+            raise ValueError(f"net {net!r}: change value must be 0 or 1")
+        if any(map(operator.gt, times, times[1:])):
+            raise ValueError(f"net {net!r}: trace not time-ordered")
+        fs += map(round, map(operator.mul, times, repeat(1e15)))
+        tokens += map((f"0{code}", f"1{code}").__getitem__, values)
 
+    append = lines.append
     current_fs = None
-    for fs, idx, value in merged:
-        if fs != current_fs:
-            lines.append(f"#{fs}")
-            current_fs = fs
-        lines.append(f"{value}{codes[nets[idx]]}")
+    for i in sorted(range(len(fs)), key=fs.__getitem__):
+        if fs[i] != current_fs:
+            current_fs = fs[i]
+            append(f"#{current_fs}")
+        append(tokens[i])
     return "\n".join(lines) + "\n"
 
 

@@ -192,6 +192,11 @@ def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
     return events
 
 
+def _is_bit(value) -> bool:
+    """The int 0 or 1; a bool or a float is no net value."""
+    return type(value) is int and value in (0, 1)
+
+
 def _is_net_name(name) -> bool:
     return isinstance(name, str) and name != "" and not any(
         ch.isspace() for ch in name)
@@ -239,7 +244,7 @@ def validate_netlist(nl: Netlist) -> None:
     for net, value in nl.nets.items():
         if not _is_net_name(net):
             problems.append(f"bad net name {net!r}")
-        if value not in (0, 1):
+        if not _is_bit(value):
             problems.append(f"net {net!r}: initial value must be 0 or 1, "
                             f"got {value!r}")
         if net not in drivers:
@@ -273,7 +278,10 @@ def validate_netlist(nl: Netlist) -> None:
 
 
 class _NetState:
-    __slots__ = ("name", "value", "last_rise", "last_fall", "fanout")
+    """One net during a run; a source's `feed` yields the heap entries
+    of its train not yet pushed."""
+
+    __slots__ = ("name", "value", "last_rise", "last_fall", "fanout", "feed")
 
     def __init__(self, name: str, value: int):
         self.name = name
@@ -281,6 +289,7 @@ class _NetState:
         self.last_rise = -math.inf
         self.last_fall = -math.inf
         self.fanout: List[_GateRun] = []
+        self.feed = None
 
 
 class _GateRun:
@@ -351,7 +360,9 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
 
     # heap entries are (time, seq, driving _GateRun or None for a
     # stimulus, _NetState, value); seq is unique, so tuples never
-    # compare past it
+    # compare past it.  A source's train is increasing in (time, seq),
+    # so only its next entry need wait in the heap: the one popped
+    # pushes the one after, and the heap holds O(gates) entries.
     heappush = heapq.heappush
     heappop = heapq.heappop
     heap: List[Tuple[float, int, Optional[_GateRun], _NetState, int]] = []
@@ -364,9 +375,10 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
         train = generate_stimulus(spec.mu, spec.sigma, spec.n_transitions,
                                   spec.seed, net=g.output,
                                   start_value=nl.nets[g.output])
-        for ev in train:
-            heappush(heap, (ev.time, seq, None, st, ev.value))
-            seq += 1
+        st.feed = iter([(ev.time, seq + i, None, st, ev.value)
+                        for i, ev in enumerate(train)])
+        seq += len(train)
+        heappush(heap, next(st.feed))
 
     changes: List[Tuple[float, str, int]] = []
     record = changes.append
@@ -388,6 +400,10 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             if driver.pending_seq != s:
                 continue  # superseded or cancelled
             driver.pending_seq = -1
+        else:
+            following = next(st.feed, None)
+            if following is not None:
+                heappush(heap, following)
         st.value = value
         if value:
             st.last_rise = t
@@ -412,7 +428,7 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                 # falling NOR output, referenced to the first rising input
                 t_a = a.last_rise if a.value else inf
                 t_b = b.last_rise if b.value else inf
-                ref = min(t_a, t_b)
+                ref = t_b if t_b < t_a else t_a  # min() without its call cost
                 if not isfinite(ref):
                     ref = t  # input held since the start of time
             else:
@@ -430,6 +446,13 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                     and gr.pending_time == t_new:
                 continue
             if t_new < t - _CAUSALITY_SLACK:
+                if gr.pending_seq >= 0:
+                    # the recomputed crossing, still referenced to an
+                    # earlier input, is past, as when an input reverses
+                    # while the pending event sits at a delta_min floor;
+                    # that event is for this level and, not yet popped,
+                    # at or after t, so it stands
+                    continue
                 raise CausalityError(
                     f"gate {gr.gate.id}: output scheduled at {t_new:.6g} s, "
                     f"before the input event at {t:.6g} s")

@@ -9,6 +9,8 @@ the form the library's straight-line step must match bit for bit.
 reference_solve_z is the full 128-point bracket scan of the
 characterization solve; it borrows the library's g terms and Brent
 solve, so it pins only the bracket search, bit for bit.
+reference_write_vcd is the VCD renderer as a tuple merge and a
+two-field sort, the order the library's flat-key render must keep.
 """
 
 import math
@@ -191,3 +193,59 @@ def reference_solve_z(t_zero, t_first, t_second, c, z_lo):
         ["rising extremal delays are mutually inconsistent: no series "
          "resistance makes the zero-separation transient the sum of "
          "the single-input ones"])
+
+
+def _reference_vcd_id(i):
+    chars = []
+    while True:
+        chars.append(chr(33 + i % 94))
+        i //= 94
+        if i == 0:
+            return "".join(chars)
+
+
+def reference_write_vcd(trace, initial):
+    """VCD text by merging (fs, net index, value) tuples and sorting them.
+
+    The sort is stable on (fs, index), so one net's changes within one
+    femtosecond keep their trace order.
+    """
+    unknown = sorted(set(trace) - set(initial))
+    if unknown:
+        raise ValueError(f"trace nets missing from the net map: {unknown}")
+    nets = sorted(initial)
+    codes = {net: _reference_vcd_id(i) for i, net in enumerate(nets)}
+
+    lines = ["$timescale 1 fs $end", "$scope module top $end"]
+    for net in nets:
+        lines.append(f"$var wire 1 {codes[net]} {net} $end")
+    lines.append("$upscope $end")
+    lines.append("$enddefinitions $end")
+    lines.append("$dumpvars")
+    for net in nets:
+        value = initial[net]
+        if value not in (0, 1):
+            raise ValueError(f"net {net!r}: initial value must be 0 or 1")
+        lines.append(f"{value}{codes[net]}")
+    lines.append("$end")
+
+    order = {net: i for i, net in enumerate(nets)}
+    merged = []
+    for net in nets:
+        prev = -math.inf
+        for t, value in trace.get(net, ()):
+            if value not in (0, 1):
+                raise ValueError(f"net {net!r}: change value must be 0 or 1")
+            if t < prev:
+                raise ValueError(f"net {net!r}: trace not time-ordered")
+            prev = t
+            merged.append((round(t * 1e15), order[net], value))
+    merged.sort(key=lambda item: (item[0], item[1]))
+
+    current_fs = None
+    for fs, idx, value in merged:
+        if fs != current_fs:
+            lines.append(f"#{fs}")
+            current_fs = fs
+        lines.append(f"{value}{codes[nets[idx]]}")
+    return "\n".join(lines) + "\n"

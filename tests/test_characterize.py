@@ -169,6 +169,23 @@ class TestValidation:
             with pytest.raises(DomainError):
                 alpha_from_extremal_delay(*args)
 
+    def test_ints_beyond_float_range_are_not_numbers(self):
+        # compared as ints, never converted: no OverflowError escapes
+        huge = 10 ** 400
+        with pytest.raises(DomainError, match="finite and positive"):
+            alpha_from_extremal_delay(huge, 1e3, 0.0, 1e-15)
+        for args in ((1e-11, huge, 0.0, 1e-15), (1e-11, 1e3, huge, 1e-15),
+                     (1e-11, 1e3, 0.0, -huge)):
+            with pytest.raises(DomainError):
+                alpha_from_extremal_delay(*args)
+        m = nor_measured(NOR_A)
+        for name in ("d_up_zero", "c_chosen", "delta_min"):
+            with pytest.raises(InvalidMeasurementsError,
+                               match=f"{name} must be (a )?finite"):
+                validate_measured(replace(m, **{name: huge}), "nor2")
+        assert characterize._is_real(10 ** 300)
+        assert not characterize._is_real(-huge)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             validate_measured(nor_measured(NOR_A), "nand2")

@@ -7,7 +7,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from misdelay.characterize import MeasuredDelays
 from misdelay.fileio import (
     SchemaError,
@@ -319,6 +322,46 @@ class TestVcd:
             write_vcd({"a": [(1e-12, 2)]}, {"a": 0})
         with pytest.raises(ValueError, match="0 or 1"):
             write_vcd({}, {"a": 3})
+
+    @pytest.mark.parametrize("trace,initial,what", [
+        ({"a": [(1e-12, True)]}, {"a": 0}, "change"),
+        ({"a": [(1e-12, 1), (2e-12, 0.0)]}, {"a": 0}, "change"),
+        ({"a": [(1e-12, 1.0)]}, {"a": 0}, "change"),
+        ({}, {"a": False}, "initial"),
+        ({}, {"a": 1.0}, "initial"),
+    ])
+    def test_bools_and_floats_are_not_bits(self, trace, initial, what):
+        # a bool or float renders as "True!" or "0.0!", which is no VCD
+        with pytest.raises(ValueError, match=f"{what} value must be 0 or 1"):
+            write_vcd(trace, initial)
+
+    def test_identifier_codes_past_one_character(self):
+        nets = {f"n{i:03d}": i % 2 for i in range(200)}
+        trace = {net: [(1e-12 * (i % 7), 1 - v)]
+                 for i, (net, v) in enumerate(sorted(nets.items()))}
+        assert write_vcd(trace, nets) == oracles.reference_write_vcd(trace,
+                                                                     nets)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_renderer(self, data):
+        # femtosecond buckets from negative to positive, several draws
+        # per bucket, so nets tie with each other and with themselves
+        names = data.draw(st.lists(st.sampled_from(
+            ["a", "b", "c", "d", "e", "f", "x1", "x10", "x2"]),
+            min_size=1, max_size=9, unique=True))
+        initial = {net: data.draw(st.integers(0, 1)) for net in names}
+        times = st.builds(lambda fs, frac: (fs + frac) * 1e-15,
+                          st.integers(-20, 20),
+                          st.sampled_from([0.0, 0.1, 0.25, 0.4]))
+        trace = {}
+        for net in names:
+            if data.draw(st.booleans()):
+                continue  # a net with no changes, absent from the trace
+            ts = sorted(data.draw(st.lists(times, max_size=12)))
+            trace[net] = [(t, data.draw(st.integers(0, 1))) for t in ts]
+        assert write_vcd(trace, initial) == oracles.reference_write_vcd(
+            trace, initial)
 
     def test_chain_counts_match_stats(self):
         nl = build_cross_coupled_chain(2, params_ref="nor", mu=5e-11,

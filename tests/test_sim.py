@@ -1,5 +1,7 @@
 """Tests for the event-driven simulator and its RNG."""
 
+import hashlib
+import heapq
 import math
 from dataclasses import replace
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misdelay import load_fixture
+from misdelay import load_fixture, sim
+from misdelay.fileio import write_vcd
 from misdelay.gates import (
     CGateParams,
     DelayQuery,
@@ -359,6 +362,62 @@ class TestChain:
         with pytest.raises(LivelockError):
             run(nl, LIB, max_events=10)
 
+    def test_seq_tie_order_pinned(self):
+        # sigma = 0: both sources switch at the same multiples of mu and
+        # both rails switch together, so only seq orders the ties; the
+        # digests were recorded when every train entered the heap up
+        # front
+        nl = build_cross_coupled_chain(3, params_ref="nor", mu=5e-11,
+                                       sigma=0.0, n_transitions=40, seed=1)
+        res = run(nl, {"nor": load_fixture("nor15_l3")})
+        assert res.changes[:2] == ((5e-11, "i1", 1), (5e-11, "i2", 1))
+        assert hashlib.sha256(repr(res.changes).encode()).hexdigest() == (
+            "e3ac0c20bfe9deec5944c2cdbb4bf73892d7621ed631d58b1bc3879ed75519e5")
+        assert hashlib.sha256(
+            write_vcd(res.trace, nl.nets).encode()).hexdigest() == (
+            "7ab5532e42c57b1796c8d44c22176809e8d94b963287d454bdae7778d88540bc")
+
+    def test_heap_holds_one_entry_per_source(self, monkeypatch):
+        # stimulus trains enter the heap one event per source at a time,
+        # so the heap's size follows the gates, not the stimulus length
+        class Tracking:
+            high_water = 0
+
+            def heappush(self, heap, item):
+                heapq.heappush(heap, item)
+                self.high_water = max(self.high_water, len(heap))
+
+            def __getattr__(self, name):
+                return getattr(heapq, name)
+
+        tracking = Tracking()
+        monkeypatch.setattr(sim, "heapq", tracking)
+        nl = single_nor(stim_a=StimulusSpec(5e-11, 3e-11, 1000, 1),
+                        stim_b=StimulusSpec(5e-11, 3e-11, 1000, 2))
+        res = run(nl, LIB)
+        assert res.stats.transitions["na"] == 1000
+        assert res.stats.transitions["nb"] == 1000
+        assert 2 <= tracking.high_water < 10
+
+    def test_past_revision_keeps_floored_event(self):
+        # nb rises, then na falls and rises again before the output's
+        # event pops; the event sits at the delta_min floor of na's fall,
+        # and the re-evaluation on na's rise, still referenced to nb's
+        # rise, lands in the past: the floored event must stand
+        p = load_fixture("nor15_l3")
+        nl = single_nor(stim_a=StimulusSpec(5e-12, 5e-12, 1000, 3),
+                        stim_b=StimulusSpec(5e-12, 5e-12, 1000, 4))
+        res = run(nl, {"nor": p})
+        changes = list(res.changes)
+        k = next(i for i, (t, net, v) in enumerate(changes)
+                 if net == "na" and v == 1 and t > 9.59e-10)
+        t_fall = changes[k - 1][0]
+        assert changes[k - 1][1:] == ("na", 0)
+        assert changes[k + 1] == (t_fall + p.delta_min, "out", 0)
+        assert 9.595e-10 < changes[k][0] < t_fall + p.delta_min
+        for tr in res.trace.values():
+            assert all(t0 < t1 for (t0, _), (t1, _) in zip(tr, tr[1:]))
+
 
 # Separations as a multiple of the breakpoint on their side: zero,
 # inside the MIS window, on it, and beyond it on the clamped branch.
@@ -459,6 +518,15 @@ class TestNetlistValidation:
         nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
         with pytest.raises(ValueError, match="t_end"):
             run(nl, LIB, t_end=math.nan)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
+    def test_initial_value_is_an_int_bit(self, value):
+        # the rule parse_netlist applies to a netlist document
+        nl = single_nor()
+        nl.nets["na"] = value
+        with pytest.raises(NetlistError,
+                           match="'na': initial value must be 0 or 1"):
+            validate_netlist(nl)
 
     def test_initial_state_must_be_steady(self):
         nl = single_nor()
