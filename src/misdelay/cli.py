@@ -13,6 +13,7 @@ Failures emit a one-line JSON diagnostic on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -166,16 +167,13 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
     for direction, fam_pos, fam_neg in _FAMILY_AXES:
         bp_plus, bp_minus = _family_clamps(params, direction)
         is_exact = kind == "nor2" and direction == "falling"
-        # each point is inverted once; keyed on the float, so -0.0 and
-        # 0.0 (which invert alike) share an entry
-        inverted: Dict[float, float] = {}
-
-        def inversion(d: float) -> float:
-            ref = inverted.get(d)
-            if ref is None:
-                ref = inverted[d] = delay_by_inversion(kind, direction, d,
-                                                       params)
-            return ref
+        # each point is inverted and integrated once; keyed on the
+        # float, so -0.0 and 0.0 (which both oracles treat alike) share
+        # an entry
+        inversion = functools.cache(
+            lambda d: delay_by_inversion(kind, direction, d, params))
+        integration = functools.cache(
+            lambda d: delay_by_ode(kind, direction, d, params))
 
         for family, sign, bp in ((fam_pos, 1.0, bp_plus),
                                  (fam_neg, -1.0, bp_minus)):
@@ -199,7 +197,7 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
             dev = 0.0
             for frac in _ODE_FRACTIONS:
                 d = sign * frac * bp
-                full = delay_by_ode(kind, direction, d, params)
+                full = integration(d)
                 ref = inversion(d)
                 dev = max(dev, abs(ref - full) / full)
             ode[family] = dev

@@ -383,7 +383,8 @@ def write_vcd(trace: Mapping[str, Sequence[Tuple[float, int]]],
     time-ordered (time, value) changes per net.  Every value must be
     the int 0 or 1.  The timescale is 1 fs so sub-picosecond delays
     stay representable; change times are rounded to the nearest
-    femtosecond.  Changes are written in (femtosecond, net index)
+    femtosecond, and a time that is not finite raises ValueError
+    naming its net.  Changes are written in (femtosecond, net index)
     order, nets indexed by name; one net's changes within one
     femtosecond keep their trace order.
     """
@@ -417,7 +418,11 @@ def write_vcd(trace: Mapping[str, Sequence[Tuple[float, int]]],
             raise ValueError(f"net {net!r}: change value must be 0 or 1")
         if any(map(operator.gt, times, times[1:])):
             raise ValueError(f"net {net!r}: trace not time-ordered")
-        fs += map(round, map(operator.mul, times, repeat(1e15)))
+        try:
+            fs += map(round, map(operator.mul, times, repeat(1e15)))
+        except (OverflowError, ValueError):
+            raise ValueError(
+                f"net {net!r}: change time is not finite") from None
         tokens += map((f"0{code}", f"1{code}").__getitem__, values)
 
     append = lines.append

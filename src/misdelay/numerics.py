@@ -376,7 +376,8 @@ class OdeSolution:
 
 
 def integrate_ode(f, t0: float, t1: float, v0: float,
-                  tol: Tolerance = Tolerance(rel=1e-10, abs=1e-12)) -> OdeSolution:
+                  tol: Tolerance = Tolerance(rel=1e-10, abs=1e-12),
+                  stop_past: float | None = None) -> OdeSolution:
     """Integrate dv/dt = f(t, v) from t0 to t1 with adaptive RK5(4).
 
     Returns a dense OdeSolution.  Step acceptance uses the mixed local
@@ -385,9 +386,21 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
     below 1e-18 (stiff, singular or non-finite right-hand side).  The
     integration is exactly reproducible: identical inputs give identical
     solutions.
+
+    With stop_past set, the integration returns at the first accepted
+    node strictly past that level on the far side from v0 (never when
+    v0 equals it).  Step sizing still starts from and clips to t1, so
+    the returned nodes are exactly a prefix of the full solution's.
     """
     if not (t1 > t0):
         raise ValueError(f"integrate_ode needs t1 > t0, got [{t0!r}, {t1!r}]")
+    # an accepted v outside [lo, hi] ends the integration
+    lo, hi = -math.inf, math.inf
+    if stop_past is not None:
+        if v0 > stop_past:
+            lo = stop_past
+        elif v0 < stop_past:
+            hi = stop_past
     # one straight-line step; each sum runs left to right in tableau
     # order and skips the zero weights, so results are reproducible
     # to the bit against the generic tableau loop
@@ -434,6 +447,8 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
             vs.append(v)
             k1 = k7  # FSAL; a rejected step keeps the old stage-1 slope
             dvs.append(k1)
+            if not lo <= v <= hi:
+                return OdeSolution(ts, vs, dvs)
         # a NaN ratio (from a non-finite stage) rejects the step above;
         # shrink it like any other rejection
         factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else (

@@ -426,13 +426,18 @@ def _dual_rhs(c: float, r5: float, aged: float, fresh: float, r_series: float,
 def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
                        v_dd: float = 1.0,
                        tol: Tolerance = Tolerance(rel=1e-10, abs=1e-13),
-                       ) -> PiecewiseSolution:
+                       stop_past: float | None = None) -> PiecewiseSolution:
     """Numerically integrate the output through a sequence of modes.
 
     modes[0] starts at t = 0 with its initial_v (or the natural steady
     level); each later mode starts its own delta after the previous one
     and inherits the running voltage, so the trajectory is continuous.
-    Integration runs to t_end; the last mode must contain it.
+    Integration runs to t_end; the last mode must contain it.  With
+    stop_past set, each mode stops at its first node strictly past that
+    level (see integrate_ode), and once the running voltage is past it
+    from the starting side, later modes are not integrated: the
+    solution then ends before t_end, and evaluating it beyond its end
+    reads the last value.
     """
     if not modes:
         raise ValueError("empty mode sequence")
@@ -453,15 +458,19 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
     else:
         v = v_dd
 
+    v_start = v
     segments: list[tuple[float, OdeSolution]] = []
     for i, ms in enumerate(modes):
+        if stop_past is not None and (v < stop_past < v_start
+                                      or v_start < stop_past < v):
+            break
         seg_end = (starts[i + 1] if i + 1 < len(modes) else t_end) - starts[i]
         rhs = _ode_rhs(params, ms.kind, ms.delta, exact_f, v_dd)
         if rhs is None:
             # non-conducting mode: hold v
             sol = OdeSolution([0.0, seg_end], [v, v], [0.0, 0.0])
         else:
-            sol = integrate_ode(rhs, _T_EPS, seg_end, v, tol)
+            sol = integrate_ode(rhs, _T_EPS, seg_end, v, tol, stop_past)
         segments.append((starts[i], sol))
         v = sol.v1
     return PiecewiseSolution(segments)
@@ -473,11 +482,15 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     """Oracle delay from full ODE integration of the canonical mode chain.
 
     Reference conventions and delta_min handling match
-    delay_by_inversion.  exact_f=True integrates the time-varying
-    divider with the transient coefficients of params as given; that
-    is the gate the constant divider describes only after those
-    coefficients are scaled by (r5 + R_s)/R_s (see the module notes),
-    so with r5 > 0 the two settings integrate different gates.
+    delay_by_inversion.  The integration stops at its first accepted
+    node past V_dd/2 instead of running to 12x the inversion delay;
+    the nodes before it are the full run's and the bisection window is
+    the same, so the delay is the same to the bit.  exact_f=True
+    integrates the time-varying divider with the transient
+    coefficients of params as given; that is the gate the constant
+    divider describes only after those coefficients are scaled by
+    (r5 + R_s)/R_s (see the module notes), so with r5 > 0 the two
+    settings integrate different gates.
     """
     # the oracle also checks gate_kind, direction and the params type
     inv_hint = delay_by_inversion(gate_kind, direction, delta, params)
@@ -502,10 +515,15 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
         modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
         t_end = horizon
 
-    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f, tol=tol)
+    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f, tol=tol,
+                             stop_past=0.5)
     # the crossing may sit in any segment (a falling output past the
     # single-input limit crosses before the second transition arrives),
-    # so bisect the chained solution as a whole; it is monotone
-    t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, sol.t1,
+    # so bisect the chained solution as a whole; it is monotone.  It
+    # ends at its first node past 0.5 and reads that value beyond, so
+    # each probe has the sign the run to t_end gives it, and the window
+    # is that run's: its last node lands on the last mode's end
+    last = sum(ms.delta for ms in modes[1:])
+    t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, last + (t_end - last),
                                         Tolerance(abs=1e-17))
     return t_cross + params.delta_min

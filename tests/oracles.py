@@ -11,6 +11,10 @@ characterization solve; it borrows the library's g terms and Brent
 solve, so it pins only the bracket search, bit for bit.
 reference_write_vcd is the VCD renderer as a tuple merge and a
 two-field sort, the order the library's flat-key render must keep.
+reference_delay_by_ode integrates the ODE oracle's mode chain to its
+full horizon and bisects over the whole solution; it borrows the
+library's mode chain, integrator and bisection, so it pins only the
+early stop at the threshold crossing, bit for bit.
 """
 
 import math
@@ -193,6 +197,40 @@ def reference_solve_z(t_zero, t_first, t_second, c, z_lo):
         ["rising extremal delays are mutually inconsistent: no series "
          "resistance makes the zero-separation transient the sum of "
          "the single-input ones"])
+
+
+def reference_delay_by_ode(gate_kind, direction, delta, params,
+                           exact_f=True):
+    """ODE oracle delay integrated to 12x the inversion delay, then bisected.
+
+    The window is the chained solution's own end, sol.t1.
+    """
+    from misdelay.gates import _pair_rising
+    from misdelay.numerics import Tolerance, bisect_threshold_crossing
+    from misdelay.trajectories import (ModeSwitch, _switch_on_kind,
+                                       delay_by_inversion, integrate_full_ode)
+
+    inv_hint = delay_by_inversion(gate_kind, direction, delta, params)
+    horizon = 12.0 * max(inv_hint - params.delta_min, 1e-15)
+    sep = abs(delta)
+    if gate_kind == "nor2" and direction == "falling":
+        chain = ["00->10", "10->11"] if delta >= 0.0 else ["00->01", "01->11"]
+        if math.isinf(sep):
+            modes = [ModeSwitch(chain[0], delta=math.inf)]
+        elif sep == 0.0:
+            modes = [ModeSwitch(chain[1], delta=0.0, initial_v=1.0)]
+        else:
+            modes = [ModeSwitch(chain[0]), ModeSwitch(chain[1], delta=sep)]
+        t_end = (0.0 if math.isinf(sep) else sep) + horizon
+    else:
+        pair_rising = _pair_rising(params, direction == "rising")
+        modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
+        t_end = horizon
+    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f,
+                             tol=Tolerance(rel=1e-10, abs=1e-13))
+    t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, sol.t1,
+                                        Tolerance(abs=1e-17))
+    return t_cross + params.delta_min
 
 
 def _reference_vcd_id(i):

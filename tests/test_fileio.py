@@ -335,6 +335,19 @@ class TestVcd:
         with pytest.raises(ValueError, match=f"{what} value must be 0 or 1"):
             write_vcd(trace, initial)
 
+    @pytest.mark.parametrize("trace", [
+        {"a": [(math.inf, 1)]},
+        {"a": [(-math.inf, 1)]},
+        {"a": [(math.nan, 1)]},
+        {"a": [(0.0, 1)], "b": [(1e-12, 1), (math.inf, 0)]},
+        {"a": [(0.0, 1)], "b": [(math.nan, 1), (1e-12, 0)]},
+    ])
+    def test_non_finite_time_names_its_net(self, trace):
+        net = sorted(trace)[-1]
+        with pytest.raises(ValueError,
+                           match=f"net '{net}': change time is not finite"):
+            write_vcd(trace, {"a": 0, "b": 0})
+
     def test_identifier_codes_past_one_character(self):
         nets = {f"n{i:03d}": i % 2 for i in range(200)}
         trace = {net: [(1e-12 * (i % 7), 1 - v)]

@@ -246,6 +246,59 @@ class TestIntegrateOdeMatchesReference:
         self._assert_same(rhs, _T_EPS, horizon, v0,
                           Tolerance(rel=1e-10, abs=1e-13))
 
+    @staticmethod
+    def _assert_prefix(f, t0, t1, v0, tol, level):
+        # the run stopped past level is the full run up to and including
+        # its first node strictly past level from v0's side
+        sol = integrate_ode(f, t0, t1, v0, tol, stop_past=level)
+        ts, vs, dvs = reference_integrate_ode(f, t0, t1, v0, tol.rel, tol.abs)
+        past = [i for i, v in enumerate(vs)
+                if v < level < v0 or v0 < level < v]
+        n = past[0] + 1 if past else len(ts)
+        assert sol.ts == ts[:n]
+        assert sol.vs == vs[:n]
+        assert sol.dvs == dvs[:n]
+        return sol, len(ts)
+
+    def test_stop_past_is_a_prefix(self):
+        tol = Tolerance(rel=1e-10, abs=1e-12)
+        for f, v0, level in ((lambda t, v: -v / 2.0, 1.0, 0.5),
+                             (lambda t, v: (1.0 - v) / 0.7, 0.0, 0.5),
+                             (lambda t, v: math.sin(3.0 * t) - 0.5 * v,
+                              0.2, 0.6)):
+            sol, full = self._assert_prefix(f, 0.0, 10.0, v0, tol, level)
+            assert len(sol.ts) < full
+            assert (sol.v1 - level) * (v0 - level) < 0.0
+
+    @pytest.mark.parametrize("level", [-0.1, 1.0, 2.0])
+    def test_stop_past_never_crossed_is_full(self, level):
+        # a level the solution never passes, or the start value itself,
+        # leaves the whole solution
+        sol, full = self._assert_prefix(lambda t, v: -v / 2.0, 0.0, 10.0,
+                                        1.0, Tolerance(rel=1e-10, abs=1e-12),
+                                        level)
+        assert len(sol.ts) == full
+        assert sol.t1 == 10.0
+
+    @pytest.mark.parametrize("exact_f", [True, False])
+    @pytest.mark.parametrize("name,direction,kind,sep,v0", [
+        ("nor15_l3", "rising", "01->00", 0.0, 0.0),
+        ("nor65_l5", "rising", "01->00", 2e-11, 0.0),
+        ("nor15_l3", "falling", "00->10", 0.0, 1.0),
+        ("cgate15_l3", "falling", "01->00", 4e-12, 1.0),
+    ])
+    def test_stop_past_on_oracle_modes(self, name, direction, kind, sep, v0,
+                                       exact_f):
+        # the stop delay_by_ode makes, on the modes and horizon it uses
+        p = load_fixture(name)
+        gate_kind = "nor2" if name.startswith("nor") else "cgate"
+        inv = delay_by_inversion(gate_kind, direction, sep, p)
+        rhs = _ode_rhs(p, kind, sep, exact_f, 1.0)
+        sol, full = self._assert_prefix(rhs, _T_EPS, 12.0 * (inv - p.delta_min),
+                                        v0, Tolerance(rel=1e-10, abs=1e-13),
+                                        0.5)
+        assert len(sol.ts) < full
+
     def test_rejected_steps(self):
         # a slope jump at t = 0.37 that the opening step size overshoots
         def f(t, v):

@@ -10,6 +10,7 @@ from misdelay.gates import (
     CGateParams,
     DelayQuery,
     NorGateParams,
+    _output_family,
     cgate_breakpoints,
     cgate_delay,
     cgate_extremal,
@@ -18,7 +19,7 @@ from misdelay.gates import (
     nor_delay,
     nor_extremal_rising,
 )
-from misdelay.fileio import load_fixture
+from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.numerics import Tolerance
 from misdelay.trajectories import (
     ModeSwitch,
@@ -340,3 +341,46 @@ class TestFullOde:
             integrate_full_ode([ModeSwitch("00->10"),
                                 ModeSwitch("10->11", delta=5e-12)],
                                NOR_A, 4e-12)
+
+
+class TestOdeEarlyStop:
+    """delay_by_ode stops at its crossing and returns the full run's delay."""
+
+    @staticmethod
+    def _grid(p, direction):
+        table = _output_family(p, direction == "rising")[1]
+        return (0.0, -0.0, 0.5 * table.bp_plus, -0.5 * table.bp_minus,
+                1.5 * table.bp_plus, -1.5 * table.bp_minus,
+                math.inf, -math.inf)
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_matches_full_horizon(self, name):
+        p = load_fixture(name)
+        kind = "nor2" if name.startswith("nor") else "cgate"
+        for direction in ("falling", "rising"):
+            for delta in self._grid(p, direction):
+                for exact_f in (True, False):
+                    assert delay_by_ode(kind, direction, delta, p, exact_f) \
+                        == oracles.reference_delay_by_ode(
+                            kind, direction, delta, p, exact_f), \
+                        (direction, delta, exact_f)
+
+    def test_falling_crossing_in_first_mode_skips_second(self):
+        # past the single-input crossing the falling output passes V_dd/2
+        # before the second input arrives: the second mode is skipped
+        p = load_fixture("nor15_l3")
+        delta = 1.5 * _output_family(p, False)[1].bp_plus
+        single = delay_by_inversion("nor2", "falling", math.inf, p)
+        assert delta > single - p.delta_min
+        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
+        t_end = 2.0 * delta
+        stopped = integrate_full_ode(modes, p, t_end, stop_past=0.5)
+        full = integrate_full_ode(modes, p, t_end)
+        assert len(stopped.segments) == 1 and len(full.segments) == 2
+        assert stopped.v1 < 0.5 < stopped.segments[0][1].vs[-2]
+        assert stopped.t1 < delta
+        # beyond its end the stopped solution reads its last value
+        assert stopped(delta) == stopped(t_end) == stopped.v1
+        assert full.t1 == t_end
+        assert delay_by_ode("nor2", "falling", delta, p) == \
+            oracles.reference_delay_by_ode("nor2", "falling", delta, p)
