@@ -69,8 +69,9 @@ class NorGateParams:
     r_n_a, r_n_b: on-resistances of the two pulldown transistors.
     r: common scale of the two pullup on-resistances (their series
        stack settles at 2r).
-    alpha1, alpha2: switch-on transient coefficients of the pullups,
-       for the first and second switching input respectively.
+    alpha1, alpha2: switch-on transient coefficients of the pullups
+       driven by input A and by input B respectively, whichever
+       switches first.
     c_load: output load capacitance.
     r5: series interconnect resistance between gate and load.
     delta_min: pure interconnect transport delay, added to every delay.
@@ -99,8 +100,9 @@ class CGateParams:
     r_n, r_p: per-transistor on-resistances of the pulldown and pullup
        stacks (each stack settles at twice its value).
     alpha1, alpha2: switch-on transients engaged by a rising input
-       pair, for the earlier and later input respectively.
-    alpha3, alpha4: same for a falling input pair.
+       pair, of input A's and input B's transistor respectively,
+       whichever switches first.
+    alpha4, alpha3: same for a falling input pair (alpha4 is A's).
     inverted: True if the stored output is the negated consensus; this
        only affects which delay family a given output direction maps to.
     """
@@ -225,19 +227,20 @@ def _pair_rising(p: NorGateParams | CGateParams, rising: bool) -> bool:
 
 def _switch_on_pair(p: NorGateParams | CGateParams, pair_rising: bool
                     ) -> Tuple[float, float, float]:
-    """(first, second, r) of the switch-on stack an input pair engages.
+    """(alpha_a, alpha_b, r) of the switch-on stack an input pair engages.
 
-    first and second are the transient coefficients of the earlier and
-    the later switching input, r the per-transistor on-resistance.  A
-    NOR has one such stack, its pullup, engaged by a falling pair.
+    alpha_a and alpha_b are the transient coefficients of input A's and
+    input B's transistor, whichever switches first; r is the
+    per-transistor on-resistance.  A NOR has one such stack, its
+    pullup, engaged by a falling pair.
     """
     if isinstance(p, NorGateParams):
         return p.alpha1, p.alpha2, p.r
     if pair_rising:
         # rising input pair drives the nMOS stack
         return p.alpha1, p.alpha2, p.r_n
-    # falling input pair drives the pMOS stack; the aged/fresh roles of
-    # the two coefficients mirror the rising case
+    # falling input pair drives the pMOS stack, A's transistor carrying
+    # alpha4 and B's alpha3
     return p.alpha4, p.alpha3, p.r_p
 
 
@@ -248,27 +251,27 @@ class _Family(NamedTuple):
     d0: float
     d_inf: float
     d_minus_inf: float
-    slope_pos: float    # a_first / (a_first + a_second)
+    slope_pos: float    # alpha_a / (alpha_a + alpha_b)
     slope_neg: float
     bp_plus: float
     bp_minus: float
 
 
-def _family(a_first: float, a_second: float, r: float, r5: float, c: float,
+def _family(alpha_a: float, alpha_b: float, r: float, r5: float, c: float,
             dmin: float) -> _Family:
-    asum = a_first + a_second
+    asum = alpha_a + alpha_b
     d0 = _extremal_delay(asum, r, r5, c)
-    d_inf = _extremal_delay(a_second, r, r5, c)
-    d_minus_inf = _extremal_delay(a_first, r, r5, c)
+    d_inf = _extremal_delay(alpha_b, r, r5, c)
+    d_minus_inf = _extremal_delay(alpha_a, r, r5, c)
     return _Family(
         dmin=dmin,
         d0=d0,
         d_inf=d_inf,
         d_minus_inf=d_minus_inf,
-        slope_pos=a_first / asum,
-        slope_neg=a_second / asum,
-        bp_plus=asum * (d0 - d_inf) / a_first,
-        bp_minus=asum * (d0 - d_minus_inf) / a_second,
+        slope_pos=alpha_a / asum,
+        slope_neg=alpha_b / asum,
+        bp_plus=asum * (d0 - d_inf) / alpha_a,
+        bp_minus=asum * (d0 - d_minus_inf) / alpha_b,
     )
 
 

@@ -12,6 +12,11 @@ delay oracles:
 * full ODE integration, with the interconnect either as the constant
   divider or as the exact time-varying divider f(t).
 
+`_mode_law` is the one table of the eight modes.  A dual-transient
+mode's decay factor is built in one place, `_phi`, which the
+trajectories, the implicit function and the inversion oracle call
+after it; the ODE right-hand side `_ode_rhs` reads the same table.
+
 The oracles share with the closed forms only the description of the
 gate: which input pair drives an output (`gates._pair_rising`), which
 transient coefficients and stack that pair engages
@@ -55,8 +60,6 @@ from .numerics import (
 
 __all__ = [
     "ModeSwitch",
-    "TrajectoryContext",
-    "trajectory_context",
     "eval_trajectory",
     "implicit_I",
     "delay_by_inversion",
@@ -64,7 +67,6 @@ __all__ = [
     "delay_by_ode",
     "PiecewiseSolution",
     "NOR_MODE_KINDS",
-    "CGATE_MODE_KINDS",
 ]
 
 # input-state transitions; "ab->a'b'" with a = input A, b = input B
@@ -72,7 +74,6 @@ NOR_MODE_KINDS = frozenset({
     "00->10", "00->01", "10->11", "01->11",
     "11->10", "11->01", "01->00", "10->00",
 })
-CGATE_MODE_KINDS = NOR_MODE_KINDS
 
 _DOUBLE_UP = {"10->11", "01->11"}     # second input rises
 _DOUBLE_DOWN = {"01->00", "10->00"}   # second input falls
@@ -109,44 +110,37 @@ class ModeSwitch:
             raise ValueError(f"delta must be >= 0, got {self.delta!r}")
 
 
-@dataclass(frozen=True)
-class TrajectoryContext:
-    """Derived constants of one double-falling-input trajectory.
+def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
+    """Homogeneous decay factor of a dual-transient mode.
 
-    a = (alpha_aged + alpha_fresh) / 2R, d = a + delta,
-    c_prime = alpha_fresh * delta / 2R, chi = d^2 - 4 c_prime, and
-    a_exp the coefficient splitting the two power-law factors.  c_eff
-    is the divider-corrected load for the mode, v_th = v_dd / 2.
+    aged and fresh are the transient coefficients of the transistor
+    that switched on delta earlier and of the one switching on at
+    t = 0, r the per-transistor on-resistance and c_eff the
+    divider-corrected load.  With a = (aged + fresh)/2r, d = a + delta,
+    c' = fresh * delta/2r and chi = d^2 - 4c', phi is a product of
+    exp(-t/tau) and two power laws in 1 + 2t/(d +- sqrt(chi)).
+    Returns it as a function of mode time t, with everything that does
+    not depend on t computed once.
     """
-
-    a: float
-    d: float
-    chi: float
-    c_prime: float
-    a_exp: float
-    c_eff: float
-    v_dd: float
-    v_th: float
-
-
-def _dual_transient_context(alpha_aged: float, alpha_fresh: float, r: float,
-                            delta: float, c_eff: float,
-                            v_dd: float) -> TrajectoryContext:
     two_r = 2.0 * r
-    a = (alpha_aged + alpha_fresh) / two_r
+    tau = two_r * c_eff
+    exp, log1p = math.exp, math.log1p
     if math.isinf(delta):
         # aged transistor fully settled: single-transient limit
-        af = alpha_fresh / two_r
-        return TrajectoryContext(a=af, d=math.inf, chi=math.inf, c_prime=math.inf,
-                                 a_exp=0.0, c_eff=c_eff, v_dd=v_dd,
-                                 v_th=0.5 * v_dd)
+        a = fresh / two_r
+        return lambda t: exp((-t + a * log1p(t / a)) / tau)
+    a = (aged + fresh) / two_r
     d = a + delta
-    c_prime = alpha_fresh * delta / two_r
-    # chi = d^2 - 4 c' >= (alpha_fresh/2R - delta)^2 >= 0; the stable
+    c_prime = fresh * delta / two_r
+    # chi = d^2 - 4 c' >= (fresh/2R - delta)^2 >= 0; the stable
     # forms below avoid the cancellation for small c'
     ratio = 4.0 * c_prime / (d * d)
     if ratio > 1.0:
         raise DomainError(f"negative discriminant chi for delta={delta!r}")
+    if delta < 1e-6 * a:
+        # near-simultaneous switching, where the exact form degenerates
+        # and loses all precision: use its analytic limit
+        return lambda t: exp((-t + a * log1p(t / a)) / tau)
     sqrt_chi = d * math.sqrt(1.0 - ratio)
     chi = d * d - 4.0 * c_prime
     if sqrt_chi > 0.0:
@@ -154,28 +148,8 @@ def _dual_transient_context(alpha_aged: float, alpha_fresh: float, r: float,
         a_exp = (c_prime - 0.5 * a * p_minus) / sqrt_chi
     else:
         a_exp = 0.0
-    return TrajectoryContext(a=a, d=d, chi=chi, c_prime=c_prime, a_exp=a_exp,
-                             c_eff=c_eff, v_dd=v_dd, v_th=0.5 * v_dd)
-
-
-def _phi(ctx: TrajectoryContext, r: float, delta: float):
-    """Homogeneous decay factor of a dual-transient mode.
-
-    Returns it as a function of mode time t, with everything that does
-    not depend on t computed once.
-    """
-    tau = 2.0 * r * ctx.c_eff
-    a = ctx.a
-    exp, log1p = math.exp, math.log1p
-    if math.isinf(delta) or delta < 1e-6 * a:
-        # settled aged transistor (ctx.a is then the fresh term alone),
-        # or near-simultaneous switching, where the exact form
-        # degenerates and loses all precision: use its analytic limit
-        return lambda t: exp((-t + a * log1p(t / a)) / tau)
-    sqrt_chi = math.sqrt(ctx.chi) if ctx.chi > 0.0 else 0.0
-    p_plus = ctx.d + sqrt_chi
-    p_minus = 4.0 * ctx.c_prime / p_plus
-    a_exp = ctx.a_exp
+    p_plus = d + (math.sqrt(chi) if chi > 0.0 else 0.0)
+    p_minus = 4.0 * c_prime / p_plus
     a_rest = a - a_exp
     return lambda t: exp((-t + a_rest * log1p(2.0 * t / p_plus)
                           + a_exp * log1p(2.0 * t / p_minus)) / tau)
@@ -205,8 +179,8 @@ def _mode_law(params, kind: str):
     if not up and kind not in _DOUBLE_DOWN:
         # single transition breaks the conduction path; the keeper holds
         return ("hold",)
-    first, second, r = _switch_on_pair(params, up)
-    aged, fresh = (first, second) if kind in _A_FIRST else (second, first)
+    alpha_a, alpha_b, r = _switch_on_pair(params, up)
+    aged, fresh = (alpha_a, alpha_b) if kind in _A_FIRST else (alpha_b, alpha_a)
     c_eff = params.c_load * (params.r5 + 2.0 * r) / (2.0 * r)
     return ("dual", aged, fresh, r, c_eff, up or nor)
 
@@ -218,45 +192,27 @@ def _switch_on_kind(pair_rising: bool, delta: float) -> str:
     return "01->00" if delta >= 0.0 else "10->00"
 
 
-def _mode_constants(params, kind: str, delta: float, v_dd: float):
-    """Resolve per-mode law: ('exp', tau) | ('dual', ctx, r, toward_vdd)
-    | ('hold',)."""
-    law = _mode_law(params, kind)
-    if law[0] == "exp":
-        _, rg, c_eff = law
-        return ("exp", c_eff * rg)
-    if law[0] == "hold":
-        return law
-    _, aged, fresh, r, c_eff, up = law
-    ctx = _dual_transient_context(aged, fresh, r, delta, c_eff, v_dd)
-    return ("dual", ctx, r, up)
-
-
-def trajectory_context(params, ms: ModeSwitch, v_dd: float = 1.0) -> TrajectoryContext:
-    """Derived constants for a dual-transient mode (see TrajectoryContext)."""
-    law = _mode_constants(params, ms.kind, ms.delta, v_dd)
-    if law[0] != "dual":
-        raise ValueError(f"mode {ms.kind!r} has no dual-transient context")
-    return law[1]
+def _start_level(ms: ModeSwitch, law, v_dd: float) -> float:
+    # initial_v, or the natural level: the rail the mode drives away from
+    if ms.initial_v is not None:
+        return ms.initial_v
+    return 0.0 if law[0] == "dual" and law[-1] else v_dd
 
 
 def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> float:
     """Closed-form output voltage of one mode, t seconds after its start."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    law = _mode_constants(params, ms.kind, ms.delta, v_dd)
+    law = _mode_law(params, ms.kind)
+    v0 = _start_level(ms, law, v_dd)
     if law[0] == "hold":
-        return ms.initial_v if ms.initial_v is not None else v_dd
+        return v0
     if law[0] == "exp":
-        v0 = ms.initial_v if ms.initial_v is not None else v_dd
-        return v0 * math.exp(-t / law[1])
-    _, ctx, r, toward_vdd = law
-    phi = _phi(ctx, r, ms.delta)(t)
-    if toward_vdd:
-        v0 = ms.initial_v if ms.initial_v is not None else 0.0
-        return v_dd + (v0 - v_dd) * phi
-    v0 = ms.initial_v if ms.initial_v is not None else v_dd
-    return v0 * phi
+        _, rg, c_eff = law
+        return v0 * math.exp(-t / (c_eff * rg))
+    _, aged, fresh, r, c_eff, up = law
+    phi = _phi(aged, fresh, r, ms.delta, c_eff)(t)
+    return v_dd + (v0 - v_dd) * phi if up else v0 * phi
 
 
 def implicit_I(t: float, delta: float, params,
@@ -273,26 +229,16 @@ def implicit_I(t: float, delta: float, params,
     """
     if math.isnan(delta) or delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
-    kind = _switch_on_kind(isinstance(params, CGateParams)
-                           and input_direction == "rising", delta)
-    _, ctx, r, _ = _mode_constants(params, kind, delta, 1.0)
-    return _phi(ctx, r, delta)(t) - 0.5
-
-
-def _bisect_phi_half(ctx: TrajectoryContext, r: float, delta: float,
-                     hint: float) -> float:
-    """Root of phi = 1/2; phi decays monotonically from 1."""
-    phi = _phi(ctx, r, delta)
-    hi = max(hint, 1e-15)
-    for _ in range(200):
-        if phi(hi) < 0.5:
-            break
-        hi *= 2.0
-    else:
-        raise NoCrossingError("drive trajectory never reaches threshold")
-    return bisect_threshold_crossing(phi, 0.5, 0.0, hi, Tolerance(abs=1e-17))
+    if input_direction not in ("rising", "falling"):
+        raise ValueError("input_direction must be rising or falling, "
+                         f"got {input_direction!r}")
+    if input_direction == "rising" and isinstance(params, NorGateParams):
+        raise ValueError("a NOR's switch-on pair is necessarily falling")
+    _, aged, fresh, r, c_eff, _ = _mode_law(
+        params, _switch_on_kind(input_direction == "rising", delta))
+    return _phi(aged, fresh, r, delta, c_eff)(t) - 0.5
 
 
 def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
@@ -326,9 +272,9 @@ def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
 
 def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
     # the single pulldown of the first rising input, then both
-    tau1 = _mode_constants(p, "00->10" if delta >= 0.0 else "00->01",
-                           0.0, 1.0)[1]
-    tau2 = _mode_constants(p, "10->11", 0.0, 1.0)[1]
+    _, rg1, c1 = _mode_law(p, "00->10" if delta >= 0.0 else "00->01")
+    _, rg2, c2 = _mode_law(p, "10->11")
+    tau1, tau2 = c1 * rg1, c2 * rg2
     sep = abs(delta)
 
     def traj(t: float) -> float:
@@ -346,10 +292,17 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
 def _switch_on_by_inversion(p, pair_rising: bool, delta: float) -> float:
     _, aged, fresh, r, c_eff, _ = _mode_law(p, _switch_on_kind(pair_rising,
                                                                delta))
-    sep = abs(delta)
-    ctx = _dual_transient_context(aged, fresh, r, sep, c_eff, 1.0)
-    hint = 8.0 * r * c_eff + (aged + fresh) / r
-    return _bisect_phi_half(ctx, r, sep, hint) + p.delta_min
+    phi = _phi(aged, fresh, r, abs(delta), c_eff)
+    # phi decays monotonically from 1: widen a bracket from the hint
+    hi = max(8.0 * r * c_eff + (aged + fresh) / r, 1e-15)
+    for _ in range(200):
+        if phi(hi) < 0.5:
+            break
+        hi *= 2.0
+    else:
+        raise NoCrossingError("drive trajectory never reaches threshold")
+    return bisect_threshold_crossing(phi, 0.5, 0.0, hi,
+                                     Tolerance(abs=1e-17)) + p.delta_min
 
 
 class PiecewiseSolution:
@@ -390,31 +343,20 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool, v_dd: float):
         return None
     c, r5 = params.c_load, params.r5
     if law[0] == "exp":
-        return _const_rhs(c, r5, law[1], 0.0)
+        # constant conduction path to ground: the divider is exact, no
+        # approximation
+        tau = c * (r5 + law[1])
+        return lambda s, v: (0.0 - v) / tau
     _, aged, fresh, r, _, up = law
-    return _dual_rhs(c, r5, aged, fresh, 2.0 * r, delta, exact_f,
-                     v_dd if up else 0.0)
-
-
-def _const_rhs(c: float, r5: float, rg: float, drive: float):
-    # constant conduction path: the divider is exact, no approximation
-    tau = c * (r5 + rg)
-
-    def rhs(s: float, v: float) -> float:
-        return (drive - v) / tau
-
-    return rhs
-
-
-def _dual_rhs(c: float, r5: float, aged: float, fresh: float, r_series: float,
-              delta: float, exact_f: bool, drive: float):
-    # the constant-F branch equals the exact branch with aged and fresh
-    # scaled by (r5 + r_series) / r_series
+    drive = v_dd if up else 0.0
+    r_series = 2.0 * r
     if exact_f:
         def rhs(s: float, v: float) -> float:
             rg = aged / (s + delta) + fresh / s + r_series
             return (drive - v) / (c * (r5 + rg))
     else:
+        # the constant-F branch equals the exact branch with aged and
+        # fresh scaled by (r5 + r_series) / r_series
         f_const = r_series / (r5 + r_series)
 
         def rhs(s: float, v: float) -> float:
@@ -449,16 +391,7 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
     if t_end <= starts[-1]:
         raise ValueError(f"t_end={t_end!r} does not reach the last mode")
 
-    first = modes[0]
-    law = _mode_constants(params, first.kind, first.delta, v_dd)
-    if first.initial_v is not None:
-        v = first.initial_v
-    elif law[0] == "dual" and law[3]:
-        v = 0.0
-    else:
-        v = v_dd
-
-    v_start = v
+    v = v_start = _start_level(modes[0], _mode_law(params, modes[0].kind), v_dd)
     segments: list[tuple[float, OdeSolution]] = []
     for i, ms in enumerate(modes):
         if stop_past is not None and (v < stop_past < v_start

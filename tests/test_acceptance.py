@@ -383,17 +383,21 @@ def test_criterion_8_simulator_determinism_and_scaling():
     single_exact = single_exact and res.trace["out"] == [
         (2e-12 + nor_delay(p, DelayQuery("falling", 1.5e-12)), 0)]
 
-    def chain_wall(n_transitions: int):
-        nl = build_cross_coupled_chain(50, params_ref="nor", mu=50e-12,
-                                       sigma=30e-12,
-                                       n_transitions=n_transitions, seed=1)
-        first = run(nl, lib)
-        second = run(nl, lib)
-        assert first.changes == second.changes
-        return min(first.stats.wall_clock_s, second.stats.wall_clock_s)
-
-    wall_1000 = chain_wall(1000)
-    wall_2000 = chain_wall(2000)
+    # three runs per size, the sizes alternated so that a slow spell of
+    # the host hits both; the min of each is its least disturbed time
+    chains = {n: build_cross_coupled_chain(50, params_ref="nor", mu=50e-12,
+                                           sigma=30e-12, n_transitions=n,
+                                           seed=1)
+              for n in (1000, 2000)}
+    walls = {n: [] for n in chains}
+    first = {}
+    for _ in range(3):
+        for n, nl in chains.items():
+            res = run(nl, lib)
+            assert first.setdefault(n, res.changes) == res.changes
+            walls[n].append(res.stats.wall_clock_s)
+    wall_1000 = min(walls[1000])
+    wall_2000 = min(walls[2000])
     ratio = wall_2000 / wall_1000
     ok = single_exact and wall_1000 < 10.0 and ratio <= 2.5
     _report(8, ok,

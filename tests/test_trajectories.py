@@ -1,5 +1,6 @@
 """Tests for analytic trajectories and the two delay oracles."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -22,13 +23,13 @@ from misdelay.gates import (
 from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.numerics import Tolerance
 from misdelay.trajectories import (
+    NOR_MODE_KINDS,
     ModeSwitch,
     delay_by_inversion,
     delay_by_ode,
     eval_trajectory,
     implicit_I,
     integrate_full_ode,
-    trajectory_context,
 )
 
 LN2 = math.log(2.0)
@@ -91,8 +92,7 @@ class TestEvalTrajectory:
     def test_near_zero_delta_continuous_with_limit_form(self):
         # the product form degenerates as delta -> 0; the limit branch
         # must join it smoothly across the switchover
-        ctx = trajectory_context(NOR_A, ModeSwitch("01->00", delta=0.0))
-        a = ctx.a
+        a = (NOR_A.alpha1 + NOR_A.alpha2) / (2.0 * NOR_A.r)
         t = 2e-12
         below = eval_trajectory(ModeSwitch("01->00", delta=0.99e-6 * a,
                                            initial_v=0.0), NOR_A, t)
@@ -123,6 +123,11 @@ class TestEvalTrajectory:
             ModeSwitch("01->00", delta=-1e-12)
         with pytest.raises(ValueError):
             eval_trajectory(ModeSwitch("01->00"), NOR_A, -1e-15)
+        for kind in ("01->00", "00->10", "10->11"):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                eval_trajectory(ModeSwitch(kind), NOR_A, math.nan)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            eval_trajectory(ModeSwitch("11->01"), CG_ISO, math.nan)
 
 
 class TestImplicitFunction:
@@ -138,8 +143,7 @@ class TestImplicitFunction:
 
     def test_large_delta_approaches_single_input_limit(self):
         ext = nor_extremal_rising(NOR_A)
-        ctx = trajectory_context(NOR_A, ModeSwitch("01->00", delta=0.0))
-        big = 1e6 * ctx.a
+        big = 1e6 * ((NOR_A.alpha1 + NOR_A.alpha2) / (2.0 * NOR_A.r))
         root = oracles.crossing_time_bisect(
             lambda t: implicit_I(t, big, NOR_A), 0.0, 0.0, 10 * ext.d0)
         assert math.isclose(root, ext.d_inf, rel_tol=1e-4)
@@ -152,6 +156,21 @@ class TestImplicitFunction:
             implicit_I(1e-12, -1e-12, NOR_A)
         with pytest.raises(ValueError):
             implicit_I(-1e-12, 0.0, NOR_A)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            implicit_I(math.nan, 0.0, NOR_A)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            implicit_I(math.nan, 1e-12, CG_W3, "rising")
+
+    def test_rejects_unknown_direction(self):
+        # neither gate reads an unknown direction as the falling pair
+        for p in (NOR_A, CG_W3):
+            for direction in ("up", "Rising", ""):
+                with pytest.raises(ValueError, match="input_direction"):
+                    implicit_I(2e-12, 1e-12, p, direction)
+
+    def test_nor_has_no_rising_pair(self):
+        with pytest.raises(ValueError, match="necessarily falling"):
+            implicit_I(2e-12, 1e-12, NOR_A, "rising")
 
 
 class TestInversionOracle:
@@ -384,3 +403,49 @@ class TestOdeEarlyStop:
         assert full.t1 == t_end
         assert delay_by_ode("nor2", "falling", delta, p) == \
             oracles.reference_delay_by_ode("nor2", "falling", delta, p)
+
+
+class TestTrajectoryLayerPinned:
+    """Outputs of the closed-form trajectory layer on every fixture, hashed.
+
+    eval_trajectory over all mode kinds, implicit_I over both C-gate
+    pair directions and delay_by_inversion from 1e-9 to 40 times each
+    fixture's largest breakpoint: a refactor of this layer must leave
+    every one bit-identical.
+    """
+
+    MULTIPLES = (1e-9, 1e-6, 1e-3, 0.02, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0,
+                 10.0, 40.0)
+    SHA256 = "158fff8217ecce09245902a21efa75195402d85d83c120fd70106f7ad367c123"
+
+    def _outputs(self, p):
+        nor = isinstance(p, NorGateParams)
+        kind = "nor2" if nor else "cgate"
+        bp = max(max(t.bp_plus, t.bp_minus)
+                 for t in (_output_family(p, r)[1] for r in (False, True)))
+        scale = delay_by_inversion(kind, "rising", 0.0, p) - p.delta_min
+        ts = tuple(m * scale for m in (0.0, 0.1, 0.5, 1.0, 3.0))
+        # 1e-8 sits in the near-simultaneous limit branch, 1e-3 above it
+        deltas = tuple(m * scale for m in (0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0)
+                       ) + (math.inf,)
+        out = []
+        for mode in sorted(NOR_MODE_KINDS):
+            for delta in deltas:
+                for v0 in (None, 0.3):
+                    ms = ModeSwitch(mode, delta, v0)
+                    out.extend(eval_trajectory(ms, p, t) for t in ts)
+        for direction in (("falling",) if nor else ("falling", "rising")):
+            for delta in deltas:
+                out.extend(implicit_I(t, delta, p, direction) for t in ts)
+        for direction in ("falling", "rising"):
+            for delta in (0.0, -0.0, math.inf, -math.inf) + tuple(
+                    s * m * bp for m in self.MULTIPLES for s in (1.0, -1.0)):
+                out.append(delay_by_inversion(kind, direction, delta, p))
+        return out
+
+    def test_outputs_bit_identical(self):
+        out = []
+        for name in list_fixtures():
+            out.extend(self._outputs(load_fixture(name)))
+        assert len(out) == 13986
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.SHA256
