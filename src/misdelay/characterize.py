@@ -138,8 +138,10 @@ def _a_from_extremal(t: float, z: float, c: float) -> float:
     u = tau / t
     if u < 1e-3:
         # W+1 and u cancel near the branch point; expand both there
-        # instead of subtracting nearly equal numbers
-        s = u + (u - 1.0) * math.expm1(u)
+        # instead of subtracting nearly equal numbers:
+        # s = 1 + (u - 1) e^u = sum over k >= 2 of (k - 1) u^k / k!
+        s = u * u * (0.5 + u * (1.0 / 3.0 + u * (0.125 + u * (1.0 / 30.0
+            + u * (1.0 / 144.0 + u * (1.0 / 840.0 + u / 5760.0))))))
         p = math.sqrt(2.0 * s)
         denom = -p * _branch_series(p) - u
     else:
@@ -216,15 +218,25 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
     return find_root_bracketed(g, z_at(lo), z_at(hi))
 
 
+def _offsets(m: MeasuredDelays):
+    """The six delays less delta_min, in _DELAY_FIELDS order."""
+    return tuple(getattr(m, name) - m.delta_min for name in _DELAY_FIELDS)
+
+
+def _fit_pair(z: float, r5: float, t_minus_inf: float, t_inf: float,
+              c: float):
+    """(alpha_a, alpha_b, r) of the switch-on stack whose recharge path
+    totals z and whose one-sided extremals are t_minus_inf and t_inf;
+    the inverse of gates._family."""
+    r = (z - r5) / 2.0
+    return (2.0 * r * _a_from_extremal(t_minus_inf, z, c),
+            2.0 * r * _a_from_extremal(t_inf, z, c), r)
+
+
 def characterize_nor(m: MeasuredDelays) -> NorGateParams:
     """Extract NOR gate parameters from its six extremal delays."""
     validate_measured(m, "nor2")
-    t_dm = m.d_down_minus_inf - m.delta_min
-    t_d0 = m.d_down_zero - m.delta_min
-    t_di = m.d_down_inf - m.delta_min
-    t_um = m.d_up_minus_inf - m.delta_min
-    t_u0 = m.d_up_zero - m.delta_min
-    t_ui = m.d_up_inf - m.delta_min
+    t_dm, t_d0, t_di, t_um, t_u0, t_ui = _offsets(m)
     ln2c = _LN2 * m.c_chosen
 
     eps = math.sqrt((t_di - t_d0) * (t_dm - t_d0))
@@ -239,9 +251,7 @@ def characterize_nor(m: MeasuredDelays) -> NorGateParams:
     r_n_b = (t_dm - t_d0 + eps) / ln2c
 
     z = _solve_z(t_u0, t_ui, t_um, m.c_chosen, z_lo=r5 + 2.0 * _R_MIN)
-    r = (z - r5) / 2.0
-    alpha1 = 2.0 * r * _a_from_extremal(t_um, z, m.c_chosen)
-    alpha2 = 2.0 * r * _a_from_extremal(t_ui, z, m.c_chosen)
+    alpha1, alpha2, r = _fit_pair(z, r5, t_um, t_ui, m.c_chosen)
     return NorGateParams(r_n_a=r_n_a, r_n_b=r_n_b, r=r,
                          alpha1=alpha1, alpha2=alpha2,
                          c_load=m.c_chosen, r5=r5, delta_min=m.delta_min)
@@ -261,12 +271,7 @@ def characterize_cgate(m: MeasuredDelays, r5_choice: float = 0.0,
                          f"got {r5_choice!r}")
     if not isinstance(inverted, bool):
         raise ParamError(f"inverted must be a bool, got {inverted!r}")
-    t_dm = m.d_down_minus_inf - m.delta_min
-    t_d0 = m.d_down_zero - m.delta_min
-    t_di = m.d_down_inf - m.delta_min
-    t_um = m.d_up_minus_inf - m.delta_min
-    t_u0 = m.d_up_zero - m.delta_min
-    t_ui = m.d_up_inf - m.delta_min
+    t_dm, t_d0, t_di, t_um, t_u0, t_ui = _offsets(m)
     if inverted:
         # an inverting stage drives its output up through the p-side
         # pair when the inputs fall, so the measured families swap
@@ -279,12 +284,9 @@ def characterize_cgate(m: MeasuredDelays, r5_choice: float = 0.0,
         raise ParamError(
             f"r5_choice must stay below {min(x, y):.6g} ohm, the smaller "
             f"of the two series totals")
-    r_n = (x - r5_choice) / 2.0
-    r_p = (y - r5_choice) / 2.0
-    alpha1 = 2.0 * r_n * _a_from_extremal(t_um, x, m.c_chosen)
-    alpha2 = 2.0 * r_n * _a_from_extremal(t_ui, x, m.c_chosen)
-    alpha3 = 2.0 * r_p * _a_from_extremal(t_di, y, m.c_chosen)
-    alpha4 = 2.0 * r_p * _a_from_extremal(t_dm, y, m.c_chosen)
+    # the falling pair's first input, A, carries alpha4 (gates._switch_on_pair)
+    alpha1, alpha2, r_n = _fit_pair(x, r5_choice, t_um, t_ui, m.c_chosen)
+    alpha4, alpha3, r_p = _fit_pair(y, r5_choice, t_dm, t_di, m.c_chosen)
     return CGateParams(r_n=r_n, r_p=r_p,
                        alpha1=alpha1, alpha2=alpha2,
                        alpha3=alpha3, alpha4=alpha4,

@@ -383,9 +383,9 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
     Returns a dense OdeSolution.  Step acceptance uses the mixed local
     error criterion ``|err| <= tol.abs + tol.rel * max(|v|, |v_new|)``.
     Raises StepUnderflowError if controlling the error would need steps
-    below 1e-18 (stiff, singular or non-finite right-hand side).  The
-    integration is exactly reproducible: identical inputs give identical
-    solutions.
+    below 1e-18 short of t1 (stiff, singular or non-finite right-hand
+    side).  The integration is exactly reproducible: identical inputs
+    give identical solutions.
 
     With stop_past set, the integration returns at the first accepted
     node strictly past that level on the far side from v0 (never when
@@ -415,13 +415,14 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
     k1 = f(t0, v0)
     dvs = [k1]
     t, v = t0, v0
-    h = (t1 - t0) / 64.0
+    h = max((t1 - t0) / 64.0, _MIN_STEP)
     max_steps = 1_000_000
     for _ in range(max_steps):
         if t >= t1:
             return OdeSolution(ts, vs, dvs)
-        h = min(h, t1 - t)
-        if h < _MIN_STEP:
+        if h >= t1 - t:
+            h = t1 - t  # the last step lands on t1, however short
+        elif h < _MIN_STEP:
             raise StepUnderflowError(
                 f"step size {h!r} below {_MIN_STEP!r} at t={t!r}")
         k2 = f(t + c2 * h, v + h * a21 * k1)

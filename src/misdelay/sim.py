@@ -26,6 +26,9 @@ _CAUSALITY_SLACK = 1e-18
 
 _STIMULUS_GAP_FLOOR = 1e-12
 
+# the level each input pair drives a NOR output to, indexed [a][b]
+_NOR_LOGIC = ((1, 0), (0, 0))
+
 
 class NetlistError(ValueError):
     """Structural problem in a netlist; lists every violation found."""
@@ -256,8 +259,8 @@ def validate_netlist(nl: Netlist) -> None:
         if g.kind == "nor2" and len(g.inputs) == 2 \
                 and all(n in nl.nets for n in (*g.inputs, g.output)):
             a0, b0 = nl.nets[g.inputs[0]], nl.nets[g.inputs[1]]
-            want = 0 if (a0 or b0) else 1
-            if nl.nets[g.output] != want:
+            if _is_bit(a0) and _is_bit(b0) \
+                    and nl.nets[g.output] != _NOR_LOGIC[a0][b0]:
                 problems.append(f"gate {g.id}: initial output "
                                 f"{nl.nets[g.output]} inconsistent with "
                                 f"initial inputs ({a0}, {b0})")
@@ -278,28 +281,30 @@ def validate_netlist(nl: Netlist) -> None:
 
 
 class _NetState:
-    """One net during a run; a source's `feed` yields the heap entries
-    of its train not yet pushed."""
+    """One net during a run; `last` is the time of its latest change and
+    a source's `feed` yields the heap entries of its train not yet
+    pushed."""
 
-    __slots__ = ("name", "value", "last_rise", "last_fall", "fanout", "feed")
+    __slots__ = ("name", "value", "last", "fanout", "feed")
 
     def __init__(self, name: str, value: int):
         self.name = name
         self.value = value
-        self.last_rise = -math.inf
-        self.last_fall = -math.inf
+        self.last = -math.inf
         self.fanout: List[_GateRun] = []
         self.feed = None
 
 
 class _GateRun:
-    """One gate bound for a run: its nets and its delay families.
+    """One gate bound for a run: its nets, logic and delay families.
 
-    families holds the (evaluate, table) pair of `_output_family` for
-    each output value, indexed by the target level.
+    logic[a][b] is the level inputs (a, b) drive the output to, or None
+    where a C gate's disagreeing inputs hold it; families holds the
+    (evaluate, table) pair of `_output_family` for each output value,
+    indexed by the target level.
     """
 
-    __slots__ = ("gate", "is_nor", "a", "b", "out", "inverted", "delta_min",
+    __slots__ = ("gate", "is_nor", "a", "b", "out", "logic", "delta_min",
                  "families", "pending_seq", "pending_time", "pending_value")
 
     def __init__(self, gate: Gate, params, nets: Dict[str, _NetState]):
@@ -308,8 +313,12 @@ class _GateRun:
         self.a = nets[gate.inputs[0]]
         self.b = nets[gate.inputs[1]]
         self.out = nets[gate.output]
+        if self.is_nor:
+            self.logic = _NOR_LOGIC
+        else:
+            lo = int(params.inverted)
+            self.logic = ((lo, None), (None, 1 - lo))
         self.delta_min = params.delta_min
-        self.inverted = not self.is_nor and params.inverted
         self.families = (_output_family(params, False),
                          _output_family(params, True))
         self.pending_seq = -1
@@ -332,7 +341,6 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
     started = _time.perf_counter()
 
     nets = {name: _NetState(name, v) for name, v in nl.nets.items()}
-    bound = []
     problems = []
     for g in nl.gates:
         if g.kind == "input_source":
@@ -343,20 +351,15 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             problems.append(f"gate {g.id}: parameter set {g.params_ref!r} "
                             f"missing or not a {want.__name__}")
             continue
-        if g.kind == "cgate":
-            a0, b0 = nl.nets[g.inputs[0]], nl.nets[g.inputs[1]]
-            if a0 == b0:
-                expect = (1 - a0) if params.inverted else a0
-                if nl.nets[g.output] != expect:
-                    problems.append(f"gate {g.id}: initial output "
-                                    f"inconsistent with agreeing inputs")
-        bound.append((g, params))
-    if problems:
-        raise NetlistError(problems)
-    for g, params in bound:
         gr = _GateRun(g, params, nets)
+        steady = gr.logic[gr.a.value][gr.b.value]
+        if steady is not None and steady != gr.out.value:
+            problems.append(f"gate {g.id}: initial output inconsistent "
+                            f"with initial inputs")
         for net in g.inputs:
             nets[net].fanout.append(gr)
+    if problems:
+        raise NetlistError(problems)
 
     # heap entries are (time, seq, driving _GateRun or None for a
     # stimulus, _NetState, value); seq is unique, so tuples never
@@ -405,40 +408,30 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             if following is not None:
                 heappush(heap, following)
         st.value = value
-        if value:
-            st.last_rise = t
-        else:
-            st.last_fall = t
+        st.last = t
         record((t, st.name, value))
         for gr in st.fanout:
             # revise gr's pending output event after an input change at t
             a = gr.a
             b = gr.b
-            if gr.is_nor:
-                target = 0 if (a.value or b.value) else 1
-            else:
-                if a.value != b.value:
-                    gr.pending_seq = -1
-                    continue
-                target = (1 - a.value) if gr.inverted else a.value
-            if target == gr.out.value:
+            target = gr.logic[a.value][b.value]
+            if target is None or target == gr.out.value:
                 gr.pending_seq = -1
                 continue
             if gr.is_nor and not target:
                 # falling NOR output, referenced to the first rising input
-                t_a = a.last_rise if a.value else inf
-                t_b = b.last_rise if b.value else inf
+                t_a = a.last if a.value else inf
+                t_b = b.last if b.value else inf
                 ref = t_b if t_b < t_a else t_a  # min() without its call cost
                 if not isfinite(ref):
                     ref = t  # input held since the start of time
             else:
                 # switch-on family, referenced to the pair's second input:
-                # the one that switched now, as pops come in time order
+                # the one that switched now, as pops come in time order;
+                # both inputs sit at the pair's level, so each one's
+                # latest change is its edge of the pair
                 ref = t
-                if a.value:
-                    t_a, t_b = a.last_rise, b.last_rise
-                else:
-                    t_a, t_b = a.last_fall, b.last_fall
+                t_a, t_b = a.last, b.last
             delta = 0.0 if t_a == t_b else t_b - t_a
             evaluate, table = gr.families[target]
             t_new = ref + evaluate(table, delta)

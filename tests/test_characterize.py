@@ -360,8 +360,8 @@ FIT_SHA256 = {
         "31595da571d57b4a0114c328b4430af18b4af95b7077a3c5be7efdcaedb0f66a",
         "31595da571d57b4a0114c328b4430af18b4af95b7077a3c5be7efdcaedb0f66a"),
     "cgate15_isolated": (
-        "b5655c00c44b85fe12a686022acacadfa420de3b56c347d7a15c3cd2ab167448",
-        "b5655c00c44b85fe12a686022acacadfa420de3b56c347d7a15c3cd2ab167448"),
+        "08d4ab69edcac22a17d2b3d0836a0cba0c94ebc4d2b2e878773d1f7770dacb34",
+        "08d4ab69edcac22a17d2b3d0836a0cba0c94ebc4d2b2e878773d1f7770dacb34"),
     "cgate15_l15": (
         "6b211d9f023793c9ef63f33c9c0b83f90a09880080cb8d5ea7e8bb8d5413df60",
         "62a2a2a33b46f9f6ca0ce23e4f134ea9cf32ca76594ccc3f62370f10cc8c0ff4"),
@@ -483,6 +483,16 @@ class TestSolveMatchesReference:
         want = _invalid_message(oracles.reference_solve_z, *args)
         assert "inconsistent" in want
         assert _invalid_message(characterize._solve_z, *args) == want
+
+    def test_low_end_sums_without_cancellation(self):
+        # this triple's g is small near z_lo, where u + (u - 1)*expm1(u)
+        # cancels to noise; summed term by term, g keeps one sign below
+        # its root near 5e4 ohm
+        args = (5.552372454924769e-08, 8.560921525036194e-10,
+                5.5517161227966935e-08, 1.0069461064892036e-16, 0.0)
+        z = characterize._solve_z(*args)
+        assert z == pytest.approx(51856.277, rel=1e-6)
+        assert z == oracles.reference_solve_z(*args)
 
     def test_no_admissible_resistance_same_message(self):
         args = (2e-11, 3e-13, 1e-11, NOR_A.c_load, NOR_A.r5 + 0.02)

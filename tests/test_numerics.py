@@ -181,6 +181,17 @@ class TestIntegrateOde:
         with pytest.raises(StepUnderflowError):
             integrate_ode(f, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t0,t1", [
+        (1e-18, 7.138806313176834e-12),  # rounding leaves 8e-28 s to t1
+        (0.0, 1e-17),  # a 64th of the window is below the step floor
+        (0.0, 1e-19),  # the whole window is
+    ])
+    def test_short_steps_to_horizon_are_taken(self, t0, t1):
+        # only error control may drive a step below the floor short of t1
+        sol = integrate_ode(lambda t, v: 0.0, t0, t1, 1.0)
+        assert sol.t1 == t1
+        assert sol.v1 == 1.0
+
     def test_bad_window_raises(self):
         with pytest.raises(ValueError):
             integrate_ode(lambda t, v: v, 1.0, 1.0, 0.0)

@@ -606,10 +606,21 @@ class TestNetlistValidation:
         with pytest.raises(NetlistError, match="parameter set"):
             run(single_nor(), {"nor": CG_W3})
 
-    def test_cgate_initial_consistency_at_run(self):
-        nl = single_cgate(out0=1)
-        with pytest.raises(NetlistError, match="initial output"):
-            run(nl, LIB)
+    @pytest.mark.parametrize("inverted", [False, True])
+    @pytest.mark.parametrize("init", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_cgate_initial_consistency_at_run(self, inverted, init):
+        # agreeing inputs fix the output at the gate's level; disagreeing
+        # ones hold whatever it was
+        a0, b0 = init
+        lib = {"cg": replace(CG_W3, inverted=inverted)}
+        for out0 in (0, 1):
+            nl = single_cgate(out0=out0)
+            nl.nets.update(na=a0, nb=b0)
+            if a0 == b0 and out0 != (1 - a0 if inverted else a0):
+                with pytest.raises(NetlistError, match="initial output"):
+                    run(nl, lib)
+            else:
+                assert run(nl, lib).stats.events == 0
 
     def test_source_must_not_have_inputs(self):
         nl = Netlist(

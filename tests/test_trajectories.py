@@ -349,6 +349,22 @@ class TestFullOde:
         sol = integrate_full_ode(modes, CG_W3, 8e-12)
         assert sol(2e-12) == 0.9
 
+    def test_horizon_sliver_does_not_underflow(self):
+        # rounding leaves a 3e-27 s sliver before t_end on this chain
+        p = load_fixture("cgate15_halfres")
+        s = delay_by_inversion("cgate", "rising", 0.0, p) - p.delta_min
+        sol = integrate_full_ode(
+            [ModeSwitch("10->11", 0.5 * s, initial_v=1.0)], p, 3.5 * s)
+        assert sol.t1 == 3.5 * s
+
+    def test_near_simultaneous_inputs_integrate(self):
+        # a first mode of 1e-17 s is shorter than 64 steps at the floor
+        p = load_fixture("nor15_l3")
+        for delta in (1e-17, -1e-17):
+            ode = delay_by_ode("nor2", "falling", delta, p)
+            inv = delay_by_inversion("nor2", "falling", delta, p)
+            assert math.isclose(ode, inv, rel_tol=1e-5)
+
     def test_mode_sequence_validation(self):
         with pytest.raises(ValueError):
             integrate_full_ode([], NOR_A, 1e-11)
