@@ -12,11 +12,10 @@ the series resistance seen by the recharge path.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from .gates import CGateParams, NorGateParams, ParamError
+from .gates import CGateParams, NorGateParams, ParamError, _is_real
 from .numerics import (DomainError, _branch_series, find_root_bracketed,
                        lambert_w_m1)
 
@@ -61,16 +60,6 @@ class MeasuredDelays:
     d_up_inf: float
     delta_min: float
     c_chosen: float
-
-
-def _is_real(value) -> bool:
-    """A finite int or float; a bool is a flag, not a number.
-
-    The range test compares an int exactly, so an int beyond the float
-    range is rejected where math.isfinite would raise OverflowError.
-    """
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _is_pos(value) -> bool:

@@ -212,7 +212,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliUsageError(f"{flag} must be finite and non-negative, "
                                 f"got {tol!r}")
     if args.params:
-        targets = [(Path(p).stem, parse_params(_read(p))) for p in args.params]
+        stems = [Path(p).stem for p in args.params]
+        for stem in stems:
+            if stems.count(stem) > 1:
+                raise CliUsageError(f"--params stem {stem!r} given more than "
+                                    f"once; report blocks are keyed by stem")
+        targets = [(stem, parse_params(_read(p)))
+                   for stem, p in zip(stems, args.params)]
     else:
         targets = [(name, load_fixture(name)) for name in list_fixtures()]
     if not targets:

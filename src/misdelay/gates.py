@@ -17,6 +17,7 @@ ohm-seconds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Tuple
@@ -41,25 +42,34 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max
 
 
 class ParamError(ValueError):
     """Gate parameter set violates a validity constraint."""
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParamError(msg)
+def _is_real(value) -> bool:
+    """A finite int or float; a bool is a flag, not a number.
+
+    The range test compares an int exactly, so an int beyond the float
+    range is rejected where math.isfinite would raise OverflowError.
+    """
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
-def _check_positive(name: str, value: float) -> None:
-    _require(isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0,
-             f"{name} must be finite and > 0, got {value!r}")
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    _require(isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0,
-             f"{name} must be finite and >= 0, got {value!r}")
+def _check_fields(params, positive: Tuple[str, ...]) -> None:
+    """Raise ParamError naming the first field out of range; a message
+    is formatted only for the check that fails."""
+    for name in positive:
+        value = getattr(params, name)
+        if not (_is_real(value) and value > 0.0):
+            raise ParamError(f"{name} must be finite and > 0, got {value!r}")
+    for name in ("r5", "delta_min"):
+        value = getattr(params, name)
+        if not (_is_real(value) and value >= 0.0):
+            raise ParamError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +97,8 @@ class NorGateParams:
     delta_min: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("r_n_a", "r_n_b", "r", "alpha1", "alpha2", "c_load"):
-            _check_positive(name, getattr(self, name))
-        _check_nonnegative("r5", self.r5)
-        _check_nonnegative("delta_min", self.delta_min)
+        _check_fields(self, ("r_n_a", "r_n_b", "r", "alpha1", "alpha2",
+                             "c_load"))
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,10 @@ class CGateParams:
     inverted: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("r_n", "r_p", "alpha1", "alpha2", "alpha3", "alpha4",
-                     "c_load"):
-            _check_positive(name, getattr(self, name))
-        _check_nonnegative("r5", self.r5)
-        _check_nonnegative("delta_min", self.delta_min)
-        _require(isinstance(self.inverted, bool),
-                 f"inverted must be a bool, got {self.inverted!r}")
+        _check_fields(self, ("r_n", "r_p", "alpha1", "alpha2", "alpha3",
+                             "alpha4", "c_load"))
+        if not isinstance(self.inverted, bool):
+            raise ParamError(f"inverted must be a bool, got {self.inverted!r}")
 
 
 class EffectiveCaps(NamedTuple):

@@ -16,7 +16,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gates import CGateParams, NorGateParams, _output_family
+from .gates import CGateParams, NorGateParams, _is_real, _output_family
 
 GATE_KINDS = ("nor2", "cgate", "input_source")
 
@@ -153,22 +153,16 @@ class Xoshiro256StarStar:
 
 def _stimulus_problems(mu, sigma, n, seed) -> List[str]:
     """Why generate_stimulus cannot draw this train; empty if it can."""
-    def finite(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool) \
-            and math.isfinite(x)
-
-    def integer(x):
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    checks = (
-        (finite(mu) and mu > 0.0,
-         f"mu must be a finite positive time, got {mu!r}"),
-        (finite(sigma) and sigma >= 0.0,
-         f"sigma must be finite and non-negative, got {sigma!r}"),
-        (integer(n) and n >= 1, f"n must be a positive count, got {n!r}"),
-        (integer(seed), f"seed must be an integer, got {seed!r}"),
-    )
-    return [message for ok, message in checks if not ok]
+    problems = []
+    if not (_is_real(mu) and mu > 0.0):
+        problems.append(f"mu must be a finite positive time, got {mu!r}")
+    if not (_is_real(sigma) and sigma >= 0.0):
+        problems.append(f"sigma must be finite and non-negative, got {sigma!r}")
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        problems.append(f"n must be a positive count, got {n!r}")
+    if not (isinstance(seed, int) and not isinstance(seed, bool)):
+        problems.append(f"seed must be an integer, got {seed!r}")
+    return problems
 
 
 def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
@@ -179,6 +173,8 @@ def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
     land on exact multiples of mu.  Deterministic for a fixed seed.
     """
     problems = _stimulus_problems(mu, sigma, n, seed)
+    if not _is_bit(start_value):
+        problems.append(f"start_value must be 0 or 1, got {start_value!r}")
     if problems:
         raise ValueError("; ".join(problems))
     rng = Xoshiro256StarStar(seed)

@@ -279,6 +279,28 @@ class TestVerify:
         assert json.loads(err.strip().splitlines()[-1])["type"] == \
             "CliUsageError"
 
+    def test_repeated_stem_exit_2(self, tmp_path, capsys):
+        # the report keys blocks by stem: a second x.json would replace
+        # the first one's block while its pass flag still counted
+        for sub, name in (("a", "nor15_l3"), ("b", "cgate15_l3")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.json").write_text(
+                serialize_params(load_fixture(name)))
+        code = main(["verify", "--params", str(tmp_path / "a" / "x.json"),
+                     "--params", str(tmp_path / "b" / "x.json")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["type"] == "CliUsageError"
+        assert "'x'" in diag["message"]
+
+    def test_distinct_stems_each_reported(self, capsys):
+        code = main(["verify", "--params", L3_PATH, "--params", CG_PATH])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["fixtures"]) == ["nor15_l3", "cgate15_l3"]
+
     def test_zero_tolerance_accepted(self, capsys):
         code = main(["verify", "--params", L3_PATH, "--tol-linearized", "0"])
         assert code == 3

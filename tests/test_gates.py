@@ -1,7 +1,7 @@
 """Tests for the closed-form delay families in misdelay.gates."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +40,29 @@ CG_ISO = CGateParams(r_n=2142.0, r_p=2321.5,
                      alpha1=2.1472, alpha2=1.1303,
                      alpha3=1.5549, alpha4=1.8403,
                      c_load=2.6331e-15, r5=0.0, delta_min=1.77e-12)
+
+
+# each kind of bad number with the repr a ParamError must quote
+BAD_NUMBERS = [
+    pytest.param(-1.5, "-1.5", id="negative"),
+    pytest.param(0.0, "0.0", id="zero"),
+    pytest.param(math.nan, "nan", id="nan"),
+    pytest.param(math.inf, "inf", id="inf"),
+    pytest.param(-math.inf, "-inf", id="-inf"),
+    pytest.param(True, "True", id="bool"),
+    pytest.param(10 ** 400, "1" + "0" * 400, id="huge-int"),
+    pytest.param("2e3", "'2e3'", id="str"),
+]
+
+
+class CountingFloat(float):
+    """A float that counts how often its repr is taken."""
+
+    calls = 0
+
+    def __repr__(self):
+        CountingFloat.calls += 1
+        return super().__repr__()
 
 
 def rising_crossing_oracle(alpha_sum: float, r: float, r5: float,
@@ -324,6 +347,40 @@ class TestValidation:
             replace(CG_ISO, r_p=math.inf)
         with pytest.raises(ParamError):
             replace(CG_ISO, inverted="yes")
+
+    @pytest.mark.parametrize("base", [NOR_A, CG_ISO], ids=["nor", "cgate"])
+    @pytest.mark.parametrize("bad,text", BAD_NUMBERS)
+    def test_error_text_names_first_bad_field(self, base, bad, text):
+        names = [f.name for f in fields(base) if f.name != "inverted"]
+        for i, name in enumerate(names):
+            bound = ">= 0" if name in ("r5", "delta_min") else "> 0"
+            if bad == 0.0 and bound == ">= 0":
+                continue
+            # every later field is bad too: the first one is named
+            with pytest.raises(ParamError) as info:
+                replace(base, **{n: bad for n in names[i:]})
+            assert str(info.value) == \
+                f"{name} must be finite and {bound}, got {text}"
+
+    @pytest.mark.parametrize("bad,text", [(1, "1"), ("yes", "'yes'"),
+                                          (None, "None")])
+    def test_inverted_text_and_checked_last(self, bad, text):
+        with pytest.raises(ParamError) as info:
+            replace(CG_ISO, inverted=bad)
+        assert str(info.value) == f"inverted must be a bool, got {text}"
+        with pytest.raises(ParamError, match="^c_load must"):
+            replace(CG_ISO, inverted=bad, c_load=-1.0)
+
+    def test_valid_construction_formats_nothing(self):
+        CountingFloat.calls = 0
+        NorGateParams(**{f.name: CountingFloat(getattr(NOR_A, f.name))
+                         for f in fields(NOR_A)})
+        CGateParams(**{f.name: CountingFloat(getattr(CG_ISO, f.name))
+                       for f in fields(CG_ISO) if f.name != "inverted"})
+        assert CountingFloat.calls == 0
+        with pytest.raises(ParamError, match="got -1.0$"):
+            replace(NOR_A, r=CountingFloat(-1.0))
+        assert CountingFloat.calls == 1
 
     def test_query_rejected(self):
         with pytest.raises(ValueError):

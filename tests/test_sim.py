@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,24 @@ CG_W3 = CGateParams(r_n=964.76, r_p=1146.0,
                     c_load=2.6331e-15, r5=545.49, delta_min=1.7e-12)
 
 LIB = {"nor": NOR_A, "cg": CG_W3}
+
+
+class CountingFloat(float):
+    """A float that counts how often its repr is taken."""
+
+    calls = 0
+
+    def __repr__(self):
+        CountingFloat.calls += 1
+        return super().__repr__()
+
+
+class CountingInt(int):
+    """An int whose repr counts on CountingFloat's counter."""
+
+    def __repr__(self):
+        CountingFloat.calls += 1
+        return super().__repr__()
 
 
 def single_nor(stim_a=None, stim_b=None, init=(0, 0)):
@@ -171,6 +190,32 @@ class TestStimulus:
                                                      seed, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
             generate_stimulus(mu, sigma, n, seed)
+
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    def test_int_beyond_float_range_is_a_value_error(self, field):
+        # math.isfinite would raise OverflowError on it
+        args = {"mu": 1e-11, "sigma": 0.0, field: 10 ** 400}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            generate_stimulus(args["mu"], args["sigma"], 3, 1)
+
+    @pytest.mark.parametrize("start", [2, -1, 0.5, 1.0, True])
+    def test_start_value_must_be_a_bit(self, start):
+        with pytest.raises(ValueError, match=re.escape(
+                f"start_value must be 0 or 1, got {start!r}")):
+            generate_stimulus(1e-11, 0.0, 3, 1, start_value=start)
+
+    def test_valid_arguments_format_nothing(self):
+        spec = StimulusSpec(CountingFloat(1e-11), CountingFloat(5e-12),
+                            CountingInt(4), CountingInt(2))
+        CountingFloat.calls = 0
+        ev = generate_stimulus(spec.mu, spec.sigma, spec.n_transitions,
+                               spec.seed)
+        validate_netlist(single_nor(stim_a=spec))
+        assert CountingFloat.calls == 0
+        assert ev == generate_stimulus(1e-11, 5e-12, 4, 2)
+        with pytest.raises(ValueError):
+            generate_stimulus(spec.mu, CountingFloat(-1.0), 4, 2)
+        assert CountingFloat.calls == 1
 
 
 class TestSingleNor:
@@ -567,6 +612,8 @@ class TestNetlistValidation:
         (StimulusSpec(math.inf, 0.0, 3, 1), "mu"),
         (StimulusSpec(1e-11, math.inf, 3, 1), "sigma"),
         (StimulusSpec(1e-11, 0.0, 3, 1.5), "seed"),
+        (StimulusSpec(10 ** 400, 0.0, 3, 1), "mu"),
+        (StimulusSpec(1e-11, -10 ** 400, 3, 1), "sigma"),
     ])
     def test_stimulus_checked_as_generate_stimulus_checks_it(self, spec,
                                                               field):
