@@ -66,6 +66,10 @@ _MEASURED_FIELDS = (
 
 _METADATA_STRINGS = ("label", "technology")
 
+# document "kind" -> (dataclass, field map); both directions read it
+_KINDS = {"nor2": (NorGateParams, _NOR_FIELDS),
+          "cgate": (CGateParams, _CGATE_FIELDS)}
+
 
 class SchemaError(ValueError):
     """A document does not match its schema; `path` names the spot."""
@@ -83,9 +87,21 @@ def _reject_nonfinite(token: str) -> float:
     raise SchemaError("", f"non-finite number {token} is not allowed")
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("", f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _load_document(text: str) -> dict:
     try:
-        doc = json.loads(text, parse_constant=_reject_nonfinite)
+        doc = json.loads(text, parse_constant=_reject_nonfinite,
+                         object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -93,10 +109,21 @@ def _load_document(text: str) -> dict:
     return doc
 
 
-def _number(obj: dict, key: str, path: str) -> float:
+def _pop(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(_join(path, key), "missing required field")
-    val = obj.pop(key)
+    return obj.pop(key)
+
+
+def _object(val: object, path: str) -> dict:
+    # no copy: every object popped from is freshly decoded or a copy
+    if not isinstance(val, dict):
+        raise SchemaError(path, "expected an object")
+    return val
+
+
+def _number(obj: dict, key: str, path: str) -> float:
+    val = _pop(obj, key, path)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(_join(path, key), "expected a number")
     try:
@@ -109,18 +136,14 @@ def _number(obj: dict, key: str, path: str) -> float:
 
 
 def _integer(obj: dict, key: str, path: str) -> int:
-    if key not in obj:
-        raise SchemaError(_join(path, key), "missing required field")
-    val = obj.pop(key)
+    val = _pop(obj, key, path)
     if isinstance(val, bool) or not isinstance(val, int):
         raise SchemaError(_join(path, key), "expected an integer")
     return val
 
 
 def _string(obj: dict, key: str, path: str) -> str:
-    if key not in obj:
-        raise SchemaError(_join(path, key), "missing required field")
-    val = obj.pop(key)
+    val = _pop(obj, key, path)
     if not isinstance(val, str):
         raise SchemaError(_join(path, key), "expected a string")
     return val
@@ -134,13 +157,9 @@ def _no_leftovers(obj: dict, path: str, strict: bool) -> None:
 # -- gate parameter documents -------------------------------------------
 
 def _metadata_from_doc(meta: object, path: str, strict: bool) -> Dict[str, object]:
-    if not isinstance(meta, dict):
-        raise SchemaError(path, "expected an object")
-    meta = dict(meta)
-    out: Dict[str, object] = {}
-    for key in _METADATA_STRINGS:
-        if key in meta:
-            out[key] = _string(meta, key, path)
+    meta = _object(meta, path)
+    out: Dict[str, object] = {key: _string(meta, key, path)
+                              for key in _METADATA_STRINGS if key in meta}
     if "wire_length_um" in meta:
         out["wire_length_um"] = _number(meta, "wire_length_um", path)
     _no_leftovers(meta, path, strict)
@@ -148,41 +167,32 @@ def _metadata_from_doc(meta: object, path: str, strict: bool) -> Dict[str, objec
 
 
 def _params_from_doc(doc: dict, path: str, strict: bool) -> GateParams:
-    doc = dict(doc)
     kind = _string(doc, "kind", path)
-    if kind == "nor2":
-        field_map, cls = _NOR_FIELDS, NorGateParams
-    elif kind == "cgate":
-        field_map, cls = _CGATE_FIELDS, CGateParams
-    else:
+    if kind not in _KINDS:
         raise SchemaError(_join(path, "kind"),
                           f"expected 'nor2' or 'cgate', got {kind!r}")
+    cls, field_map = _KINDS[kind]
     fields = {attr: _number(doc, key, path) for key, attr in field_map}
     if cls is CGateParams and "inverted" in doc:
         val = doc.pop("inverted")
         if not isinstance(val, bool):
             raise SchemaError(_join(path, "inverted"), "expected a boolean")
         fields["inverted"] = val
-    if "metadata" in doc:
-        _metadata_from_doc(doc.pop("metadata"), _join(path, "metadata"), strict)
+    _metadata_from_doc(doc.pop("metadata", {}), _join(path, "metadata"), strict)
     _no_leftovers(doc, path, strict)
     return cls(**fields)
 
 
 def _params_to_doc(params: GateParams,
                    metadata: Mapping[str, object] = None) -> Dict[str, object]:
-    doc: Dict[str, object] = {}
-    if isinstance(params, NorGateParams):
-        doc["kind"] = "nor2"
-        field_map = _NOR_FIELDS
-    elif isinstance(params, CGateParams):
-        doc["kind"] = "cgate"
-        field_map = _CGATE_FIELDS
+    for kind, (cls, field_map) in _KINDS.items():
+        if isinstance(params, cls):
+            break
     else:
         raise TypeError(f"expected gate params, got {type(params).__name__}")
-    for key, attr in field_map:
-        doc[key] = getattr(params, attr)
-    if isinstance(params, CGateParams) and params.inverted:
+    doc: Dict[str, object] = {"kind": kind}
+    doc.update((key, getattr(params, attr)) for key, attr in field_map)
+    if cls is CGateParams and params.inverted:
         doc["inverted"] = True
     if metadata is not None:
         doc["metadata"] = _metadata_from_doc(dict(metadata), "metadata",
@@ -230,79 +240,55 @@ def serialize_measured(m: MeasuredDelays) -> str:
 def parse_netlist(text: str, strict: bool = True
                   ) -> Tuple[Netlist, Dict[str, GateParams]]:
     """Parse a netlist document; returns (netlist, parameter library)."""
-    doc = dict(_load_document(text))
+    doc = _load_document(text)
 
-    if "gates" not in doc:
-        raise SchemaError("gates", "missing required field")
-    raw_gates = doc.pop("gates")
+    raw_gates = _pop(doc, "gates", "")
     if not isinstance(raw_gates, list):
         raise SchemaError("gates", "expected an array")
     gates = []
     for i, entry in enumerate(raw_gates):
         path = f"gates[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected an object")
-        entry = dict(entry)
+        entry = _object(entry, path)
         gid = _string(entry, "id", path)
         kind = _string(entry, "kind", path)
-        inputs: Tuple[str, ...] = ()
-        if "inputs" in entry:
-            raw_in = entry.pop("inputs")
-            if (not isinstance(raw_in, list)
-                    or not all(isinstance(x, str) for x in raw_in)):
-                raise SchemaError(_join(path, "inputs"),
-                                  "expected an array of net names")
-            inputs = tuple(raw_in)
+        inputs = entry.pop("inputs", [])
+        if (not isinstance(inputs, list)
+                or not all(isinstance(x, str) for x in inputs)):
+            raise SchemaError(_join(path, "inputs"),
+                              "expected an array of net names")
         output = _string(entry, "output", path)
         ref = _string(entry, "params_ref", path) if "params_ref" in entry else ""
         _no_leftovers(entry, path, strict)
-        gates.append(Gate(id=gid, kind=kind, inputs=inputs, output=output,
-                          params_ref=ref))
+        gates.append(Gate(id=gid, kind=kind, inputs=tuple(inputs),
+                          output=output, params_ref=ref))
 
-    if "nets" not in doc:
-        raise SchemaError("nets", "missing required field")
-    raw_nets = doc.pop("nets")
-    if not isinstance(raw_nets, dict):
-        raise SchemaError("nets", "expected an object")
     nets: Dict[str, int] = {}
-    for name, val in raw_nets.items():
+    for name, val in _object(_pop(doc, "nets", ""), "nets").items():
         if not _is_bit(val):
             raise SchemaError(_join("nets", name), "expected 0 or 1")
         nets[name] = val
 
     stimuli: Dict[str, StimulusSpec] = {}
-    if "stimuli" in doc:
-        raw_st = doc.pop("stimuli")
-        if not isinstance(raw_st, dict):
-            raise SchemaError("stimuli", "expected an object")
-        for sid, spec in raw_st.items():
-            spath = _join("stimuli", sid)
-            if not isinstance(spec, dict):
-                raise SchemaError(spath, "expected an object")
-            spec = dict(spec)
-            mu = _number(spec, "mu_s", spath)
-            sigma = _number(spec, "sigma_s", spath)
-            n_tr = _integer(spec, "n_transitions", spath)
-            seed = _integer(spec, "seed", spath)
-            _no_leftovers(spec, spath, strict)
-            stimuli[sid] = StimulusSpec(mu=mu, sigma=sigma,
-                                        n_transitions=n_tr, seed=seed)
+    for sid, spec in _object(doc.pop("stimuli", {}), "stimuli").items():
+        spath = _join("stimuli", sid)
+        spec = _object(spec, spath)
+        mu = _number(spec, "mu_s", spath)
+        sigma = _number(spec, "sigma_s", spath)
+        n_tr = _integer(spec, "n_transitions", spath)
+        seed = _integer(spec, "seed", spath)
+        _no_leftovers(spec, spath, strict)
+        stimuli[sid] = StimulusSpec(mu=mu, sigma=sigma,
+                                    n_transitions=n_tr, seed=seed)
 
     library: Dict[str, GateParams] = {}
-    if "params" in doc:
-        raw_lib = doc.pop("params")
-        if not isinstance(raw_lib, dict):
-            raise SchemaError("params", "expected an object")
-        for ref, entry in raw_lib.items():
-            lpath = _join("params", ref)
-            if not isinstance(entry, dict):
-                raise SchemaError(lpath, "expected an object")
-            library[ref] = _params_from_doc(entry, lpath, strict)
+    for ref, entry in _object(doc.pop("params", {}), "params").items():
+        lpath = _join("params", ref)
+        library[ref] = _params_from_doc(_object(entry, lpath), lpath, strict)
 
     _no_leftovers(doc, "", strict)
 
     for i, g in enumerate(gates):
-        if g.kind in ("nor2", "cgate") and g.params_ref not in library:
+        if g.kind in _KINDS and g.params_ref not in library:
             raise SchemaError(f"gates[{i}].params_ref",
                               f"no entry {g.params_ref!r} in params")
     return Netlist(gates=tuple(gates), nets=nets, stimuli=stimuli), library

@@ -59,6 +59,13 @@ def _is_real(value) -> bool:
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
+def _check_float_range(name: str, value) -> None:
+    """ValueError for an int beyond the float range, which math.isnan and
+    float arithmetic meet with OverflowError; +-inf passes."""
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a float, got {value!r}")
+
+
 def _check_fields(params, positive: Tuple[str, ...]) -> None:
     """Raise ParamError naming the first field out of range; a message
     is formatted only for the check that fails."""
@@ -185,6 +192,7 @@ class DelayQuery:
                 f"got {self.output_direction!r}")
         if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
             raise ValueError(f"delta must be a float, got {self.delta!r}")
+        _check_float_range("delta", self.delta)
         if math.isnan(self.delta):
             raise ValueError("delta must not be NaN")
 

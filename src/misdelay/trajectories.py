@@ -47,8 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import (CGateParams, NorGateParams, _pair_rising, _switch_on_pair,
-                    effective_caps)
+from .gates import (CGateParams, NorGateParams, _check_float_range,
+                    _pair_rising, _switch_on_pair, effective_caps)
 from .numerics import (
     DomainError,
     NoCrossingError,
@@ -106,6 +106,7 @@ class ModeSwitch:
     def __post_init__(self) -> None:
         if self.kind not in NOR_MODE_KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
+        _check_float_range("delta", self.delta)
         if math.isnan(self.delta) or self.delta < 0.0:
             raise ValueError(f"delta must be >= 0, got {self.delta!r}")
 
@@ -203,6 +204,7 @@ def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> floa
     """Closed-form output voltage of one mode, t seconds after its start."""
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
+    _check_float_range("t", t)
     law = _mode_law(params, ms.kind)
     v0 = _start_level(ms, law, v_dd)
     if law[0] == "hold":
@@ -227,10 +229,12 @@ def implicit_I(t: float, delta: float, params,
     For NOR parameters input_direction is necessarily "falling"; for C
     gate parameters it selects the input-pair direction.
     """
+    _check_float_range("delta", delta)
     if math.isnan(delta) or delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
+    _check_float_range("t", t)
     if input_direction not in ("rising", "falling"):
         raise ValueError("input_direction must be rising or falling, "
                          f"got {input_direction!r}")
@@ -252,6 +256,7 @@ def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
     The transport delay delta_min is included, matching nor_delay and
     cgate_delay conventions.
     """
+    _check_float_range("delta", delta)
     if math.isnan(delta):
         raise ValueError("delta must not be NaN")
     if direction not in ("rising", "falling"):

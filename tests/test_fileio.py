@@ -1,6 +1,8 @@
 """Tests for the document formats and the bundled fixture library."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -431,3 +433,304 @@ class TestFixtureLibrary:
         assert load_fixture("only") == NOR_A
         with pytest.raises(KeyError):
             load_fixture("nor15_l3")
+
+
+# -- every SchemaError site, pinned -------------------------------------
+
+class _Lit(str):
+    """A raw JSON literal spliced into a document in place of a value."""
+
+
+_DROP = object()
+
+
+def _params_doc(params):
+    return json.loads(serialize_params(params))
+
+
+def _netlist_doc():
+    return {
+        "gates": [{"id": "s", "kind": "input_source", "output": "a"},
+                  {"id": "g", "kind": "nor2", "inputs": ["a", "b"],
+                   "output": "q", "params_ref": "nor"}],
+        "nets": {"a": 0, "b": 0, "q": 1},
+        "stimuli": {"s": {"mu_s": 1e-11, "sigma_s": 0.0,
+                          "n_transitions": 2, "seed": 1}},
+        "params": {"nor": _params_doc(NOR_A)},
+    }
+
+
+_BASES = {
+    "params": lambda: _params_doc(NOR_A),
+    "cgate": lambda: _params_doc(CG_W3),
+    "measured": lambda: json.loads(serialize_measured(
+        TestMeasuredDocuments()._measured())),
+    "netlist": _netlist_doc,
+}
+
+_PARSERS = {
+    "params": parse_params,
+    "cgate": parse_params,
+    "measured": lambda text, strict=True: parse_measured(
+        text, c_chosen=1e-15, strict=strict),
+    "netlist": parse_netlist,
+}
+
+
+def _malformed(base, edits):
+    """The base document with each (key path, value) edit applied; a
+    value of _DROP deletes the key and a _Lit is spliced in verbatim."""
+    doc = _BASES[base]()
+    literals = {}
+    for keys, value in edits:
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[keys[-1]]
+        elif isinstance(value, _Lit):
+            marker = f"@lit{len(literals)}@"
+            literals[json.dumps(marker)] = str(value)
+            node[keys[-1]] = marker
+        else:
+            node[keys[-1]] = value
+    text = json.dumps(doc)
+    for marker, literal in literals.items():
+        text = text.replace(marker, literal)
+    return text
+
+
+_HUGE = _Lit("1" + "0" * 400)
+
+# (base document, edits, SchemaError path, full message); several
+# cases carry two faults to pin which one is found first
+_SCHEMA_CASES = [
+    # whole documents
+    ("params", [(("r_ohm",), _Lit("NaN"))], "",
+     "non-finite number NaN is not allowed"),
+    ("netlist", [(("nets", "a"), _Lit("-Infinity"))], "",
+     "non-finite number -Infinity is not allowed"),
+    ("measured", [(("d_up_inf_s",), _Lit("Infinity"))], "",
+     "non-finite number Infinity is not allowed"),
+    # parameter documents
+    ("params", [(("kind",), _DROP)], "kind", "missing required field"),
+    ("params", [(("kind",), 2)], "kind", "expected a string"),
+    ("params", [(("kind",), "nand2")], "kind",
+     "expected 'nor2' or 'cgate', got 'nand2'"),
+    ("params", [(("kind",), "nand2"), (("r_ohm",), _DROP)], "kind",
+     "expected 'nor2' or 'cgate', got 'nand2'"),
+    ("params", [(("r_ohm",), _DROP)], "r_ohm", "missing required field"),
+    ("params", [(("r_ohm",), "1277.1")], "r_ohm", "expected a number"),
+    ("params", [(("r_ohm",), True)], "r_ohm", "expected a number"),
+    ("params", [(("r_ohm",), None)], "r_ohm", "expected a number"),
+    ("params", [(("r_ohm",), [1.0])], "r_ohm", "expected a number"),
+    ("params", [(("r_ohm",), _Lit("1e999"))], "r_ohm",
+     "expected a finite number"),
+    ("params", [(("r_ohm",), _Lit("-1e999"))], "r_ohm",
+     "expected a finite number"),
+    ("params", [(("r_ohm",), _HUGE)], "r_ohm", "expected a finite number"),
+    ("params", [(("delta_min_s",), "x"), (("r_n_a_ohm",), _DROP)],
+     "r_n_a_ohm", "missing required field"),
+    ("params", [(("inverted",), True)], "inverted", "unknown field"),
+    ("params", [(("zz",), 1), (("vt_volts",), 0.25)], "vt_volts",
+     "unknown field"),
+    ("params", [(("metadata",), [])], "metadata", "expected an object"),
+    ("params", [(("metadata",), {"label": 3})], "metadata.label",
+     "expected a string"),
+    ("params", [(("metadata",), {"technology": None})],
+     "metadata.technology", "expected a string"),
+    ("params", [(("metadata",), {"wire_length_um": "3"})],
+     "metadata.wire_length_um", "expected a number"),
+    ("params", [(("metadata",), {}),
+                (("metadata", "wire_length_um"), _Lit("1e999"))],
+     "metadata.wire_length_um", "expected a finite number"),
+    ("params", [(("metadata",), {"spice_deck": "x.sp"})],
+     "metadata.spice_deck", "unknown field"),
+    ("params", [(("metadata",), {"spice_deck": "x.sp"}), (("zz",), 1)],
+     "metadata.spice_deck", "unknown field"),
+    ("cgate", [(("inverted",), "yes")], "inverted", "expected a boolean"),
+    ("cgate", [(("inverted",), 1), (("metadata",), [])], "inverted",
+     "expected a boolean"),
+    ("cgate", [(("alpha4_ohm_s",), _DROP)], "alpha4_ohm_s",
+     "missing required field"),
+    ("cgate", [(("r_n_a_ohm",), 1.0)], "r_n_a_ohm", "unknown field"),
+    # measured-delay documents
+    ("measured", [(("d_up_zero_s",), _DROP)], "d_up_zero_s",
+     "missing required field"),
+    ("measured", [(("d_down_zero_s",), "5e-12")], "d_down_zero_s",
+     "expected a number"),
+    ("measured", [(("d_down_zero_s",), _HUGE)], "d_down_zero_s",
+     "expected a finite number"),
+    ("measured", [(("c_chosen_f",), 1e-15)], "c_chosen_f", "unknown field"),
+    ("measured", [(("c_chosen_f",), 1e-15), (("d_up_inf_s",), _DROP)],
+     "d_up_inf_s", "missing required field"),
+    # netlists: gates
+    ("netlist", [(("gates",), _DROP)], "gates", "missing required field"),
+    ("netlist", [(("gates",), {})], "gates", "expected an array"),
+    ("netlist", [(("gates",), _DROP), (("nets",), _DROP)], "gates",
+     "missing required field"),
+    ("netlist", [(("gates", 1), "g")], "gates[1]", "expected an object"),
+    ("netlist", [(("gates", 0, "id"), _DROP)], "gates[0].id",
+     "missing required field"),
+    ("netlist", [(("gates", 0, "id"), 7)], "gates[0].id",
+     "expected a string"),
+    ("netlist", [(("gates", 1, "kind"), _DROP)], "gates[1].kind",
+     "missing required field"),
+    ("netlist", [(("gates", 1, "inputs"), "ab")], "gates[1].inputs",
+     "expected an array of net names"),
+    ("netlist", [(("gates", 1, "inputs"), ["a", 1])], "gates[1].inputs",
+     "expected an array of net names"),
+    ("netlist", [(("gates", 1, "output"), _DROP)], "gates[1].output",
+     "missing required field"),
+    ("netlist", [(("gates", 1, "output"), ["q"])], "gates[1].output",
+     "expected a string"),
+    ("netlist", [(("gates", 1, "params_ref"), 3)], "gates[1].params_ref",
+     "expected a string"),
+    ("netlist", [(("gates", 0, "flavor"), "spicy")], "gates[0].flavor",
+     "unknown field"),
+    ("netlist", [(("gates", 1, "flavor"), "x"), (("gates", 0, "id"), 1)],
+     "gates[0].id", "expected a string"),
+    ("netlist", [(("gates", 1, "params_ref"), "ghost")], "gates[1].params_ref",
+     "no entry 'ghost' in params"),
+    ("netlist", [(("gates", 1, "params_ref"), _DROP)], "gates[1].params_ref",
+     "no entry '' in params"),
+    # netlists: nets
+    ("netlist", [(("nets",), _DROP)], "nets", "missing required field"),
+    ("netlist", [(("nets",), [])], "nets", "expected an object"),
+    ("netlist", [(("nets", "b"), 2)], "nets.b", "expected 0 or 1"),
+    ("netlist", [(("nets", "b"), True)], "nets.b", "expected 0 or 1"),
+    ("netlist", [(("nets", "b"), 1.0)], "nets.b", "expected 0 or 1"),
+    ("netlist", [(("nets",), []), (("gates", 0, "id"), _DROP)],
+     "gates[0].id", "missing required field"),
+    # netlists: stimuli
+    ("netlist", [(("stimuli",), [])], "stimuli", "expected an object"),
+    ("netlist", [(("stimuli", "s"), 3)], "stimuli.s", "expected an object"),
+    ("netlist", [(("stimuli", "s", "mu_s"), _DROP)], "stimuli.s.mu_s",
+     "missing required field"),
+    ("netlist", [(("stimuli", "s", "mu_s"), "1e-11")], "stimuli.s.mu_s",
+     "expected a number"),
+    ("netlist", [(("stimuli", "s", "mu_s"), _Lit("1e999"))],
+     "stimuli.s.mu_s", "expected a finite number"),
+    ("netlist", [(("stimuli", "s", "sigma_s"), _HUGE)], "stimuli.s.sigma_s",
+     "expected a finite number"),
+    ("netlist", [(("stimuli", "s", "n_transitions"), 2.5)],
+     "stimuli.s.n_transitions", "expected an integer"),
+    ("netlist", [(("stimuli", "s", "n_transitions"), True)],
+     "stimuli.s.n_transitions", "expected an integer"),
+    ("netlist", [(("stimuli", "s", "seed"), _DROP)], "stimuli.s.seed",
+     "missing required field"),
+    ("netlist", [(("stimuli", "s", "seed"), "1")], "stimuli.s.seed",
+     "expected an integer"),
+    ("netlist", [(("stimuli", "s", "burst"), 1)], "stimuli.s.burst",
+     "unknown field"),
+    ("netlist", [(("stimuli",), []), (("nets", "a"), 5)], "nets.a",
+     "expected 0 or 1"),
+    # netlists: parameter library
+    ("netlist", [(("params",), [])], "params", "expected an object"),
+    ("netlist", [(("params", "nor"), "nor15_l3")], "params.nor",
+     "expected an object"),
+    ("netlist", [(("params", "nor", "kind"), "nand2")], "params.nor.kind",
+     "expected 'nor2' or 'cgate', got 'nand2'"),
+    ("netlist", [(("params", "nor", "r_ohm"), _DROP)], "params.nor.r_ohm",
+     "missing required field"),
+    ("netlist", [(("params", "nor", "metadata"), {"x": 1})],
+     "params.nor.metadata.x", "unknown field"),
+    ("netlist", [(("params", "nor", "vt"), 1)], "params.nor.vt",
+     "unknown field"),
+    ("netlist", [(("params",), []), (("stimuli", "s"), 1)], "stimuli.s",
+     "expected an object"),
+    # netlists: the top level
+    ("netlist", [(("extra",), 1)], "extra", "unknown field"),
+    ("netlist", [(("extra",), 1), (("params", "nor"), 1)], "params.nor",
+     "expected an object"),
+    ("netlist", [(("extra",), 1), (("gates", 1, "params_ref"), "ghost")],
+     "extra", "unknown field"),
+]
+
+
+class TestSchemaErrorsPinned:
+    """Each malformed document's first fault, as (exc.path, str(exc))."""
+
+    @pytest.mark.parametrize("base,edits,path,message", _SCHEMA_CASES)
+    def test_first_fault_pinned(self, base, edits, path, message):
+        with pytest.raises(SchemaError) as info:
+            _PARSERS[base](_malformed(base, edits))
+        want = f"{path}: {message}" if path else message
+        assert (info.value.path, str(info.value)) == (path, want)
+
+    @pytest.mark.parametrize("parse", sorted(_PARSERS))
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "top level must be an object"),
+        ('"nor2"', "top level must be an object"),
+        ("{not json", "not valid JSON: Expecting property name enclosed in "
+                      "double quotes: line 1 column 2 (char 1)"),
+        ("", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ])
+    def test_document_level_faults(self, parse, text, message):
+        with pytest.raises(SchemaError) as info:
+            _PARSERS[parse](text)
+        assert (info.value.path, str(info.value)) == ("", message)
+
+    @pytest.mark.parametrize("metadata,path,message", [
+        ({"spice_deck": "x.sp"}, "metadata.spice_deck", "unknown field"),
+        ({"label": 3}, "metadata.label", "expected a string"),
+        ({"wire_length_um": math.inf}, "metadata.wire_length_um",
+         "expected a finite number"),
+    ])
+    def test_serialize_checks_metadata(self, metadata, path, message):
+        with pytest.raises(SchemaError) as info:
+            serialize_params(NOR_A, metadata)
+        assert (info.value.path, str(info.value)) == (path,
+                                                      f"{path}: {message}")
+
+
+class TestDuplicateKeys:
+    """A repeated key is an error in both strict modes, never a silent
+    last-one-wins."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("base,old,new,key", [
+        ("params", '"r_ohm": 1277.1,', '"r_ohm": 1277.1, "r_ohm": 9.0,',
+         "r_ohm"),
+        ("measured", '"d_up_inf_s": 7.5e-12',
+         '"d_up_inf_s": 7.5e-12, "d_up_inf_s": 1e-12', "d_up_inf_s"),
+        ("netlist", '"nets": {"a": 0,', '"nets": {"a": 0, "a": 1,', "a"),
+        ("netlist", '"seed": 1}', '"seed": 1, "seed": 2}', "seed"),
+        ("netlist", '"params": {"nor": {"kind": "nor2",',
+         '"params": {"nor": {"kind": "nor2", "kind": "nor2",', "kind"),
+        ("netlist", '"stimuli":', '"nets": {}, "stimuli":', "nets"),
+    ])
+    def test_rejected_naming_the_key(self, base, old, new, key, strict):
+        text = _malformed(base, [])
+        assert text.count(old) == 1
+        with pytest.raises(SchemaError) as info:
+            _PARSERS[base](text.replace(old, new), strict=strict)
+        assert (info.value.path, str(info.value)) == (
+            "", f"duplicate key {key!r}")
+
+
+class TestSerializerBytesPinned:
+    """SHA-256 of the serializers' output; any byte that moves fails."""
+
+    PARAMS_SHA256 = (
+        "14f21c5f6fa3a470825020234c1f2ceabcf1476de477a92eeaf38575dbf4eab5")
+    NETLIST_SHA256 = (
+        "81e979baa529f627912282b09088a25ad72728fdfa7d1b98b3b5ee052d054b5b")
+
+    def test_params_and_measured_bytes(self):
+        out = [serialize_params(load_fixture(name)) for name in list_fixtures()]
+        out.append(serialize_params(NOR_A, {"wire_length_um": 3.0,
+                                            "technology": "15nm",
+                                            "label": "a gate"}))
+        out.append(serialize_params(dataclasses.replace(CG_W3, inverted=True)))
+        out.append(serialize_measured(TestMeasuredDocuments()._measured()))
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+            self.PARAMS_SHA256)
+
+    def test_chain_netlist_bytes(self):
+        nl = build_cross_coupled_chain(20, params_ref="nor", mu=5e-11,
+                                       sigma=3e-11, n_transitions=40, seed=7)
+        library = {"nor": load_fixture("nor15_l3"),
+                   "cg": load_fixture("cgate15_l3")}
+        text = serialize_netlist(nl, library)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.NETLIST_SHA256

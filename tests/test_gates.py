@@ -390,6 +390,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             DelayQuery("rising", True)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_query_int_beyond_float_range(self, sign):
+        with pytest.raises(ValueError, match="^delta must be a float, got "):
+            DelayQuery("rising", sign * 10 ** 400)
+        # the unbounded separations stay valid
+        assert DelayQuery("rising", sign * math.inf).delta == sign * math.inf
+
 
 # bounds keep 2RC(R5+2R)/alpha below ~150 for every alpha subset, well
 # inside the Lambert-W domain (the argument underflows near 1070)

@@ -130,6 +130,37 @@ class TestEvalTrajectory:
             eval_trajectory(ModeSwitch("11->01"), CG_ISO, math.nan)
 
 
+class TestIntBeyondFloatRange:
+    """An int that float() cannot hold is a ValueError, not an
+    OverflowError, wherever a separation or a mode time is taken."""
+
+    HUGE = 10 ** 400
+
+    @pytest.mark.parametrize("name,call", [
+        ("delta", lambda h: ModeSwitch("10->11", h)),
+        ("delta", lambda h: implicit_I(1e-12, h, NOR_A)),
+        ("t", lambda h: implicit_I(h, 1e-12, NOR_A)),
+        ("t", lambda h: eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A, h)),
+        ("t", lambda h: eval_trajectory(ModeSwitch("00->10"), NOR_A, h)),
+        ("delta", lambda h: delay_by_inversion("nor2", "rising", h, NOR_A)),
+        ("delta", lambda h: delay_by_inversion("nor2", "falling", -h, NOR_A)),
+        ("delta", lambda h: delay_by_ode("cgate", "rising", h, CG_W3)),
+    ])
+    def test_value_error(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be a float, got "):
+            call(self.HUGE)
+
+    def test_infinite_separations_stay_valid(self):
+        assert ModeSwitch("10->11", math.inf).delta == math.inf
+        assert 0.0 < implicit_I(1e-12, math.inf, NOR_A) < 0.5
+        assert eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A,
+                               math.inf) == 0.0
+        for delta in (math.inf, -math.inf):
+            assert math.isclose(
+                delay_by_inversion("nor2", "rising", delta, NOR_A),
+                nor_delay(NOR_A, DelayQuery("rising", delta)), rel_tol=1e-6)
+
+
 class TestImplicitFunction:
     def test_at_time_zero(self):
         for delta in (1e-15, 1e-12, 2e-9):
