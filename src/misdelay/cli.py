@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .characterize import (InvalidMeasurementsError, characterize_cgate,
                            characterize_nor)
-from .fileio import (SchemaError, atomic_write, list_fixtures, load_fixture,
-                     parse_measured, parse_netlist, parse_params,
+from .fileio import (SchemaError, _dumps, atomic_write, list_fixtures,
+                     load_fixture, parse_measured, parse_netlist, parse_params,
                      serialize_params, serialize_stats, write_curve_csv,
                      write_vcd)
 from .gates import (DelayQuery, NorGateParams, ParamError, _output_family,
@@ -243,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report["fixtures"][name] = entry
         all_ok = all_ok and ok
     report["pass"] = all_ok
-    print(json.dumps(report, indent=2))
+    print(_dumps(report), end="")
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
@@ -289,7 +289,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "best_wall_clock_s": min(walls),
         "events_per_s": events / min(walls),
     }
-    print(json.dumps(report, indent=2))
+    print(_dumps(report), end="")
     return EXIT_OK
 
 

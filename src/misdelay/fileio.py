@@ -5,6 +5,11 @@ Numeric fields carry SI unit suffixes in their names (_ohm, _ohm_s,
 _f, _s) so a document is unambiguous without a units legend.  All
 emitters are deterministic byte for byte for fixed inputs, and
 `atomic_write` never leaves a partial file behind.
+
+Every JSON document is rendered by `_dumps`, whose output equals
+`json.dumps(doc, indent=2) + "\n"` byte for byte.  `json` falls back
+to its pure-Python encoder whenever `indent` is set; `_dumps` keeps
+the C string encoder and walks the containers itself.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import os
 import tempfile
 from io import StringIO
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -154,6 +160,63 @@ def _no_leftovers(obj: dict, path: str, strict: bool) -> None:
         raise SchemaError(_join(path, sorted(obj)[0]), "unknown field")
 
 
+# -- JSON rendering --------------------------------------------------------
+
+def _float(val: float) -> str:
+    if val != val:
+        return "NaN"
+    if val in (math.inf, -math.inf):
+        return "Infinity" if val > 0.0 else "-Infinity"
+    return float.__repr__(val)
+
+
+def _key(key) -> str:
+    # json's key conversion: a scalar key reads as it renders as a value
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json(key, "")
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _wrap(open_: str, items: List[str], pad: str, close: str) -> str:
+    # items already rendered one level below pad, the newline-led
+    # indentation of the line the container closes on
+    if not items:
+        return open_ + close
+    inner = pad + "  "
+    return open_ + inner + ("," + inner).join(items) + pad + close
+
+
+def _json(val, pad: str) -> str:
+    if isinstance(val, str):
+        return _str(val)
+    if val is None:
+        return "null"
+    if val is True:
+        return "true"
+    if val is False:
+        return "false"
+    if isinstance(val, int):
+        return int.__repr__(val)
+    if isinstance(val, float):
+        return _float(val)
+    inner = pad + "  "
+    if isinstance(val, (list, tuple)):
+        return _wrap("[", [_json(x, inner) for x in val], pad, "]")
+    if isinstance(val, dict):
+        return _wrap("{", [_str(_key(k)) + ": " + _json(x, inner)
+                           for k, x in val.items()], pad, "}")
+    raise TypeError(f"Object of type {val.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+def _dumps(doc) -> str:
+    """`json.dumps(doc, indent=2) + "\n"`, byte for byte."""
+    return _json(doc, "\n") + "\n"
+
+
 # -- gate parameter documents -------------------------------------------
 
 def _metadata_from_doc(meta: object, path: str, strict: bool) -> Dict[str, object]:
@@ -212,7 +275,8 @@ def parse_params(text: str, strict: bool = True) -> GateParams:
 
 def serialize_params(params: GateParams,
                      metadata: Mapping[str, object] = None) -> str:
-    return json.dumps(_params_to_doc(params, metadata), indent=2) + "\n"
+    """Render a parameter document through `_dumps`."""
+    return _dumps(_params_to_doc(params, metadata))
 
 
 # -- measured-delay documents --------------------------------------------
@@ -231,8 +295,8 @@ def parse_measured(text: str, c_chosen: float, delta_min: float = 0.0,
 
 
 def serialize_measured(m: MeasuredDelays) -> str:
-    doc = {key: getattr(m, attr) for key, attr in _MEASURED_FIELDS}
-    return json.dumps(doc, indent=2) + "\n"
+    """Render the six extremal delays through `_dumps`."""
+    return _dumps({key: getattr(m, attr) for key, attr in _MEASURED_FIELDS})
 
 
 # -- netlist documents ----------------------------------------------------
@@ -294,30 +358,51 @@ def parse_netlist(text: str, strict: bool = True
     return Netlist(gates=tuple(gates), nets=nets, stimuli=stimuli), library
 
 
+def _gate_json(g: Gate, pad: str) -> str:
+    # one gates[] entry as _json renders its dict, fields written in place
+    inner = pad + "  "
+    text = f'{{{inner}"id": {_str(g.id)},{inner}"kind": {_str(g.kind)},'
+    if g.inputs:
+        item = inner + "  "
+        names = ("," + item).join(map(_str, g.inputs))
+        text += f'{inner}"inputs": [{item}{names}{inner}],'
+    text += f'{inner}"output": {_str(g.output)}'
+    if g.params_ref:
+        text += f',{inner}"params_ref": {_str(g.params_ref)}'
+    return text + pad + "}"
+
+
 def serialize_netlist(nl: Netlist, library: Mapping[str, GateParams]) -> str:
+    """Render a netlist document through `_dumps`'s writer.
+
+    Each `gates[]` entry is written straight from its Gate, whose
+    fields must be strings: a gate field of another type raises
+    TypeError naming the gate, where `json.dumps` would have written
+    a document that `parse_netlist` rejects.
+    """
+    pad = "\n  "
     gates = []
-    for g in nl.gates:
-        entry: Dict[str, object] = {"id": g.id, "kind": g.kind}
-        if g.inputs:
-            entry["inputs"] = list(g.inputs)
-        entry["output"] = g.output
-        if g.params_ref:
-            entry["params_ref"] = g.params_ref
-        gates.append(entry)
-    doc: Dict[str, object] = {
-        "gates": gates,
-        "nets": {name: nl.nets[name] for name in sorted(nl.nets)},
-    }
+    for i, g in enumerate(nl.gates):
+        try:
+            gates.append(_gate_json(g, pad + "  "))
+        except TypeError:
+            raise TypeError(f"gates[{i}]: every field must be a string "
+                            f"(inputs a sequence of them), got {g!r}"
+                            ) from None
+    members = ['"gates": ' + _wrap("[", gates, pad, "]"),
+               '"nets": ' + _json({name: nl.nets[name]
+                                   for name in sorted(nl.nets)}, pad)]
     if nl.stimuli:
-        doc["stimuli"] = {
+        members.append('"stimuli": ' + _json({
             sid: {"mu_s": s.mu, "sigma_s": s.sigma,
                   "n_transitions": s.n_transitions, "seed": s.seed}
             for sid, s in sorted(nl.stimuli.items())
-        }
+        }, pad))
     if library:
-        doc["params"] = {ref: _params_to_doc(library[ref])
-                         for ref in sorted(library)}
-    return json.dumps(doc, indent=2) + "\n"
+        members.append('"params": ' + _json({
+            ref: _params_to_doc(library[ref]) for ref in sorted(library)
+        }, pad))
+    return _wrap("{", members, "\n", "}") + "\n"
 
 
 # -- delay-curve CSV -------------------------------------------------------
@@ -424,13 +509,13 @@ def write_vcd(trace: Mapping[str, Sequence[Tuple[float, int]]],
 # -- stats reports ----------------------------------------------------------
 
 def serialize_stats(stats: SimStats) -> str:
-    doc = {
+    """Render a run's statistics through `_dumps`, nets sorted."""
+    return _dumps({
         "events": stats.events,
         "transitions": {net: stats.transitions[net]
                         for net in sorted(stats.transitions)},
         "wall_clock_s": stats.wall_clock_s,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 # -- file plumbing -----------------------------------------------------------

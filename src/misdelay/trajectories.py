@@ -201,7 +201,11 @@ def _start_level(ms: ModeSwitch, law, v_dd: float) -> float:
 
 
 def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> float:
-    """Closed-form output voltage of one mode, t seconds after its start."""
+    """Closed-form output voltage of one mode, t seconds after its start.
+
+    At t = +inf it is the mode's limit: the rail it drives to, or the
+    held level.
+    """
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     _check_float_range("t", t)
@@ -213,7 +217,9 @@ def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> floa
         _, rg, c_eff = law
         return v0 * math.exp(-t / (c_eff * rg))
     _, aged, fresh, r, c_eff, up = law
-    phi = _phi(aged, fresh, r, ms.delta, c_eff)(t)
+    # phi's exponent is inf - inf at t = +inf, where its limit is 0
+    phi = 0.0 if t == math.inf else _phi(aged, fresh, r, ms.delta,
+                                          c_eff)(t)
     return v_dd + (v0 - v_dd) * phi if up else v0 * phi
 
 
@@ -227,7 +233,8 @@ def implicit_I(t: float, delta: float, params,
     Requires delta >= 0 (the mirrored family is obtained by exchanging
     the two transient coefficients, which delay_by_inversion does).
     For NOR parameters input_direction is necessarily "falling"; for C
-    gate parameters it selects the input-pair direction.
+    gate parameters it selects the input-pair direction.  At t = +inf
+    it is the limit, -1/2.
     """
     _check_float_range("delta", delta)
     if math.isnan(delta) or delta < 0.0:
@@ -242,6 +249,8 @@ def implicit_I(t: float, delta: float, params,
         raise ValueError("a NOR's switch-on pair is necessarily falling")
     _, aged, fresh, r, c_eff, _ = _mode_law(
         params, _switch_on_kind(input_direction == "rising", delta))
+    if t == math.inf:
+        return -0.5  # phi's limit, which its exponent (inf - inf) misses
     return _phi(aged, fresh, r, delta, c_eff)(t) - 0.5
 
 

@@ -15,8 +15,14 @@ reference_delay_by_ode integrates the ODE oracle's mode chain to its
 full horizon and bisects over the whole solution; it borrows the
 library's mode chain, integrator and bisection, so it pins only the
 early stop at the threshold crossing, bit for bit.
+reference_serialize_netlist builds the netlist document as nested
+dicts and renders it with json.dumps(indent=2), the form the library's
+own indent-2 writer and in-place gate entries must match byte for
+byte; it borrows the library's parameter-document dict, so it pins
+only the netlist layout and the rendering.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -287,3 +293,32 @@ def reference_write_vcd(trace, initial):
             current_fs = fs
         lines.append(f"{value}{codes[nets[idx]]}")
     return "\n".join(lines) + "\n"
+
+
+def reference_serialize_netlist(nl, library):
+    """Netlist document as a dict per gate, rendered by json.dumps."""
+    from misdelay.fileio import _params_to_doc
+
+    gates = []
+    for g in nl.gates:
+        entry = {"id": g.id, "kind": g.kind}
+        if g.inputs:
+            entry["inputs"] = list(g.inputs)
+        entry["output"] = g.output
+        if g.params_ref:
+            entry["params_ref"] = g.params_ref
+        gates.append(entry)
+    doc = {
+        "gates": gates,
+        "nets": {name: nl.nets[name] for name in sorted(nl.nets)},
+    }
+    if nl.stimuli:
+        doc["stimuli"] = {
+            sid: {"mu_s": s.mu, "sigma_s": s.sigma,
+                  "n_transitions": s.n_transitions, "seed": s.seed}
+            for sid, s in sorted(nl.stimuli.items())
+        }
+    if library:
+        doc["params"] = {ref: _params_to_doc(library[ref])
+                         for ref in sorted(library)}
+    return json.dumps(doc, indent=2) + "\n"

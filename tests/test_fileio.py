@@ -9,13 +9,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from misdelay.characterize import MeasuredDelays
 from misdelay.fileio import (
     SchemaError,
+    _dumps,
     atomic_write,
     fixture_dir,
     list_fixtures,
@@ -716,6 +717,8 @@ class TestSerializerBytesPinned:
         "14f21c5f6fa3a470825020234c1f2ceabcf1476de477a92eeaf38575dbf4eab5")
     NETLIST_SHA256 = (
         "81e979baa529f627912282b09088a25ad72728fdfa7d1b98b3b5ee052d054b5b")
+    STATS_SHA256 = (
+        "4ede303c92634c1bac1f1bf527e4642c29b878f191772dd6045ce561e9cfd428")
 
     def test_params_and_measured_bytes(self):
         out = [serialize_params(load_fixture(name)) for name in list_fixtures()]
@@ -734,3 +737,93 @@ class TestSerializerBytesPinned:
                    "cg": load_fixture("cgate15_l3")}
         text = serialize_netlist(nl, library)
         assert hashlib.sha256(text.encode()).hexdigest() == self.NETLIST_SHA256
+
+    def test_stats_bytes(self):
+        stats = SimStats(events=40321,
+                         transitions={"x9": 17, "a": 3, "out_b": 0, "M": 12,
+                                      "b_1": 250},
+                         wall_clock_s=0.012345678901234567)
+        text = serialize_stats(stats)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.STATS_SHA256
+
+
+# names with quotes, backslashes, control characters, a lone surrogate
+# and non-ASCII text
+_NAMES = st.text('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\u20ac\ud800'
+                 '\U0001f600ab_ ', max_size=5)
+_FIXTURES = st.sampled_from([load_fixture(name) for name in list_fixtures()])
+_LIBRARY_PARAMS = st.builds(
+    lambda p, scale, inverted: dataclasses.replace(
+        p, c_load=p.c_load * scale,
+        **({"inverted": inverted} if isinstance(p, CGateParams) else {})),
+    _FIXTURES, st.floats(0.5, 2.0), st.booleans())
+_GATES = st.builds(
+    Gate, id=_NAMES, kind=st.sampled_from(["nor2", "cgate", "input_source"]),
+    inputs=st.lists(_NAMES, max_size=3).map(tuple), output=_NAMES,
+    params_ref=st.one_of(st.just(""), _NAMES))
+_STIMULI = st.builds(StimulusSpec, mu=st.floats(), sigma=st.floats(),
+                     n_transitions=st.integers(0, 10 ** 6),
+                     seed=st.integers(0, 2 ** 64))
+_NETLISTS = st.builds(
+    Netlist, gates=st.lists(_GATES, max_size=4).map(tuple),
+    nets=st.dictionaries(_NAMES, st.integers(0, 1), max_size=4),
+    stimuli=st.dictionaries(_NAMES, _STIMULI, max_size=2))
+
+_FLOATS = st.one_of(st.floats(),
+                    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+                     st.integers(-(2 ** 200), -(2 ** 64)),
+                     st.integers(2 ** 64, 2 ** 200), _NAMES)
+_KEYS = st.one_of(_NAMES, st.integers(), _FLOATS, st.booleans(), st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestIndentWriter:
+    """The one JSON writer against json.dumps(indent=2) and the netlist
+    serializer against its dict-per-gate reference, byte for byte."""
+
+    @given(_NETLISTS, st.dictionaries(_NAMES, _LIBRARY_PARAMS, max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_netlist_matches_reference(self, nl, library):
+        assert serialize_netlist(nl, library) == (
+            oracles.reference_serialize_netlist(nl, library))
+
+    @given(_VALUES)
+    @settings(max_examples=40, deadline=None)
+    @example({"a": [], "b": {}, "c": (), "d": [[], {}]})
+    @example([None, True, False, -0.0, math.nan, math.inf, -math.inf,
+              2 ** 100, -(2 ** 70), (1, "t\u00e9\n\"")])
+    @example({1: "int", 2.5: "float", False: "bool", None: "null",
+              math.inf: "inf", "": {"": []}})
+    @example("top-level \\ string")
+    def test_dumps_matches_json(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_rejects_what_json_rejects(self):
+        for value in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                _dumps(value)
+
+    @pytest.mark.parametrize("bad", [
+        dict(id=None), dict(kind=2), dict(inputs=("a", 3)), dict(output=5),
+        dict(params_ref=7), dict(inputs=5)])
+    def test_non_string_gate_field_names_gate(self, bad):
+        fields = dict(id="g", kind="nor2", inputs=("a", "b"), output="q",
+                      params_ref="nor")
+        fields.update(bad)
+        gate = Gate(**fields)
+        nl = Netlist(gates=(Gate(id="s", kind="input_source", inputs=(),
+                                 output="a"), gate),
+                     nets={"a": 0, "b": 0, "q": 1})
+        with pytest.raises(TypeError) as info:
+            serialize_netlist(nl, {"nor": NOR_A})
+        assert str(info.value) == (
+            f"gates[1]: every field must be a string (inputs a sequence of "
+            f"them), got {gate!r}")

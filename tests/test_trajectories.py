@@ -161,6 +161,34 @@ class TestIntBeyondFloatRange:
                 nor_delay(NOR_A, DelayQuery("rising", delta)), rel_tol=1e-6)
 
 
+class TestLimitAtInfiniteTime:
+    """At t = +inf every mode has settled: a dual-transient decay factor
+    is 0, so implicit_I is -1/2 and the output sits on the rail its mode
+    drives to, the value it already holds a microsecond in."""
+
+    DELTAS = (0.0, 1e-15, 1e-12, 1e-9, math.inf)
+
+    @pytest.mark.parametrize("name", ["nor15_l3", "cgate15_l3"])
+    def test_implicit_function_limit(self, name):
+        p = load_fixture(name)
+        nor = isinstance(p, NorGateParams)
+        for direction in (("falling",) if nor else ("falling", "rising")):
+            for delta in self.DELTAS:
+                assert implicit_I(1e-6, delta, p, direction) == -0.5
+                assert implicit_I(math.inf, delta, p, direction) == -0.5
+
+    @pytest.mark.parametrize("name", ["nor15_l3", "cgate15_l3"])
+    def test_trajectory_limit_is_the_rail(self, name):
+        p = load_fixture(name)
+        for kind in sorted(NOR_MODE_KINDS):
+            for delta in self.DELTAS:
+                for v0 in (None, 0.3):
+                    ms = ModeSwitch(kind, delta, v0)
+                    settled = eval_trajectory(ms, p, 1e-6)
+                    assert settled in (0.0, 1.0, 0.3)
+                    assert eval_trajectory(ms, p, math.inf) == settled
+
+
 class TestImplicitFunction:
     def test_at_time_zero(self):
         for delta in (1e-15, 1e-12, 2e-9):
