@@ -79,12 +79,6 @@ def _closed_delay(params) -> Callable[[str, float], float]:
     return lambda direction, delta: fn(params, DelayQuery(direction, delta))
 
 
-def _family_clamps(params, direction: str) -> Tuple[float, float]:
-    """(plus, minus) |delta| where this output direction's family clamps."""
-    table = _output_family(params, direction == "rising")[1]
-    return table.bp_plus, table.bp_minus
-
-
 # -- characterize -----------------------------------------------------------
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
@@ -115,6 +109,9 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
         raise CliUsageError("--dmax must exceed --dmin")
     if args.steps < 2:
         raise CliUsageError("--steps must be at least 2")
+    if not math.isfinite((args.dmax - args.dmin) * (args.steps - 1)):
+        raise CliUsageError("(--dmax - --dmin) * (--steps - 1) overflows; "
+                            "the grid points would not be finite")
 
     kind = _kind_of(params)
     sources: List[Tuple[str, Callable[[str, float], float]]] = [
@@ -160,12 +157,13 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
     once those coefficients are scaled by (r5 + R_s)/R_s.
     """
     kind = _kind_of(params)
-    closed = _closed_delay(params)
     exact: Dict[str, float] = {}
     linearized: Dict[str, float] = {}
     ode: Dict[str, float] = {}
     for direction, fam_pos, fam_neg in _FAMILY_AXES:
-        bp_plus, bp_minus = _family_clamps(params, direction)
+        # the family table is bound once per direction; evaluate(table, d)
+        # is what nor_delay/cgate_delay return for DelayQuery(direction, d)
+        evaluate, table = _output_family(params, direction == "rising")
         is_exact = kind == "nor2" and direction == "falling"
         # each point is inverted and integrated once; keyed on the
         # float, so -0.0 and 0.0 (which both oracles treat alike) share
@@ -175,24 +173,24 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
         integration = functools.cache(
             lambda d: delay_by_ode(kind, direction, d, params))
 
-        for family, sign, bp in ((fam_pos, 1.0, bp_plus),
-                                 (fam_neg, -1.0, bp_minus)):
+        for family, sign, bp in ((fam_pos, 1.0, table.bp_plus),
+                                 (fam_neg, -1.0, table.bp_minus)):
             if is_exact:
                 grid = [sign * 2.0 * bp * i / (_EXACT_GRID - 1)
                         for i in range(_EXACT_GRID)]
                 exact[family] = max(
-                    abs(closed(direction, d) - inversion(d)) for d in grid)
+                    abs(evaluate(table, d) - inversion(d)) for d in grid)
             else:
                 anchors = (0.0, sign * math.inf)
                 exact[family] = max(
-                    abs(closed(direction, d) - inversion(d))
+                    abs(evaluate(table, d) - inversion(d))
                     for d in anchors)
                 interior = [sign * bp * i / (_LINEAR_GRID + 1)
                             for i in range(1, _LINEAR_GRID + 1)]
                 dev = 0.0
                 for d in interior:
                     ref = inversion(d)
-                    dev = max(dev, abs(closed(direction, d) - ref) / ref)
+                    dev = max(dev, abs(evaluate(table, d) - ref) / ref)
                 linearized[family] = dev
             dev = 0.0
             for frac in _ODE_FRACTIONS:
@@ -310,6 +308,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the misdelay command line."""
     parser = _Parser(prog="misdelay",
                      description="MIS delay models: characterization, "
                                  "delay curves, and event-driven simulation")
@@ -374,10 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on first use rather than at import, which would add its cost
+    # to every import of the package
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one misdelay command; return its exit code.
+
+    argv defaults to sys.argv[1:].  main is re-entrant: it keeps no
+    state between calls except the parser, which is built on the first
+    call and reused by every later one (parsing leaves it unchanged).
+    build_parser() returns a fresh parser for callers that want their
+    own.  Usage errors and --help return their exit code (2, 0) rather
+    than raising SystemExit.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -48,6 +48,9 @@ class LivelockError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimEvent:
+    """One stimulus transition: net goes to value (0 or 1) at time (s);
+    seq is its index in the pulse train."""
+
     time: float
     net: str
     value: int
@@ -65,6 +68,14 @@ class StimulusSpec:
 
 @dataclass(frozen=True)
 class Gate:
+    """One netlist element.
+
+    kind is one of GATE_KINDS.  A nor2 or cgate reads exactly two input
+    nets and names its parameter set in the run's library through
+    params_ref; an input_source has no inputs and drives output with
+    the Netlist stimulus keyed by its id.
+    """
+
     id: str
     kind: str
     inputs: Tuple[str, ...]
@@ -74,6 +85,9 @@ class Gate:
 
 @dataclass
 class Netlist:
+    """Gates, every net with its initial value (0 or 1), and the pulse
+    train of each input source keyed by gate id."""
+
     gates: Tuple[Gate, ...]
     nets: Dict[str, int]
     stimuli: Dict[str, StimulusSpec] = field(default_factory=dict)
@@ -81,6 +95,12 @@ class Netlist:
 
 @dataclass
 class SimStats:
+    """Counts of one run: every net change, and the changes per net.
+
+    wall_clock_s is the host time the run took; unlike the counts it is
+    not deterministic.
+    """
+
     events: int
     transitions: Dict[str, int]
     wall_clock_s: float
@@ -88,6 +108,13 @@ class SimStats:
 
 @dataclass
 class SimResult:
+    """What run() returns.
+
+    changes holds every net change as (time, net, value) in the (time,
+    seq) order events were processed; trace splits them per net as
+    (time, value) lists, every declared net present.
+    """
+
     trace: Dict[str, List[Tuple[float, int]]]
     changes: Tuple[Tuple[float, str, int], ...]
     stats: SimStats

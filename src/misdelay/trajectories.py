@@ -342,7 +342,7 @@ class PiecewiseSolution:
     def __call__(self, t: float) -> float:
         for start, sol in reversed(self.segments):
             if t >= start:
-                return sol(min(max(t - start, sol.t0), sol.t1))
+                return sol(min(max(t - start, sol.ts[0]), sol.ts[-1]))
         start, sol = self.segments[0]
         return sol(sol.t0)
 

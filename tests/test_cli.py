@@ -4,10 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from misdelay import cli
 from misdelay.characterize import MeasuredDelays
 from misdelay.cli import main
 from misdelay.fileio import (
@@ -19,7 +24,7 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import DelayQuery, cgate_delay, nor_delay
+from misdelay.gates import DelayQuery, _output_family, cgate_delay, nor_delay
 from misdelay.sim import build_cross_coupled_chain
 
 L3_PATH = str(fixture_dir() / "nor15_l3.json")
@@ -180,6 +185,26 @@ class TestDelayCurve:
         assert code == 2
         assert "--dmax" in _stderr_diag(capsys)["message"]
 
+    @pytest.mark.parametrize("dmin, dmax", [("-1.5e308", "1.5e308"),
+                                            ("0", "1.7e308")])
+    def test_overflowing_grid_exit_2(self, tmp_path, capsys, dmin, dmax):
+        # the first grid's span is inf, so its first point was 0 * inf;
+        # the second's last point was inf, a separation never asked for
+        out = tmp_path / "x.csv"
+        code = main(["delay-curve", "--params", L3_PATH, "--dmin", dmin,
+                     "--dmax", dmax, "--steps", "3", "-o", str(out)])
+        assert code == 2
+        assert _stderr_diag(capsys)["type"] == "CliUsageError"
+        assert not out.exists()
+
+    def test_largest_grids_stay_finite(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["delay-curve", "--params", L3_PATH, "--dmin", "0",
+                     "--dmax", "8.9e307", "--steps", "3", "-o", str(out)])
+        assert code == 0
+        deltas = [float(r["delta_s"]) for r in csv.DictReader(out.open())]
+        assert deltas == [0.0, 4.45e307, 8.9e307] * 2
+
 
 # SHA-256 of `misdelay verify --params <fixture>` standard output per
 # bundled fixture.  The oracles behind verify must reproduce these bytes
@@ -330,6 +355,90 @@ class TestVerify:
         assert code == 3
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
+
+
+class TestParserReuse:
+    """main builds its parser once and reuses it across calls."""
+
+    def test_parser_is_shared_and_build_parser_is_fresh(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._shared_parser()
+
+    def test_not_built_at_import(self):
+        code = ("import misdelay.cli as c; "
+                "print(c._shared_parser.cache_info().currsize)")
+        # the child imports the same package as this process
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "0\n"
+
+    def test_appended_params_do_not_leak(self, capsys):
+        assert main(["verify", "--params", L3_PATH]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["verify", "--params", CG_PATH]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert list(first["fixtures"]) == ["nor15_l3"]
+        assert list(second["fixtures"]) == ["cgate15_l3"]
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        assert main(["verify", "--params", CG_PATH, "--bogus"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
+        assert main(["verify", "--params", L3_PATH]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            VERIFY_STDOUT_SHA256["nor15_l3"]
+
+    def test_help_twice(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "delay-curve" in outs[0]
+
+    def test_repeated_calls_byte_identical(self, capsys):
+        outs = []
+        for _ in range(3):
+            assert main(["verify", "--params", CG_PATH,
+                         "--tol-ode", "0.5"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert json.loads(outs[0])["tolerances"]["ode_rel"] == 0.5
+
+
+def _verify_points(table):
+    """Every separation verify evaluates the closed form or an oracle
+    at for one direction, whichever family is exact."""
+    points = []
+    for sign, bp in ((1.0, table.bp_plus), (-1.0, table.bp_minus)):
+        points += [sign * 2.0 * bp * i / (cli._EXACT_GRID - 1)
+                   for i in range(cli._EXACT_GRID)]
+        points += [0.0, sign * math.inf]
+        points += [sign * bp * i / (cli._LINEAR_GRID + 1)
+                   for i in range(1, cli._LINEAR_GRID + 1)]
+        points += [sign * frac * bp for frac in cli._ODE_FRACTIONS]
+    return points
+
+
+class TestBoundTables:
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_bound_table_matches_public_delay(self, name):
+        p = load_fixture(name)
+        fn = nor_delay if name.startswith("nor") else cgate_delay
+        for direction in ("falling", "rising"):
+            evaluate, table = _output_family(p, direction == "rising")
+            points = _verify_points(table)
+            assert {math.copysign(1.0, d) for d in points if d == 0.0} \
+                == {1.0, -1.0}
+            for d in points:
+                want = fn(p, DelayQuery(direction, d))
+                assert evaluate(table, d).hex() == want.hex(), (direction, d)
 
 
 class TestSimulate:

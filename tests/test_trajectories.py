@@ -402,6 +402,30 @@ class TestFullOde:
         samples = [sol(i * (delta + 2e-11) / 40) for i in range(1, 41)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(samples, samples[1:]))
 
+    def test_probes_match_clamped_segment_form(self):
+        # a probe reads the last segment starting at or before it, at its
+        # local time clamped into [t0, t1]; checked bit for bit before,
+        # at and after every segment's ends, and before the chain starts
+        delta = 1.5e-12
+        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
+        sol = integrate_full_ode(modes, NOR_A, delta + 2e-11)
+        assert len(sol.segments) == 2
+
+        def clamped(t):
+            for start, seg in reversed(sol.segments):
+                if t >= start:
+                    return seg(min(max(t - start, seg.t0), seg.t1))
+            return sol.segments[0][1](sol.segments[0][1].t0)
+
+        probes = [-1e-15, 2.0 * sol.t1]
+        for start, seg in sol.segments:
+            for edge in (start, start + seg.t0, start + seg.t1):
+                probes += [edge - 1e-16, math.nextafter(edge, -math.inf),
+                           edge, math.nextafter(edge, math.inf),
+                           edge + 1e-16]
+        for t in probes:
+            assert sol(t).hex() == clamped(t).hex(), t
+
     def test_cgate_single_transition_holds(self):
         modes = [ModeSwitch("11->01", initial_v=0.9),
                  ModeSwitch("01->00", delta=4e-12)]
