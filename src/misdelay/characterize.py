@@ -11,6 +11,7 @@ the series resistance seen by the recharge path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List
@@ -161,6 +162,9 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
     correct z zeroes a(t_zero) - a(t_first) - a(t_second).
     """
 
+    # each z is evaluated once per solve: Brent starts from the bracket
+    # ends that the index bisection already evaluated
+    @functools.cache
     def g(z: float) -> float:
         return (_a_from_extremal(t_zero, z, c)
                 - _a_from_extremal(t_first, z, c)

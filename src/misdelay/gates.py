@@ -190,10 +190,13 @@ class DelayQuery:
             raise ValueError(
                 f"output_direction must be one of {_DIRECTIONS}, "
                 f"got {self.output_direction!r}")
-        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
-            raise ValueError(f"delta must be a float, got {self.delta!r}")
-        _check_float_range("delta", self.delta)
-        if math.isnan(self.delta):
+        delta = self.delta
+        # a plain float passes the type and range checks by definition
+        if type(delta) is not float:
+            if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+                raise ValueError(f"delta must be a float, got {delta!r}")
+            _check_float_range("delta", delta)
+        if math.isnan(delta):
             raise ValueError("delta must not be NaN")
 
 

@@ -83,10 +83,6 @@ def _branch_series(p: float) -> float:
         + p * (769.0 / 17280.0 + p * (221.0 / 8505.0)))))
 
 
-def _residual(w: float, x: float) -> float:
-    return w * math.exp(w) - x
-
-
 def _mantissa_trailing_zeros(w: float) -> int:
     m = int(abs(math.frexp(w)[0]) * (1 << 53))
     return (m & -m).bit_length() - 1
@@ -100,9 +96,10 @@ def _snap_to_best_neighbor(w: float, x: float) -> float:
     # representable roots (e.g. -2.0 for x = -2 exp(-2)) win.  The first
     # candidate wins a full tie; trailing zeros are counted only on a
     # residual tie.
-    best, best_res, best_tz = w, abs(_residual(w, x)), None
-    for c in (math.nextafter(w, -math.inf), math.nextafter(w, math.inf)):
-        res = abs(_residual(c, x))
+    exp, nextafter = math.exp, math.nextafter
+    best, best_res, best_tz = w, abs(w * exp(w) - x), None
+    for c in (nextafter(w, -math.inf), nextafter(w, math.inf)):
+        res = abs(c * exp(c) - x)
         if res < best_res:
             best, best_res, best_tz = c, res, None
         elif res == best_res:
@@ -129,10 +126,11 @@ def lambert_w_m1(x: float) -> float:
     if x < -_EXP_NEG1:
         raise DomainError(
             f"lambert_w_m1: x={x!r} below branch point -1/e={-_EXP_NEG1!r}")
+    log = math.log
 
     # Distance above the branch point, computed cancellation-free:
     # s = 1 + e*x = -expm1(1 + log(-x)).
-    log_neg_x = math.log(-x)
+    log_neg_x = log(-x)
     s = -math.expm1(1.0 + log_neg_x)
     if s <= 0.0:
         # x is the branch point (or within rounding of it)
@@ -150,7 +148,7 @@ def lambert_w_m1(x: float) -> float:
         w = -1.0 - p - p * p / 3.0 - 11.0 * p ** 3 / 72.0
     else:
         l1 = log_neg_x
-        l2 = math.log(-l1)
+        l2 = log(-l1)
         w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
     if w >= -1.0:
         w = -1.0 - p
@@ -168,7 +166,7 @@ def lambert_w_m1(x: float) -> float:
     g_floor = 1e-15 * (abs(log_neg_x) + 1.0)
     last_step = math.inf
     for _ in range(80):
-        g = w + math.log(-w) - log_neg_x
+        g = w + log(-w) - log_neg_x
         if g > 0.0:
             # g is increasing in w on (-inf, -1)
             hi = w
@@ -182,12 +180,13 @@ def lambert_w_m1(x: float) -> float:
         w_next = w - step
         if not (lo < w_next < hi):
             w_next = 0.5 * (lo + hi)
-        if abs(w_next - w) <= 1e-15 * abs(w_next):
+        moved = abs(w_next - w)
+        if moved <= 1e-15 * abs(w_next):
             w = w_next
             break
-        if abs(w_next - w) > 0.5 * last_step and abs(g) <= g_floor:
+        if moved > 0.5 * last_step and abs(g) <= g_floor:
             break
-        last_step = abs(w_next - w)
+        last_step = moved
         w = w_next
     else:
         raise ConvergenceError(f"lambert_w_m1: no convergence for x={x!r}")

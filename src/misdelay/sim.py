@@ -16,7 +16,8 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .gates import CGateParams, NorGateParams, _is_real, _output_family
+from .gates import (_FLOAT_MAX, CGateParams, NorGateParams, _is_real,
+                    _output_family)
 
 GATE_KINDS = ("nor2", "cgate", "input_source")
 
@@ -215,6 +216,15 @@ def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
             t += max(mu + sigma * rng.gauss(), _STIMULUS_GAP_FLOOR)
         value = 1 - value
         events.append(SimEvent(time=t, net=net, value=value, seq=i))
+    # times never decrease, so a train that overflows ends past the
+    # float range (inf, or an int beyond it when mu is an int)
+    if not t <= _FLOAT_MAX:
+        first = next(i for i, ev in enumerate(events)
+                     if not ev.time <= _FLOAT_MAX)
+        raise ValueError(
+            f"the train overflows the time range: transition {first + 1} "
+            f"of {n} lands at {events[first].time!r} (mu={mu!r}, "
+            f"sigma={sigma!r})")
     return events
 
 
@@ -398,13 +408,21 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             continue
         spec = nl.stimuli[g.id]
         st = nets[g.output]
-        train = generate_stimulus(spec.mu, spec.sigma, spec.n_transitions,
-                                  spec.seed, net=g.output,
-                                  start_value=nl.nets[g.output])
+        try:
+            train = generate_stimulus(spec.mu, spec.sigma,
+                                      spec.n_transitions, spec.seed,
+                                      net=g.output,
+                                      start_value=nl.nets[g.output])
+        except ValueError as exc:
+            # validate_netlist passed the spec, so its times overflow
+            problems.append(f"stimulus for {g.id!r} is malformed: {exc}")
+            continue
         st.feed = iter([(ev.time, seq + i, None, st, ev.value)
                         for i, ev in enumerate(train)])
         seq += len(train)
         heappush(heap, next(st.feed))
+    if problems:
+        raise NetlistError(problems)
 
     changes: List[Tuple[float, str, int]] = []
     record = changes.append

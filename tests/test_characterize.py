@@ -522,3 +522,34 @@ class TestSolveWork:
             # each g evaluation takes three transient scales
             worst = max(worst, len(terms) // 3)
         assert worst <= 40
+
+    @staticmethod
+    def _assert_each_point_once(calls):
+        real = characterize._a_from_extremal
+        for args, kwargs in calls:
+            per_z = {}
+
+            def counting(t, z, c):
+                per_z[z] = per_z.get(z, 0) + 1
+                return real(t, z, c)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(characterize, "_a_from_extremal", counting)
+                characterize._solve_z(*args, **kwargs)
+            # one g evaluation per distinct z: the Brent refinement
+            # reuses the bracket ends the index bisection evaluated
+            assert per_z
+            assert set(per_z.values()) == {3}, (args, per_z)
+
+    def test_each_point_evaluated_once_on_fixtures(self):
+        for name in list_fixtures():
+            p = load_fixture(name)
+            self._assert_each_point_once(_solve_calls(lambda: _fit(p)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(nor_params, cgate_params, st.booleans())
+    def test_each_point_evaluated_once_on_random_gates(self, nor, cg,
+                                                       inverted):
+        cg = replace(cg, inverted=inverted)
+        self._assert_each_point_once(_solve_calls(lambda: (_fit(nor),
+                                                           _fit(cg))))

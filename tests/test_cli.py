@@ -467,6 +467,20 @@ class TestSimulate:
                       if not line.startswith("#"))
         assert changes == doc["events"]
 
+    def test_overflowing_stimulus_exit_2(self, tmp_path, capsys):
+        nl = build_cross_coupled_chain(1, mu=1e308, sigma=0.0,
+                                       n_transitions=3)
+        netlist = tmp_path / "chain.json"
+        netlist.write_text(serialize_netlist(nl, {"nor": load_fixture("nor15_l3")}))
+        vcd, stats = tmp_path / "trace.vcd", tmp_path / "stats.json"
+        assert main(["simulate", "--netlist", str(netlist), "-o", str(vcd),
+                     "--stats", str(stats)]) == 2
+        diag = _stderr_diag(capsys)
+        assert diag["type"] == "NetlistError"
+        assert len(diag["problems"]) == 2
+        assert all("overflows the time range" in p for p in diag["problems"])
+        assert not vcd.exists() and not stats.exists()
+
     def test_deterministic_vcd_bytes(self, tmp_path):
         netlist = self._write_chain(tmp_path)
         args = lambda v, s: ["simulate", "--netlist", str(netlist),

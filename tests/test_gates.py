@@ -65,6 +65,36 @@ class CountingFloat(float):
         return super().__repr__()
 
 
+class PlainSubFloat(float):
+    """A float subclass with float's own behaviour."""
+
+
+_NOT_A_FLOAT = "delta must be a float, got "
+
+# outcome of DelayQuery(direction, delta) for every kind of separation:
+# None where it is accepted, else its ValueError message
+DELAY_QUERY_TABLE = [
+    (1.5e-12, None),
+    (-2.5e-12, None),
+    (0.0, None),
+    (-0.0, None),
+    (math.inf, None),
+    (-math.inf, None),
+    (3, None),
+    (-7, None),
+    (PlainSubFloat(2.5e-12), None),
+    (PlainSubFloat(math.inf), None),
+    (PlainSubFloat(math.nan), "delta must not be NaN"),
+    (math.nan, "delta must not be NaN"),
+    (True, _NOT_A_FLOAT + "True"),
+    (False, _NOT_A_FLOAT + "False"),
+    ("1.0", _NOT_A_FLOAT + "'1.0'"),
+    (None, _NOT_A_FLOAT + "None"),
+    (10 ** 400, _NOT_A_FLOAT + str(10 ** 400)),
+    (-10 ** 400, _NOT_A_FLOAT + str(-10 ** 400)),
+]
+
+
 def rising_crossing_oracle(alpha_sum: float, r: float, r5: float,
                            c: float) -> float:
     """Threshold crossing of the drive-up transient, found by bisection.
@@ -396,6 +426,25 @@ class TestValidation:
             DelayQuery("rising", sign * 10 ** 400)
         # the unbounded separations stay valid
         assert DelayQuery("rising", sign * math.inf).delta == sign * math.inf
+
+    @pytest.mark.parametrize("delta, want", DELAY_QUERY_TABLE,
+                             ids=[f"{type(d).__name__}:{d!r:.20}"
+                                  for d, _ in DELAY_QUERY_TABLE])
+    def test_query_validation_table(self, delta, want):
+        # None: accepted and stored as given; else the ValueError message
+        if want is None:
+            assert DelayQuery("falling", delta).delta is delta
+            return
+        with pytest.raises(ValueError) as info:
+            DelayQuery("falling", delta)
+        assert type(info.value) is ValueError
+        assert str(info.value) == want
+
+    def test_query_direction_checked_first(self):
+        with pytest.raises(ValueError) as info:
+            DelayQuery("sideways", math.nan)
+        assert str(info.value) == ("output_direction must be one of "
+                                   "('rising', 'falling'), got 'sideways'")
 
 
 # bounds keep 2RC(R5+2R)/alpha below ~150 for every alpha subset, well

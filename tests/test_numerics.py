@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,62 @@ class TestLambertWm1:
             assert w < -600.0
             # residual in log form, since e^w underflows
             assert abs(w + math.log(-w) - math.log(-x)) <= 1e-12 * abs(math.log(-x))
+
+
+def _w_pin_arguments():
+    """A fixed argument set over every arm of lambert_w_m1.
+
+    s = 1 + e*x is the distance above the branch point: the series arm
+    takes s <= 1e-4, the Newton start switches at s = 0.5, and the
+    far arm runs down to the subnormals.
+    """
+    rng = random.Random(1996)
+    branch = -math.exp(-1.0)
+    xs = [branch, -2.0 * math.exp(-2.0)]
+    # criterion 7's log-spaced offsets below the branch point
+    xs += [-math.exp(-1.0 - 10.0 ** (-12.0 + 14.78 * i / 999.0))
+           for i in range(1000)]
+    # the first ulps above the branch point, then 1e-18 steps
+    x = branch
+    for _ in range(64):
+        x = math.nextafter(x, 0.0)
+        xs.append(x)
+    xs += [branch + k * 1e-18 for k in range(1, 257)]
+    # series arm, near Newton arm, far Newton arm
+    xs += [branch * (1.0 - 10.0 ** rng.uniform(-17.0, -4.0))
+           for _ in range(1000)]
+    xs += [branch * (1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.5)))
+           for _ in range(1000)]
+    xs += [-(10.0 ** rng.uniform(-307.0, math.log10(0.5 / math.e)))
+           for _ in range(1000)]
+    # subnormal magnitudes
+    xs += [-5e-324, -1e-323, -1e-320, -1e-315, -1e-310,
+           -math.nextafter(2.2250738585072014e-308, 0.0)]
+    xs += [-(10.0 ** rng.uniform(-323.0, -308.0)) for _ in range(200)]
+    return xs
+
+
+# SHA-256 of "repr(x) repr(W(x))" lines over _w_pin_arguments().  A
+# change to W that moves any bit of any result moves this pin.
+W_PIN_SHA256 = (
+    "fe4c718f39d92c60708c92c63f8fe71f73cee08235aa44808b0e7c08997c6064")
+
+
+class TestLambertWm1Pinned:
+    def test_arguments_cover_every_arm(self):
+        xs = _w_pin_arguments()
+        s = [1.0 + math.e * x for x in xs]
+        assert sum(v <= 0.0 for v in s) >= 1
+        assert sum(0.0 < v <= 1e-4 for v in s) >= 1000
+        assert sum(1e-4 < v < 0.5 for v in s) >= 1000
+        assert sum(v >= 0.5 for v in s) >= 1000
+        assert sum(-x < 2.2250738585072014e-308 for x in xs) >= 100
+
+    def test_results_bits_pinned(self):
+        lines = "".join(f"{x!r} {lambert_w_m1(x)!r}\n"
+                        for x in _w_pin_arguments())
+        digest = hashlib.sha256(lines.encode("ascii")).hexdigest()
+        assert digest == W_PIN_SHA256
 
 
 class TestFindRootBracketed:

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import math
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -203,6 +204,24 @@ class TestStimulus:
         with pytest.raises(ValueError, match=re.escape(
                 f"start_value must be 0 or 1, got {start!r}")):
             generate_stimulus(1e-11, 0.0, 3, 1, start_value=start)
+
+    @pytest.mark.parametrize("mu,sigma,n,first", [
+        (1e308, 0.0, 3, 2),
+        (1e308, 1e308, 4, 4),
+        (10 ** 308, 0.0, 3, 2),
+    ], ids=["multiples", "gaps", "int-mu"])
+    def test_overflowing_times_rejected(self, mu, sigma, n, first):
+        with pytest.raises(ValueError, match=(
+                f"^the train overflows the time range: transition {first} "
+                f"of {n} lands at ")):
+            generate_stimulus(mu, sigma, n, 1)
+
+    def test_largest_trains_stay_finite(self):
+        top = sys.float_info.max
+        ev = generate_stimulus(top / 4.0, 0.0, 3, 1)
+        assert [e.time for e in ev] == [top / 4.0, 2 * (top / 4.0),
+                                        3 * (top / 4.0)]
+        assert generate_stimulus(top, 0.0, 1, 1)[0].time == top
 
     def test_valid_arguments_format_nothing(self):
         spec = StimulusSpec(CountingFloat(1e-11), CountingFloat(5e-12),
@@ -624,6 +643,17 @@ class TestNetlistValidation:
             validate_netlist(nl)
         with pytest.raises(NetlistError):
             run(nl, LIB)
+
+    def test_overflowing_train_names_its_source(self):
+        # the spec passes validation, but its times leave the float
+        # range; run() must fail before any event, not process t = inf
+        nl = single_nor(stim_b=StimulusSpec(1e308, 0.0, 3, 1))
+        validate_netlist(nl)
+        with pytest.raises(NetlistError) as exc:
+            run(nl, LIB)
+        assert exc.value.problems == [
+            "stimulus for 'sb' is malformed: the train overflows the time "
+            "range: transition 2 of 3 lands at inf (mu=1e+308, sigma=0.0)"]
 
     def test_nan_t_end_rejected(self):
         nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
