@@ -266,20 +266,33 @@ def find_root_bracketed(f, a: float, b: float, tol: Tolerance = Tolerance()) -> 
         f"find_root_bracketed: {tol.max_iter} iterations exhausted")
 
 
+# a finite window is under 2**1024 wide and floats lie at least 2**-1074
+# apart, so 2,098 halvings narrow any window to adjacent floats
+_MAX_HALVINGS = 2100
+
+
 def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float,
                               tol: Tolerance = Tolerance(abs=1e-16)) -> float:
     """Locate where a monotone trajectory crosses a level by bisection.
 
     Returns the midpoint of the final bracket once its width is at most
     ``tol.abs``.  Raises NoCrossingError when trajectory - level has the
-    same sign at both window ends.
+    same sign at both window ends, and ValueError when the window, its
+    width or trajectory - level at either end is not finite.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"invalid window [{t_lo!r}, {t_hi!r}]")
-    if tol.abs <= 0.0:
+    # a window end at +-inf or NaN, or a width past the float range
+    if not t_hi - t_lo < math.inf:
+        raise ValueError(f"window [{t_lo!r}, {t_hi!r}] is not finite")
+    tol_abs = tol.abs
+    if tol_abs <= 0.0:
         raise ValueError("bisect_threshold_crossing needs tol.abs > 0")
     g_lo = trajectory(t_lo) - level
     g_hi = trajectory(t_hi) - level
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+        raise ValueError(f"trajectory - level is not finite at the window "
+                         f"ends: {g_lo!r}, {g_hi!r}")
     if g_lo == 0.0:
         return t_lo
     if g_hi == 0.0:
@@ -289,9 +302,14 @@ def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float
             f"no crossing of level {level!r} in [{t_lo!r}, {t_hi!r}]")
     lo_positive = g_lo > 0.0
     # ceil(log2(width/tol)) iterations reach the requested bracket width;
-    # the +8 covers pathological float spacing near the endpoints.
-    for _ in range(int(math.log2(max((t_hi - t_lo) / tol.abs, 1.0))) + 8):
-        if t_hi - t_lo <= tol.abs:
+    # the +8 covers pathological float spacing near the endpoints.  A
+    # ratio past the float range takes _MAX_HALVINGS, which reach
+    # adjacent floats from any finite window.
+    ratio = (t_hi - t_lo) / tol_abs
+    n_iter = (int(math.log2(max(ratio, 1.0))) + 8 if ratio < math.inf
+              else _MAX_HALVINGS)
+    for _ in range(n_iter):
+        if t_hi - t_lo <= tol_abs:
             break
         mid = 0.5 * (t_lo + t_hi)
         if mid <= t_lo or mid >= t_hi:
@@ -353,7 +371,9 @@ class OdeSolution:
 
     def __call__(self, t: float) -> float:
         ts = self.ts
-        if t <= ts[0]:
+        if not t > ts[0]:  # at or before the start, or NaN
+            if t != t:
+                raise ValueError(f"t={t!r} is not a number")
             if t < ts[0] - 1e-30:
                 raise ValueError(f"t={t!r} before solution start {ts[0]!r}")
             return self.vs[0]
@@ -391,8 +411,10 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
     v0 equals it).  Step sizing still starts from and clips to t1, so
     the returned nodes are exactly a prefix of the full solution's.
     """
-    if not (t1 > t0):
-        raise ValueError(f"integrate_ode needs t1 > t0, got [{t0!r}, {t1!r}]")
+    # t1 - t0 is NaN or inf when an end is not finite
+    if not (t1 > t0 and t1 - t0 < math.inf):
+        raise ValueError(
+            f"integrate_ode needs finite t0 < t1, got [{t0!r}, {t1!r}]")
     # an accepted v outside [lo, hi] ends the integration
     lo, hi = -math.inf, math.inf
     if stop_past is not None:
@@ -437,7 +459,12 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
         k7 = f(t + h, v5)
         err = (0.0 + h * e1 * k1 + h * e2 * k2 + h * e3 * k3 + h * e4 * k4
                + h * e5 * k5 + h * e6 * k6 + h * e7 * k7)
-        scale = tol_abs + tol_rel * max(abs(v), abs(v5))
+        # builtin max(a, b) and min(a, b), here and in the clamp below,
+        # spelled out as b if b > a else a and b if b < a else a: no call
+        # per step, and the same result for every input, NaN and signed
+        # zeros included
+        abs_v, abs_v5 = abs(v), abs(v5)
+        scale = tol_abs + tol_rel * (abs_v5 if abs_v5 > abs_v else abs_v)
         if scale <= 0.0:
             scale = tol_abs if tol_abs > 0.0 else 1e-300
         ratio = abs(err) / scale
@@ -453,5 +480,6 @@ def integrate_ode(f, t0: float, t1: float, v0: float,
         # shrink it like any other rejection
         factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else (
             5.0 if ratio == 0.0 else 0.2)
-        h *= min(5.0, max(0.2, factor))
+        factor = factor if factor > 0.2 else 0.2
+        h *= factor if factor < 5.0 else 5.0
     raise ConvergenceError(f"integrate_ode: exceeded {max_steps} steps")

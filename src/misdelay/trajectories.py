@@ -84,6 +84,9 @@ _A_FIRST = {"10->11", "01->00"}       # input A switched first
 # supply for any realistic parameter set
 _T_EPS = 1e-18
 
+# bracket width at which the oracles stop bisecting a crossing
+_CROSSING_TOL = Tolerance(abs=1e-17)
+
 
 @dataclass(frozen=True)
 class ModeSwitch:
@@ -290,16 +293,19 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
     _, rg2, c2 = _mode_law(p, "10->11")
     tau1, tau2 = c1 * rg1, c2 * rg2
     sep = abs(delta)
+    exp = math.exp
+    # the handoff level keeps the voltage continuous at the second
+    # transition
+    v_sep = exp(-sep / tau1)
 
     def traj(t: float) -> float:
         if t <= sep:
-            return math.exp(-t / tau1)
-        # handoff keeps the voltage continuous at the second transition
-        return math.exp(-sep / tau1) * math.exp(-(t - sep) / tau2)
+            return exp(-t / tau1)
+        return v_sep * exp(-(t - sep) / tau2)
 
     hi = math.log(2.0) * tau1 * 1.0000001 if math.isinf(sep) else \
         min(sep, math.log(2.0) * tau1) + 40.0 * tau2
-    t_cross = bisect_threshold_crossing(traj, 0.5, 0.0, hi, Tolerance(abs=1e-17))
+    t_cross = bisect_threshold_crossing(traj, 0.5, 0.0, hi, _CROSSING_TOL)
     return t_cross + p.delta_min
 
 
@@ -316,7 +322,7 @@ def _switch_on_by_inversion(p, pair_rising: bool, delta: float) -> float:
     else:
         raise NoCrossingError("drive trajectory never reaches threshold")
     return bisect_threshold_crossing(phi, 0.5, 0.0, hi,
-                                     Tolerance(abs=1e-17)) + p.delta_min
+                                     _CROSSING_TOL) + p.delta_min
 
 
 class PiecewiseSolution:
@@ -342,7 +348,13 @@ class PiecewiseSolution:
     def __call__(self, t: float) -> float:
         for start, sol in reversed(self.segments):
             if t >= start:
-                return sol(min(max(t - start, sol.ts[0]), sol.ts[-1]))
+                # min(max(s, ts[0]), ts[-1]), spelled out as in
+                # integrate_ode
+                s, ts = t - start, sol.ts
+                s = ts[0] if ts[0] > s else s
+                return sol(ts[-1] if ts[-1] < s else s)
+        if t != t:
+            raise ValueError(f"t={t!r} is not a number")
         start, sol = self.segments[0]
         return sol(sol.t0)
 
@@ -402,8 +414,9 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
         if math.isinf(ms.delta):
             raise ValueError("only the first mode may have infinite delta")
         starts.append(starts[-1] + ms.delta)
-    if t_end <= starts[-1]:
-        raise ValueError(f"t_end={t_end!r} does not reach the last mode")
+    if not starts[-1] < t_end < math.inf:
+        raise ValueError(
+            f"t_end={t_end!r} must be finite and reach the last mode")
 
     v = v_start = _start_level(modes[0], _mode_law(params, modes[0].kind), v_dd)
     segments: list[tuple[float, OdeSolution]] = []
@@ -472,5 +485,5 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     # is that run's: its last node lands on the last mode's end
     last = sum(ms.delta for ms in modes[1:])
     t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, last + (t_end - last),
-                                        Tolerance(abs=1e-17))
+                                        _CROSSING_TOL)
     return t_cross + params.delta_min

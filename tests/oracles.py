@@ -15,6 +15,10 @@ reference_delay_by_ode integrates the ODE oracle's mode chain to its
 full horizon and bisects over the whole solution; it borrows the
 library's mode chain, integrator and bisection, so it pins only the
 early stop at the threshold crossing, bit for bit.
+reference_bisect_threshold_crossing is the threshold bisection as it
+stood before its loop was trimmed and its window checked for finite
+values; it pins the iteration count and result of every window it
+accepts, bit for bit.
 reference_serialize_netlist builds the netlist document as nested
 dicts and renders it with json.dumps(indent=2), the form the library's
 own indent-2 writer and in-place gate entries must match byte for
@@ -114,7 +118,8 @@ _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
 
 
-def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12):
+def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12,
+                            attempts=None):
     """Adaptive Dormand-Prince 5(4) as a generic tableau loop.
 
     Returns the accepted (ts, vs, dvs) lists.  Step control is the
@@ -123,7 +128,9 @@ def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12):
     min(5, max(0.2, 0.9 * ratio**-0.2)).  A NaN ratio grows the step 5x
     here; the library shrinks it 5x.  Raises
     RuntimeError("step underflow") below a 1e-18 step and
-    RuntimeError("step budget") after a million steps.
+    RuntimeError("step budget") after a million steps.  A list passed
+    as attempts receives (ratio, factor before the clamp) per step
+    attempt.
     """
     ts, vs = [t0], [v0]
     k = [0.0] * 7
@@ -161,8 +168,52 @@ def reference_integrate_ode(f, t0, t1, v0, rel=1e-10, abs_=1e-12):
             k[0] = k[6]
             dvs.append(k[0])
         factor = 0.9 * (1.0 / ratio) ** 0.2 if ratio > 0.0 else 5.0
+        if attempts is not None:
+            attempts.append((ratio, factor))
         h *= min(5.0, max(0.2, factor))
     raise RuntimeError("step budget")
+
+
+def reference_bisect_threshold_crossing(trajectory, level, t_lo, t_hi,
+                                        tol=None):
+    """Threshold bisection with the iteration budget and exits kept as
+    they were: log2(width/tol) + 8 halvings, an exact zero returned at
+    once, a stop on adjacent floats.  Raises the library's
+    NoCrossingError; a width/tol past the float range raises
+    OverflowError here.
+    """
+    from misdelay.numerics import NoCrossingError, Tolerance
+
+    if tol is None:
+        tol = Tolerance(abs=1e-16)
+    if not (t_lo < t_hi):
+        raise ValueError(f"invalid window [{t_lo!r}, {t_hi!r}]")
+    if tol.abs <= 0.0:
+        raise ValueError("bisect_threshold_crossing needs tol.abs > 0")
+    g_lo = trajectory(t_lo) - level
+    g_hi = trajectory(t_hi) - level
+    if g_lo == 0.0:
+        return t_lo
+    if g_hi == 0.0:
+        return t_hi
+    if (g_lo > 0.0) == (g_hi > 0.0):
+        raise NoCrossingError(
+            f"no crossing of level {level!r} in [{t_lo!r}, {t_hi!r}]")
+    lo_positive = g_lo > 0.0
+    for _ in range(int(math.log2(max((t_hi - t_lo) / tol.abs, 1.0))) + 8):
+        if t_hi - t_lo <= tol.abs:
+            break
+        mid = 0.5 * (t_lo + t_hi)
+        if mid <= t_lo or mid >= t_hi:
+            break
+        g_mid = trajectory(mid) - level
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0.0) == lo_positive:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return 0.5 * (t_lo + t_hi)
 
 
 def reference_solve_z(t_zero, t_first, t_second, c, z_lo):

@@ -383,7 +383,7 @@ def test_criterion_8_simulator_determinism_and_scaling():
     single_exact = single_exact and res.trace["out"] == [
         (2e-12 + nor_delay(p, DelayQuery("falling", 1.5e-12)), 0)]
 
-    # three runs per size, the sizes alternated so that a slow spell of
+    # five runs per size, the sizes alternated so that a slow spell of
     # the host hits both; the min of each is its least disturbed time
     chains = {n: build_cross_coupled_chain(50, params_ref="nor", mu=50e-12,
                                            sigma=30e-12, n_transitions=n,
@@ -391,7 +391,7 @@ def test_criterion_8_simulator_determinism_and_scaling():
               for n in (1000, 2000)}
     walls = {n: [] for n in chains}
     first = {}
-    for _ in range(3):
+    for _ in range(5):
         for n, nl in chains.items():
             res = run(nl, lib)
             assert first.setdefault(n, res.changes) == res.changes

@@ -20,7 +20,9 @@ from misdelay.numerics import (
 )
 from misdelay.fileio import load_fixture
 from misdelay.trajectories import _T_EPS, _ode_rhs, delay_by_inversion
-from oracles import lambert_w_m1_bisect, reference_integrate_ode
+from oracles import (lambert_w_m1_bisect,
+                     reference_bisect_threshold_crossing,
+                     reference_integrate_ode)
 
 
 class TestLambertWm1:
@@ -202,6 +204,134 @@ class TestBisectThresholdCrossing:
                                           Tolerance(abs=tol_abs))
             assert abs(t - tau * math.log(2.0)) <= tol_abs
 
+    @pytest.mark.parametrize("t_lo,t_hi", [
+        (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
+    def test_window_not_finite_raises(self, t_lo, t_hi):
+        with pytest.raises(ValueError, match="not finite"):
+            bisect_threshold_crossing(lambda t: math.exp(-t), 0.5, t_lo, t_hi)
+
+    @pytest.mark.parametrize("traj,level,t_lo,t_hi,tol,root", [
+        (lambda t: 1.0 - t / 1e300, 0.5, 0.0, 1e300, 1e-17, 5e299),
+        # about 2,050 halvings, down to floats near 1e-300
+        (lambda t: t - 1e-300, 0.0, -1e300, 1e300, 5e-324, 1e-300),
+    ])
+    def test_width_over_tolerance_past_float_range(self, traj, level, t_lo,
+                                                   t_hi, tol, root):
+        # width/tol.abs overflows: the bisection runs to adjacent floats
+        probes = []
+
+        def g(t):
+            probes.append(t)
+            return traj(t)
+
+        t = bisect_threshold_crossing(g, level, t_lo, t_hi,
+                                      Tolerance(abs=tol))
+        assert abs(t - root) <= 2.0 * math.ulp(root)
+        assert 2 < len(probes) <= 2 + 2100
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_end_value_not_finite_raises(self, end, bad):
+        traj = lambda t: bad if t == end else 1.0 - t
+        with pytest.raises(ValueError, match="not finite"):
+            bisect_threshold_crossing(traj, 0.5, 0.0, 1.0,
+                                      Tolerance(abs=1e-12))
+
+
+def _decades(lo: int, hi: int):
+    """10**x for x in [lo, hi] in steps of 1/8."""
+    return st.integers(8 * lo, 8 * hi).map(lambda k: 10.0 ** (k / 8.0))
+
+
+@st.composite
+def _bisect_cases(draw):
+    """A monotone trajectory, a window and a tolerance.
+
+    A quarter of the windows span 1 to 3 adjacent floats, the rest a
+    log-uniform width.  The crossing lies at the first midpoint, at a
+    multiple of 1/64 of the window, anywhere inside, or outside; stair
+    trajectories hold an exact zero over a whole tread.
+    """
+    t_lo = draw(st.floats(-1e3, 1e3))
+    if draw(st.integers(0, 3)) == 0:
+        t_hi = t_lo
+        for _ in range(draw(st.integers(1, 3))):
+            t_hi = math.nextafter(t_hi, math.inf)
+    else:
+        # 1e-15 of the magnitude is still a few ulps of t_lo
+        t_hi = t_lo + (abs(t_lo) + 1.0) * draw(_decades(-15, 1))
+    width = t_hi - t_lo
+    where = draw(st.sampled_from(["midpoint", "dyadic", "inside",
+                                  "outside"]))
+    if where == "midpoint":
+        root = 0.5 * (t_lo + t_hi)
+    elif where == "dyadic":
+        root = t_lo + draw(st.integers(1, 63)) / 64.0 * width
+    elif where == "inside":
+        root = t_lo + draw(st.integers(1, 999)) / 1000.0 * width
+    else:
+        root = draw(st.sampled_from([t_lo - width, t_hi + width]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["linear", "tanh", "stair"]))
+    if kind == "linear":
+        # a crossing a fraction of an ulp past root lies between floats
+        offset = draw(st.sampled_from([0.0, 0.25, 0.5])) * math.ulp(root)
+        traj = lambda t: sign * (t - root - offset)
+    elif kind == "tanh":
+        scale = width * draw(_decades(-12, 0))
+        traj = lambda t: math.tanh(sign * (t - root) / scale)
+    else:
+        tread = width * draw(_decades(-12, -2))
+        traj = lambda t: sign * math.floor((t - root) / tread)
+    # from ten widths down to 1e-40 of one, past adjacent floats
+    tol = max(width * draw(_decades(-40, 1)), 5e-324)
+    return traj, t_lo, t_hi, Tolerance(abs=tol)
+
+
+class TestBisectMatchesReference:
+    """The trimmed bisection probes and returns what the frozen one did."""
+
+    @staticmethod
+    def _outcome(bisect, traj, t_lo, t_hi, tol):
+        probes = []
+
+        def g(t):
+            probes.append(t)
+            return traj(t)
+
+        try:
+            result = bisect(g, 0.0, t_lo, t_hi, tol)
+        except Exception as exc:
+            result = type(exc)
+        return result, probes
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bisect_cases())
+    def test_same_probes_and_result(self, case):
+        traj, t_lo, t_hi, tol = case
+        got = self._outcome(bisect_threshold_crossing, traj, t_lo, t_hi, tol)
+        want = self._outcome(reference_bisect_threshold_crossing, traj,
+                             t_lo, t_hi, tol)
+        assert got == want
+
+    def test_cases_reach_every_exit(self):
+        # a zero at the first midpoint, adjacent floats, the width test,
+        # a zero at a window end and a missing crossing
+        cases = [
+            (lambda t: t - 0.5, 0.0, 1.0, 1e-9),
+            (lambda t: t - 1.0 - 1e-300, 1.0, 1.0 + 2 ** -52, 1e-30),
+            (lambda t: math.exp(-t) - 0.5, 0.0, 5.0, 1e-12),
+            (lambda t: 1.0 - t, 0.0, 1.0, 1e-12),
+            (lambda t: t + 2.0, 0.0, 1.0, 1e-12),
+        ]
+        for traj, t_lo, t_hi, tol in cases:
+            tol = Tolerance(abs=tol)
+            got = self._outcome(bisect_threshold_crossing, traj, t_lo, t_hi,
+                                tol)
+            want = self._outcome(reference_bisect_threshold_crossing, traj,
+                                 t_lo, t_hi, tol)
+            assert got == want
+
 
 class TestIntegrateOde:
     def test_exponential_decay(self):
@@ -257,6 +387,20 @@ class TestIntegrateOde:
     def test_endpoint_hit_exactly(self):
         sol = integrate_ode(lambda t, v: -v, 0.0, 1.0, 1.0)
         assert sol.t1 == 1.0
+
+    @pytest.mark.parametrize("t0,t1", [
+        (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+        (0.0, math.nan), (-1e308, 1e308)])
+    def test_window_not_finite_raises_up_front(self, t0, t1):
+        g, calls = _counting(lambda t, v: -v)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_ode(g, t0, t1, 1.0)
+        assert calls == []
+
+    def test_nan_probe_raises(self):
+        sol = integrate_ode(lambda t, v: -v, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="t=nan"):
+            sol(math.nan)
 
 
 def _counting(f):
@@ -379,6 +523,28 @@ class TestIntegrateOdeMatchesReference:
         integrate_ode(g, 0.0, 2.0, 1.0, tol)
         # each accepted step costs six calls; more means rejections
         assert len(calls) > 1 + 6 * (len(sol.ts) - 1)
+
+    @pytest.mark.parametrize("f,v0,clamped", [
+        # error at rounding level: the factor clamps to 5x growth
+        (lambda t, v: t, 0.0, {5.0}),
+        # stiff: rejected steps, and the factor clamps to a 5x shrink
+        (lambda t, v: -1e4 * (v - math.cos(t)), 0.0, {0.2}),
+        # quiet, then stiff: both clamps, and zero-error steps
+        (lambda t, v: 0.0 if t < 0.5 else -1e3 * v, 1.0, {0.2, 5.0}),
+    ])
+    def test_step_factor_clamps(self, f, v0, clamped):
+        tol = Tolerance(rel=1e-9, abs=1e-12)
+        sol = integrate_ode(f, 0.0, 1.0, v0, tol)
+        attempts = []
+        ts, vs, dvs = reference_integrate_ode(f, 0.0, 1.0, v0, tol.rel,
+                                              tol.abs, attempts)
+        assert (sol.ts, sol.vs, sol.dvs) == (ts, vs, dvs)
+        factors = [factor for _, factor in attempts]
+        hit = {bound for bound, past in ((5.0, max(factors) > 5.0),
+                                         (0.2, min(factors) < 0.2)) if past}
+        assert hit == clamped
+        if 0.2 in clamped:
+            assert max(ratio for ratio, _ in attempts) > 1.0
 
     def test_nan_stage_rejects_and_shrinks_step(self):
         # NaN stages in the first attempt make the error ratio NaN: the

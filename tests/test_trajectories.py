@@ -426,6 +426,17 @@ class TestFullOde:
         for t in probes:
             assert sol(t).hex() == clamped(t).hex(), t
 
+    def test_nan_probe_raises(self):
+        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=1.5e-12)]
+        sol = integrate_full_ode(modes, NOR_A, 2e-11)
+        with pytest.raises(ValueError, match="t=nan"):
+            sol(math.nan)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_end_not_finite_raises_up_front(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate_full_ode([ModeSwitch("00->10")], NOR_A, t_end)
+
     def test_cgate_single_transition_holds(self):
         modes = [ModeSwitch("11->01", initial_v=0.9),
                  ModeSwitch("01->00", delta=4e-12)]
