@@ -490,11 +490,13 @@ def write_vcd(trace: Mapping[str, Sequence[Tuple[float, int]]],
         if any(map(operator.gt, times, times[1:])):
             raise ValueError(f"net {net!r}: trace not time-ordered")
         try:
-            fs += map(round, map(operator.mul, times, repeat(1e15)))
+            # each product is a float: round() would call float.__round__
+            fs += map(float.__round__, map(operator.mul, times, repeat(1e15)))
         except (OverflowError, ValueError):
             raise ValueError(
                 f"net {net!r}: change time is not finite") from None
-        tokens += map((f"0{code}", f"1{code}").__getitem__, values)
+        pair = (f"0{code}", f"1{code}")
+        tokens += [pair[value] for value in values]
 
     append = lines.append
     current_fs = None

@@ -313,7 +313,11 @@ def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float
             break
         mid = 0.5 * (t_lo + t_hi)
         if mid <= t_lo or mid >= t_hi:
-            break  # bracket narrowed to adjacent floats
+            if -math.inf < mid < math.inf:
+                break  # bracket narrowed to adjacent floats
+            mid = t_lo + 0.5 * (t_hi - t_lo)  # the sum overflowed
+            if mid <= t_lo or mid >= t_hi:
+                break
         g_mid = trajectory(mid) - level
         if g_mid == 0.0:
             return mid
@@ -321,7 +325,8 @@ def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float
             t_lo = mid
         else:
             t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+    mid = 0.5 * (t_lo + t_hi)
+    return mid if -math.inf < mid < math.inf else t_lo + 0.5 * (t_hi - t_lo)
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math.

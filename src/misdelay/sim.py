@@ -14,10 +14,11 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass, field
+from itertools import count, cycle, repeat
 from typing import Dict, List, Optional, Tuple
 
-from .gates import (_FLOAT_MAX, CGateParams, NorGateParams, _is_real,
-                    _output_family)
+from .gates import (_FLOAT_MAX, CGateParams, NorGateParams,
+                    _check_float_range, _is_real, _output_family)
 
 GATE_KINDS = ("nor2", "cgate", "input_source")
 
@@ -136,10 +137,6 @@ def _splitmix64(x: int):
         yield z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """Deterministic 64-bit RNG; identical streams on every platform."""
 
@@ -154,15 +151,15 @@ class Xoshiro256StarStar:
 
     def next_u64(self) -> int:
         s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        s0, s1, s2, s3 = s
+        x = s1 * 5 & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s[0] = s0 ^ s3
+        s[1] = s1 ^ s2
+        s[2] = s2 ^ (s1 << 17 & _MASK64)
+        s[3] = (s3 << 45 | s3 >> 19) & _MASK64  # rotate left by 45
+        return (x << 7 | x >> 57) * 9 & _MASK64  # 9 * (x rotated by 7)
 
     def uniform(self) -> float:
         """Uniform on (0, 1]; never zero, so log() is always safe."""
@@ -205,27 +202,32 @@ def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
         problems.append(f"start_value must be 0 or 1, got {start_value!r}")
     if problems:
         raise ValueError("; ".join(problems))
-    rng = Xoshiro256StarStar(seed)
-    events = []
-    t = 0.0
-    value = start_value
-    for i in range(n):
-        if sigma == 0.0:
-            t = (i + 1) * mu
-        else:
-            t += max(mu + sigma * rng.gauss(), _STIMULUS_GAP_FLOOR)
-        value = 1 - value
-        events.append(SimEvent(time=t, net=net, value=value, seq=i))
+    return [SimEvent(time=t, net=net, value=value, seq=i) for i, (t, value)
+            in enumerate(zip(_stimulus_times(mu, sigma, n, seed),
+                             cycle((1 - start_value, start_value))))]
+
+
+def _stimulus_times(mu, sigma, n, seed) -> List[float]:
+    """Transition times of a train whose arguments pass _stimulus_problems."""
+    if sigma == 0.0:
+        times = [(i + 1) * mu for i in range(n)]
+    else:
+        gauss = Xoshiro256StarStar(seed).gauss
+        times = []
+        t = 0.0
+        for _ in range(n):
+            gap = mu + sigma * gauss()  # floored below as max() would
+            t += _STIMULUS_GAP_FLOOR if _STIMULUS_GAP_FLOOR > gap else gap
+            times.append(t)
     # times never decrease, so a train that overflows ends past the
     # float range (inf, or an int beyond it when mu is an int)
-    if not t <= _FLOAT_MAX:
-        first = next(i for i, ev in enumerate(events)
-                     if not ev.time <= _FLOAT_MAX)
+    if not times[-1] <= _FLOAT_MAX:
+        first = next(i for i, t in enumerate(times) if not t <= _FLOAT_MAX)
         raise ValueError(
             f"the train overflows the time range: transition {first + 1} "
-            f"of {n} lands at {events[first].time!r} (mu={mu!r}, "
+            f"of {n} lands at {times[first]!r} (mu={mu!r}, "
             f"sigma={sigma!r})")
-    return events
+    return times
 
 
 def _is_bit(value) -> bool:
@@ -316,7 +318,9 @@ def validate_netlist(nl: Netlist) -> None:
 class _NetState:
     """One net during a run; `last` is the time of its latest change and
     a source's `feed` yields the heap entries of its train not yet
-    pushed."""
+    pushed.  Nets and gates (`fanout`, `a`/`b`/`out`) refer to each other
+    until run() cuts `fanout` and `feed` as it returns, so that reference
+    counting frees them; per-run results must not hang on them."""
 
     __slots__ = ("name", "value", "last", "fanout", "feed")
 
@@ -332,13 +336,13 @@ class _GateRun:
     """One gate bound for a run: its nets, logic and delay families.
 
     logic[a][b] is the level inputs (a, b) drive the output to, or None
-    where a C gate's disagreeing inputs hold it; families holds the
-    (evaluate, table) pair of `_output_family` for each output value,
-    indexed by the target level.
+    where a C gate's disagreeing inputs hold it; families[level] is the
+    (evaluate, table) pair of `_output_family` for that output level;
+    pending is the heap entry of the output event in flight, or None.
     """
 
     __slots__ = ("gate", "is_nor", "a", "b", "out", "logic", "delta_min",
-                 "families", "pending_seq", "pending_time", "pending_value")
+                 "families", "pending")
 
     def __init__(self, gate: Gate, params, nets: Dict[str, _NetState]):
         self.gate = gate
@@ -354,9 +358,7 @@ class _GateRun:
         self.delta_min = params.delta_min
         self.families = (_output_family(params, False),
                          _output_family(params, True))
-        self.pending_seq = -1
-        self.pending_time = 0.0
-        self.pending_value = 0
+        self.pending = None
 
 
 def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
@@ -368,6 +370,7 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
     part of the interface.  Each gate's delay tables are bound once at
     set-up, so an event costs the closed form's flops and heap work.
     """
+    _check_float_range("t_end", t_end)
     if t_end is not None and math.isnan(t_end):
         raise ValueError("t_end must not be NaN")
     validate_netlist(nl)
@@ -409,17 +412,15 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
         spec = nl.stimuli[g.id]
         st = nets[g.output]
         try:
-            train = generate_stimulus(spec.mu, spec.sigma,
-                                      spec.n_transitions, spec.seed,
-                                      net=g.output,
-                                      start_value=nl.nets[g.output])
+            times = _stimulus_times(spec.mu, spec.sigma, spec.n_transitions,
+                                    spec.seed)
         except ValueError as exc:
             # validate_netlist passed the spec, so its times overflow
             problems.append(f"stimulus for {g.id!r} is malformed: {exc}")
             continue
-        st.feed = iter([(ev.time, seq + i, None, st, ev.value)
-                        for i, ev in enumerate(train)])
-        seq += len(train)
+        st.feed = zip(times, count(seq), repeat(None), repeat(st),
+                      cycle((1 - st.value, st.value)))
+        seq += len(times)
         heappush(heap, next(st.feed))
     if problems:
         raise NetlistError(problems)
@@ -437,13 +438,13 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             raise LivelockError(
                 f"event count exceeded the cap of {max_events}; the netlist "
                 f"is livelocked or the cap is too small for this workload")
-        t, s, driver, st, value = heappop(heap)
+        t, _, driver, st, value = entry = heappop(heap)
         if t > horizon:
             break
         if driver is not None:
-            if driver.pending_seq != s:
+            if driver.pending is not entry:
                 continue  # superseded or cancelled
-            driver.pending_seq = -1
+            driver.pending = None
         else:
             following = next(st.feed, None)
             if following is not None:
@@ -457,7 +458,7 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             b = gr.b
             target = gr.logic[a.value][b.value]
             if target is None or target == gr.out.value:
-                gr.pending_seq = -1
+                gr.pending = None
                 continue
             if gr.is_nor and not target:
                 # falling NOR output, referenced to the first rising input
@@ -476,11 +477,12 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             delta = 0.0 if t_a == t_b else t_b - t_a
             evaluate, table = gr.families[target]
             t_new = ref + evaluate(table, delta)
-            if gr.pending_seq >= 0 and gr.pending_value == target \
-                    and gr.pending_time == t_new:
+            pending = gr.pending
+            if pending is not None and pending[4] == target \
+                    and pending[0] == t_new:
                 continue
             if t_new < t - _CAUSALITY_SLACK:
-                if gr.pending_seq >= 0:
+                if pending is not None:
                     # the recomputed crossing, still referenced to an
                     # earlier input, is past, as when an input reverses
                     # while the pending event sits at a delta_min floor;
@@ -497,12 +499,13 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                 # interconnect transport window; the wire still imposes
                 # delta_min from the event that revealed the change
                 t_new = floor
-            heappush(heap, (t_new, seq, gr, gr.out, target))
-            gr.pending_seq = seq
-            gr.pending_time = t_new
-            gr.pending_value = target
+            gr.pending = entry = (t_new, seq, gr, gr.out, target)
+            heappush(heap, entry)
             seq += 1
 
+    # cut the nets' cycles: reference counting then frees the run's state
+    for st in nets.values():
+        st.fanout = st.feed = None
     # each event is recorded once, in changes; the per-net trace and
     # the transition counts are derived from it
     trace: Dict[str, List[Tuple[float, int]]] = {name: [] for name in nl.nets}

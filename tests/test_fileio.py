@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -296,6 +297,10 @@ def _vcd_change_counts(text):
     return counts
 
 
+class _Seconds(float):
+    """A float subclass, as a caller's own time type may be."""
+
+
 class TestVcd:
 
     def test_empty_trace_has_declarations_only(self):
@@ -344,12 +349,32 @@ class TestVcd:
         {"a": [(math.nan, 1)]},
         {"a": [(0.0, 1)], "b": [(1e-12, 1), (math.inf, 0)]},
         {"a": [(0.0, 1)], "b": [(math.nan, 1), (1e-12, 0)]},
+        {"a": [(_Seconds(math.inf), 1)]},
+        {"a": [(10 ** 400, 1)]},
+        {"a": [(0.0, 1)], "b": [(Fraction(10 ** 400), 1)]},
     ])
     def test_non_finite_time_names_its_net(self, trace):
         net = sorted(trace)[-1]
         with pytest.raises(ValueError,
                            match=f"net '{net}': change time is not finite"):
             write_vcd(trace, {"a": 0, "b": 0})
+
+    def test_int_fraction_and_float_subclass_times_pinned(self):
+        # every time type a trace may hold renders the same femtoseconds
+        trace = {
+            "a": [(0, 1), (1, 0), (3 * 10 ** 8, 1)],
+            "b": [(Fraction(-7, 10 ** 15), 0), (Fraction(2, 3 * 10 ** 15), 1),
+                  (Fraction(1, 3 * 10 ** 12), 0), (Fraction(5, 2), 1)],
+            "c": [(_Seconds(-2.7e-15), 1), (_Seconds(2.5e-15), 0),
+                  (_Seconds(1.0), 1)],
+            "d": [(-5, 1), (Fraction(-1, 2), 0), (_Seconds(0.5e-15), 1),
+                  (1, 0)],
+        }
+        text = write_vcd(trace, {"a": 0, "b": 1, "c": 0, "d": 0})
+        assert text == oracles.reference_write_vcd(
+            trace, {"a": 0, "b": 1, "c": 0, "d": 0})
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c126dc0040f6b98ef510d268eb183b2c08dfdbc2d656c7586d21ce5eb59a5ff7")
 
     def test_identifier_codes_past_one_character(self):
         nets = {f"n{i:03d}": i % 2 for i in range(200)}

@@ -229,6 +229,16 @@ class TestBisectThresholdCrossing:
         assert abs(t - root) <= 2.0 * math.ulp(root)
         assert 2 < len(probes) <= 2 + 2100
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_window_near_the_top_of_the_float_range(self, sign):
+        # t_lo + t_hi overflows, but the window and its midpoints are
+        # finite
+        t_lo, t_hi = sorted((sign * 1e308, sign * 1.5e308))
+        t = bisect_threshold_crossing(lambda u: 1.0 - sign * u / 1.6e308,
+                                      0.1, t_lo, t_hi, Tolerance(abs=1.0))
+        root = sign * 0.9 * 1.6e308
+        assert abs(t - root) <= 2.0 * math.ulp(root)
+
     @pytest.mark.parametrize("end", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_end_value_not_finite_raises(self, end, bad):

@@ -1,5 +1,6 @@
 """Tests for the event-driven simulator and its RNG."""
 
+import gc
 import hashlib
 import heapq
 import math
@@ -236,6 +237,22 @@ class TestStimulus:
             generate_stimulus(spec.mu, CountingFloat(-1.0), 4, 2)
         assert CountingFloat.calls == 1
 
+    def test_trains_pinned(self):
+        # (mu, sigma, n, seed, start_value): fixed and drawn gaps, gaps
+        # on the 1 ps floor, both start values, and an int mu whose
+        # times stay ints
+        cases = [(5e-11, 3e-11, 200, 1, 0), (5e-11, 3e-11, 7, 2, 1),
+                 (1e-12, 1e-10, 200, 3, 0), (1e-11, 5e-12, 2, 4, 1),
+                 (2e-11, 1e-11, 1, 5, 0), (5e-11, 0.0, 200, 6, 1),
+                 (5e-11, 0.0, 7, 7, 0), (1e-10, 0.0, 1, 8, 1),
+                 (3, 0.0, 7, 9, 0), (3, 0, 2, 10, 1)]
+        trains = [generate_stimulus(mu, sigma, n, seed, net=f"n{i}",
+                                    start_value=start)
+                  for i, (mu, sigma, n, seed, start) in enumerate(cases)]
+        assert type(trains[-1][-1].time) is int
+        assert hashlib.sha256(repr(trains).encode()).hexdigest() == (
+            "78c7047529e45ce8783a39271c6bfe6c32a4e173758da3436b6da997e785cceb")
+
 
 class TestSingleNor:
     def test_quiet_b_output_is_delayed_complement(self):
@@ -465,6 +482,44 @@ class TestChain:
         assert res.stats.transitions["nb"] == 1000
         assert 2 <= tracking.high_water < 10
 
+    @pytest.mark.parametrize("sigma", [0.0, 3e-11])
+    def test_source_traces_match_generate_stimulus(self, sigma):
+        # run() draws its trains without building SimEvents; the times
+        # and values must stay those of the public generator
+        nl = build_cross_coupled_chain(3, mu=5e-11, sigma=sigma,
+                                       n_transitions=50, seed=6)
+        nl.nets["i2"] = 1
+        nl.nets.update({f"{rail}{k}": value for k, value in
+                        ((1, 0), (2, 1), (3, 0)) for rail in "tb"})
+        res = run(nl, LIB)
+        for src, net in (("src_a", "i1"), ("src_b", "i2")):
+            spec = nl.stimuli[src]
+            train = generate_stimulus(spec.mu, spec.sigma,
+                                      spec.n_transitions, spec.seed,
+                                      net=net, start_value=nl.nets[net])
+            assert res.trace[net] == [(e.time, e.value) for e in train]
+
+    def test_run_state_is_freed_and_holds_no_trace(self):
+        # a run's nets and gates refer to each other; what only the
+        # cyclic collector frees lingers until its next pass, and each
+        # full pass walks it, so run() must leave no such garbage, and
+        # no net or gate may hold on to a trace list
+        nl = build_cross_coupled_chain(3, mu=5e-11, sigma=3e-11,
+                                       n_transitions=20, seed=2)
+        gc.collect()
+        gc.disable()
+        try:
+            res = run(nl, LIB)
+            for tr in res.trace.values():
+                referrers = gc.get_referrers(tr)
+                assert not any(isinstance(r, (sim._NetState, sim._GateRun))
+                               for r in referrers)
+                assert sum(r is res.trace for r in referrers) == 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert res.stats.events > 0
+
     def test_past_revision_keeps_floored_event(self):
         # nb rises, then na falls and rises again before the output's
         # event pops; the event sits at the delta_min floor of na's fall,
@@ -659,6 +714,12 @@ class TestNetlistValidation:
         nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
         with pytest.raises(ValueError, match="t_end"):
             run(nl, LIB, t_end=math.nan)
+
+    def test_t_end_beyond_float_range_is_a_value_error(self):
+        # math.isnan would raise OverflowError on it
+        nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
+        with pytest.raises(ValueError, match="^t_end must be a float"):
+            run(nl, LIB, t_end=10 ** 400)
 
     @pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
     def test_initial_value_is_an_int_bit(self, value):
