@@ -489,14 +489,17 @@ def write_vcd(trace: Mapping[str, Sequence[Tuple[float, int]]],
             raise ValueError(f"net {net!r}: change value must be 0 or 1")
         if any(map(operator.gt, times, times[1:])):
             raise ValueError(f"net {net!r}: trace not time-ordered")
+        start = len(fs)
         try:
-            # each product is a float: round() would call float.__round__
-            fs += map(float.__round__, map(operator.mul, times, repeat(1e15)))
+            try:
+                fs += map(float.__round__,
+                          map(operator.mul, times, repeat(1e15)))
+            except TypeError:  # a time whose product is not a float
+                fs[start:] = map(round, map(operator.mul, times, repeat(1e15)))
         except (OverflowError, ValueError):
             raise ValueError(
                 f"net {net!r}: change time is not finite") from None
-        pair = (f"0{code}", f"1{code}")
-        tokens += [pair[value] for value in values]
+        tokens += map((f"0{code}", f"1{code}").__getitem__, values)
 
     append = lines.append
     current_fs = None

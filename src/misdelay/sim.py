@@ -202,13 +202,6 @@ def generate_stimulus(mu: float, sigma: float, n: int, seed: int,
         problems.append(f"start_value must be 0 or 1, got {start_value!r}")
     if problems:
         raise ValueError("; ".join(problems))
-    return [SimEvent(time=t, net=net, value=value, seq=i) for i, (t, value)
-            in enumerate(zip(_stimulus_times(mu, sigma, n, seed),
-                             cycle((1 - start_value, start_value))))]
-
-
-def _stimulus_times(mu, sigma, n, seed) -> List[float]:
-    """Transition times of a train whose arguments pass _stimulus_problems."""
     if sigma == 0.0:
         times = [(i + 1) * mu for i in range(n)]
     else:
@@ -227,7 +220,8 @@ def _stimulus_times(mu, sigma, n, seed) -> List[float]:
             f"the train overflows the time range: transition {first + 1} "
             f"of {n} lands at {times[first]!r} (mu={mu!r}, "
             f"sigma={sigma!r})")
-    return times
+    return list(map(SimEvent, times, repeat(net),
+                    cycle((1 - start_value, start_value)), count()))
 
 
 def _is_bit(value) -> bool:
@@ -318,9 +312,8 @@ def validate_netlist(nl: Netlist) -> None:
 class _NetState:
     """One net during a run; `last` is the time of its latest change and
     a source's `feed` yields the heap entries of its train not yet
-    pushed.  Nets and gates (`fanout`, `a`/`b`/`out`) refer to each other
-    until run() cuts `fanout` and `feed` as it returns, so that reference
-    counting frees them; per-run results must not hang on them."""
+    pushed.  Nets, gates and pending entries refer to each other until
+    run() cuts them as it returns; per-run results must not hang on them."""
 
     __slots__ = ("name", "value", "last", "fanout", "feed")
 
@@ -412,12 +405,15 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
         spec = nl.stimuli[g.id]
         st = nets[g.output]
         try:
-            times = _stimulus_times(spec.mu, spec.sigma, spec.n_transitions,
-                                    spec.seed)
+            times = [ev.time for ev in generate_stimulus(
+                spec.mu, spec.sigma, spec.n_transitions, spec.seed,
+                net=g.output, start_value=st.value)]
         except ValueError as exc:
             # validate_netlist passed the spec, so its times overflow
             problems.append(f"stimulus for {g.id!r} is malformed: {exc}")
             continue
+        # keep only the times: the run then holds no SimEvent for the
+        # collector to walk
         st.feed = zip(times, count(seq), repeat(None), repeat(st),
                       cycle((1 - st.value, st.value)))
         seq += len(times)
@@ -478,8 +474,7 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             evaluate, table = gr.families[target]
             t_new = ref + evaluate(table, delta)
             pending = gr.pending
-            if pending is not None and pending[4] == target \
-                    and pending[0] == t_new:
+            if pending and pending[4] == target and pending[0] == t_new:
                 continue
             if t_new < t - _CAUSALITY_SLACK:
                 if pending is not None:
@@ -503,8 +498,10 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
             heappush(heap, entry)
             seq += 1
 
-    # cut the nets' cycles: reference counting then frees the run's state
+    # break the run's cycles, so that reference counting frees its state
     for st in nets.values():
+        for gr in st.fanout:
+            gr.pending = None
         st.fanout = st.feed = None
     # each event is recorded once, in changes; the per-net trace and
     # the transition counts are derived from it

@@ -483,15 +483,25 @@ class TestChain:
         assert 2 <= tracking.high_water < 10
 
     @pytest.mark.parametrize("sigma", [0.0, 3e-11])
-    def test_source_traces_match_generate_stimulus(self, sigma):
-        # run() draws its trains without building SimEvents; the times
-        # and values must stay those of the public generator
+    def test_source_traces_match_generate_stimulus(self, sigma,
+                                                   monkeypatch):
+        # run() takes each train from generate_stimulus, where perfbench
+        # traces the cost of drawing it, and keeps only its times; the
+        # times and values must stay those of the public generator
         nl = build_cross_coupled_chain(3, mu=5e-11, sigma=sigma,
                                        n_transitions=50, seed=6)
         nl.nets["i2"] = 1
         nl.nets.update({f"{rail}{k}": value for k, value in
                         ((1, 0), (2, 1), (3, 0)) for rail in "tb"})
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(kwargs["net"])
+            return generate_stimulus(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "generate_stimulus", recording)
         res = run(nl, LIB)
+        assert sorted(drawn) == ["i1", "i2"]
         for src, net in (("src_a", "i1"), ("src_b", "i2")):
             spec = nl.stimuli[src]
             train = generate_stimulus(spec.mu, spec.sigma,
@@ -499,17 +509,21 @@ class TestChain:
                                       net=net, start_value=nl.nets[net])
             assert res.trace[net] == [(e.time, e.value) for e in train]
 
-    def test_run_state_is_freed_and_holds_no_trace(self):
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_run_state_is_freed_and_holds_no_trace(self, cut):
         # a run's nets and gates refer to each other; what only the
         # cyclic collector frees lingers until its next pass, and each
         # full pass walks it, so run() must leave no such garbage, and
-        # no net or gate may hold on to a trace list
+        # no net or gate may hold on to a trace list.  A t_end at a
+        # source's change stops the run with the driven gate's output
+        # event pending.
         nl = build_cross_coupled_chain(3, mu=5e-11, sigma=3e-11,
                                        n_transitions=20, seed=2)
+        t_end = run(nl, LIB).trace["i1"][5][0] if cut else None
         gc.collect()
         gc.disable()
         try:
-            res = run(nl, LIB)
+            res = run(nl, LIB, t_end=t_end)
             for tr in res.trace.values():
                 referrers = gc.get_referrers(tr)
                 assert not any(isinstance(r, (sim._NetState, sim._GateRun))
