@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from .gates import CGateParams, NorGateParams, ParamError, _is_real
+from .gates import (_KIND_CLASSES, _LN2, CGateParams, NorGateParams,
+                    ParamError, _is_real)
 from .numerics import (DomainError, _branch_series, find_root_bracketed,
                        lambert_w_m1)
-
-_LN2 = math.log(2.0)
 
 # search window for the pull resistance; outside this range the gate is
 # not a gate worth modelling
@@ -74,7 +73,7 @@ def validate_measured(m: MeasuredDelays, kind: str) -> None:
     ordering checks are skipped for fields that already failed the
     structural ones.
     """
-    if kind not in ("nor2", "cgate"):
+    if kind not in _KIND_CLASSES:
         raise ValueError(f"unknown gate kind {kind!r}")
     problems: List[str] = []
     for name in _DELAY_FIELDS:

@@ -27,8 +27,8 @@ from .fileio import (SchemaError, _dumps, atomic_write, list_fixtures,
                      load_fixture, parse_measured, parse_netlist, parse_params,
                      serialize_params, serialize_stats, write_curve_csv,
                      write_vcd)
-from .gates import (DelayQuery, NorGateParams, ParamError, _output_family,
-                    cgate_delay, nor_delay)
+from .gates import (DelayQuery, NorGateParams, ParamError, _kind_of,
+                    _mis_scale, _output_family, cgate_delay, nor_delay)
 from .numerics import (ConvergenceError, DomainError, NoCrossingError,
                        NoSignChangeError, StepUnderflowError)
 from .sim import (CausalityError, LivelockError, NetlistError,
@@ -68,10 +68,6 @@ def _diagnostic(category: str, exc: BaseException) -> None:
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
-
-
-def _kind_of(params) -> str:
-    return "nor2" if isinstance(params, NorGateParams) else "cgate"
 
 
 def _closed_delay(params) -> Callable[[str, float], float]:
@@ -139,7 +135,7 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
 
 _EXACT_GRID = 25        # points per exact falling family
 _LINEAR_GRID = 21       # interior points per linearized family
-_ODE_FRACTIONS = (0.0, 0.5, 1.5)   # of the family breakpoint
+_ODE_FRACTIONS = (0.0, 0.5, 1.5)   # of the family's MIS scale
 
 
 def _verify_params(params) -> Dict[str, Dict[str, float]]:
@@ -173,8 +169,9 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
         integration = functools.cache(
             lambda d: delay_by_ode(kind, direction, d, params))
 
-        for family, sign, bp in ((fam_pos, 1.0, table.bp_plus),
-                                 (fam_neg, -1.0, table.bp_minus)):
+        scale = _mis_scale(table)   # the grids span the MIS region
+        for family, sign, bp in ((fam_pos, 1.0, scale[0]),
+                                 (fam_neg, -1.0, scale[1])):
             if is_exact:
                 grid = [sign * 2.0 * bp * i / (_EXACT_GRID - 1)
                         for i in range(_EXACT_GRID)]

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .characterize import MeasuredDelays
-from .gates import CGateParams, NorGateParams
+from .gates import _KIND_CLASSES, CGateParams, NorGateParams, _kind_of
 from .sim import Gate, Netlist, SimStats, StimulusSpec, _is_bit
 
 GateParams = Union[NorGateParams, CGateParams]
@@ -72,9 +72,8 @@ _MEASURED_FIELDS = (
 
 _METADATA_STRINGS = ("label", "technology")
 
-# document "kind" -> (dataclass, field map); both directions read it
-_KINDS = {"nor2": (NorGateParams, _NOR_FIELDS),
-          "cgate": (CGateParams, _CGATE_FIELDS)}
+# document "kind" -> field map; both directions read it
+_KINDS = {"nor2": _NOR_FIELDS, "cgate": _CGATE_FIELDS}
 
 
 class SchemaError(ValueError):
@@ -234,28 +233,23 @@ def _params_from_doc(doc: dict, path: str, strict: bool) -> GateParams:
     if kind not in _KINDS:
         raise SchemaError(_join(path, "kind"),
                           f"expected 'nor2' or 'cgate', got {kind!r}")
-    cls, field_map = _KINDS[kind]
-    fields = {attr: _number(doc, key, path) for key, attr in field_map}
-    if cls is CGateParams and "inverted" in doc:
+    fields = {attr: _number(doc, key, path) for key, attr in _KINDS[kind]}
+    if kind == "cgate" and "inverted" in doc:
         val = doc.pop("inverted")
         if not isinstance(val, bool):
             raise SchemaError(_join(path, "inverted"), "expected a boolean")
         fields["inverted"] = val
     _metadata_from_doc(doc.pop("metadata", {}), _join(path, "metadata"), strict)
     _no_leftovers(doc, path, strict)
-    return cls(**fields)
+    return _KIND_CLASSES[kind](**fields)
 
 
 def _params_to_doc(params: GateParams,
                    metadata: Mapping[str, object] = None) -> Dict[str, object]:
-    for kind, (cls, field_map) in _KINDS.items():
-        if isinstance(params, cls):
-            break
-    else:
-        raise TypeError(f"expected gate params, got {type(params).__name__}")
+    kind = _kind_of(params)
     doc: Dict[str, object] = {"kind": kind}
-    doc.update((key, getattr(params, attr)) for key, attr in field_map)
-    if cls is CGateParams and params.inverted:
+    doc.update((key, getattr(params, attr)) for key, attr in _KINDS[kind])
+    if kind == "cgate" and params.inverted:
         doc["inverted"] = True
     if metadata is not None:
         doc["metadata"] = _metadata_from_doc(dict(metadata), "metadata",

@@ -59,11 +59,16 @@ def _is_real(value) -> bool:
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
-def _check_float_range(name: str, value) -> None:
-    """ValueError for an int beyond the float range, which math.isnan and
-    float arithmetic meet with OverflowError; +-inf passes."""
-    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+def _check_time(name: str, value, nonnegative: bool = False) -> None:
+    """ValueError unless a separation or time is a float, or an int in
+    the float range, other than NaN (and with nonnegative, >= 0)."""
+    if not (isinstance(value, float) or _is_real(value)):
         raise ValueError(f"{name} must be a float, got {value!r}")
+    if nonnegative:
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+    elif value != value:
+        raise ValueError(f"{name} must not be NaN")
 
 
 def _check_fields(params, positive: Tuple[str, ...]) -> None:
@@ -178,6 +183,14 @@ class Breakpoints(NamedTuple):
 _DIRECTIONS = ("rising", "falling")
 
 
+def _is_rising(name: str, direction) -> bool:
+    """Whether direction is "rising"; ValueError unless it is a direction."""
+    if direction not in _DIRECTIONS:
+        raise ValueError(
+            f"{name} must be one of {_DIRECTIONS}, got {direction!r}")
+    return direction == "rising"
+
+
 @dataclass(frozen=True)
 class DelayQuery:
     """One delay lookup: output transition direction and input separation."""
@@ -186,18 +199,12 @@ class DelayQuery:
     delta: float
 
     def __post_init__(self) -> None:
+        # hot path: a direction and a plain float not NaN make no call
         if self.output_direction not in _DIRECTIONS:
-            raise ValueError(
-                f"output_direction must be one of {_DIRECTIONS}, "
-                f"got {self.output_direction!r}")
+            _is_rising("output_direction", self.output_direction)
         delta = self.delta
-        # a plain float passes the type and range checks by definition
-        if type(delta) is not float:
-            if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-                raise ValueError(f"delta must be a float, got {delta!r}")
-            _check_float_range("delta", delta)
-        if math.isnan(delta):
-            raise ValueError("delta must not be NaN")
+        if type(delta) is not float or delta != delta:
+            _check_time("delta", delta)
 
 
 def effective_caps(p: NorGateParams) -> EffectiveCaps:
@@ -235,6 +242,18 @@ def _extremal_delay(alpha_sum: float, r: float, r5: float, c: float) -> float:
     return -(alpha_sum / (2.0 * r)) * (1.0 + w)
 
 
+# gate kind, as netlists and parameter documents name it -> parameter class
+_KIND_CLASSES = {"nor2": NorGateParams, "cgate": CGateParams}
+
+
+def _kind_of(params) -> str:
+    """The gate kind of a parameter set; TypeError for anything else."""
+    for kind, cls in _KIND_CLASSES.items():
+        if isinstance(params, cls):
+            return kind
+    raise TypeError(f"expected gate params, got {type(params).__name__}")
+
+
 def _pair_rising(p: NorGateParams | CGateParams, rising: bool) -> bool:
     """Whether the input pair driving a rising (or falling) output rises."""
     # a NOR output rises on a falling pair, as an inverted C gate's does
@@ -269,8 +288,11 @@ class _Family(NamedTuple):
     d_minus_inf: float
     slope_pos: float    # alpha_a / (alpha_a + alpha_b)
     slope_neg: float
-    bp_plus: float
+    bp_plus: float      # reported breakpoints: where the delay clamps
     bp_minus: float
+    # MIS length scale (d0 - d(+-inf)) / slope; today the clamp sits there
+    bp0_plus: float
+    bp0_minus: float
 
 
 def _family(alpha_a: float, alpha_b: float, r: float, r5: float, c: float,
@@ -279,6 +301,8 @@ def _family(alpha_a: float, alpha_b: float, r: float, r5: float, c: float,
     d0 = _extremal_delay(asum, r, r5, c)
     d_inf = _extremal_delay(alpha_b, r, r5, c)
     d_minus_inf = _extremal_delay(alpha_a, r, r5, c)
+    bp0_plus = asum * (d0 - d_inf) / alpha_a
+    bp0_minus = asum * (d0 - d_minus_inf) / alpha_b
     return _Family(
         dmin=dmin,
         d0=d0,
@@ -286,9 +310,19 @@ def _family(alpha_a: float, alpha_b: float, r: float, r5: float, c: float,
         d_minus_inf=d_minus_inf,
         slope_pos=alpha_a / asum,
         slope_neg=alpha_b / asum,
-        bp_plus=asum * (d0 - d_inf) / alpha_a,
-        bp_minus=asum * (d0 - d_minus_inf) / alpha_b,
+        bp_plus=bp0_plus,
+        bp_minus=bp0_minus,
+        bp0_plus=bp0_plus,
+        bp0_minus=bp0_minus,
     )
+
+
+def _mis_scale(table) -> Tuple[float, float]:
+    """(plus, minus) length of a family's MIS region: a switch-on
+    family's bp0, the falling NOR family's breakpoints."""
+    if isinstance(table, _Family):
+        return table.bp0_plus, table.bp0_minus
+    return table.bp_plus, table.bp_minus
 
 
 def _family_delay(fam: _Family, delta: float) -> float:
@@ -383,26 +417,18 @@ def _output_family(p: NorGateParams | CGateParams, rising: bool):
     return _family_delay, _cgate_family(p, _pair_rising(p, rising))
 
 
-def _input_pair_family(p: CGateParams, input_direction: str) -> _Family:
-    if input_direction not in _DIRECTIONS:
-        raise ValueError(
-            f"input_direction must be one of {_DIRECTIONS}, "
-            f"got {input_direction!r}")
-    return _cgate_family(p, input_direction == "rising")
-
-
 def cgate_extremal(p: CGateParams, input_direction: str) -> ExtremalDelays:
     """C gate family extremals for a rising or falling input pair.
 
     The transport term delta_min is not included.
     """
-    fam = _input_pair_family(p, input_direction)
+    fam = _cgate_family(p, _is_rising("input_direction", input_direction))
     return ExtremalDelays(fam.d0, fam.d_inf, fam.d_minus_inf)
 
 
 def cgate_breakpoints(p: CGateParams, input_direction: str) -> Tuple[float, float]:
     """(plus, minus) |delta| values where this input pair's family clamps."""
-    fam = _input_pair_family(p, input_direction)
+    fam = _cgate_family(p, _is_rising("input_direction", input_direction))
     return fam.bp_plus, fam.bp_minus
 
 

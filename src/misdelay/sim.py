@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from itertools import count, cycle, repeat
 from typing import Dict, List, Optional, Tuple
 
-from .gates import (_FLOAT_MAX, CGateParams, NorGateParams,
-                    _check_float_range, _is_real, _output_family)
+from .gates import (_FLOAT_MAX, _KIND_CLASSES, _check_time, _is_real,
+                    _output_family)
 
-GATE_KINDS = ("nor2", "cgate", "input_source")
+GATE_KINDS = (*_KIND_CLASSES, "input_source")
 
 # scheduling below this slack of the causal bound is a model error, but
 # an ulp of drift from reassembling the same sum is not
@@ -363,9 +363,8 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
     part of the interface.  Each gate's delay tables are bound once at
     set-up, so an event costs the closed form's flops and heap work.
     """
-    _check_float_range("t_end", t_end)
-    if t_end is not None and math.isnan(t_end):
-        raise ValueError("t_end must not be NaN")
+    if t_end is not None:
+        _check_time("t_end", t_end)
     validate_netlist(nl)
     started = _time.perf_counter()
 
@@ -375,7 +374,7 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
         if g.kind == "input_source":
             continue
         params = library.get(g.params_ref)
-        want = NorGateParams if g.kind == "nor2" else CGateParams
+        want = _KIND_CLASSES[g.kind]
         if not isinstance(params, want):
             problems.append(f"gate {g.id}: parameter set {g.params_ref!r} "
                             f"missing or not a {want.__name__}")

@@ -18,9 +18,10 @@ trajectories, the implicit function and the inversion oracle call
 after it; the ODE right-hand side `_ode_rhs` reads the same table.
 
 The oracles share with the closed forms only the description of the
-gate: which input pair drives an output (`gates._pair_rising`), which
-transient coefficients and stack that pair engages
-(`gates._switch_on_pair`) and the divider-corrected loads
+gate and the argument checks: which parameter class each gate kind
+names (`gates._KIND_CLASSES`), which input pair drives an output
+(`gates._pair_rising`), which transient coefficients and stack that
+pair engages (`gates._switch_on_pair`) and the divider-corrected loads
 (`effective_caps`).  The crossing formulas and their solves stay
 independent: the closed forms use Lambert W and a linearization, the
 oracles bisect the chained trajectories or integrate the ODE.
@@ -47,8 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gates import (CGateParams, NorGateParams, _check_float_range,
-                    _pair_rising, _switch_on_pair, effective_caps)
+from .gates import (_KIND_CLASSES, _LN2, CGateParams, NorGateParams,
+                    _check_time, _is_rising, _pair_rising, _switch_on_pair,
+                    effective_caps)
 from .numerics import (
     DomainError,
     NoCrossingError,
@@ -109,9 +111,7 @@ class ModeSwitch:
     def __post_init__(self) -> None:
         if self.kind not in NOR_MODE_KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
-        _check_float_range("delta", self.delta)
-        if math.isnan(self.delta) or self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
+        _check_time("delta", self.delta, nonnegative=True)
 
 
 def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
@@ -129,11 +129,13 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     two_r = 2.0 * r
     tau = two_r * c_eff
     exp, log1p = math.exp, math.log1p
-    if math.isinf(delta):
-        # aged transistor fully settled: single-transient limit
-        a = fresh / two_r
+    settled = math.isinf(delta)
+    a = (fresh if settled else aged + fresh) / two_r
+    if settled or delta < 1e-6 * a:
+        # single-transient law: the aged transistor has fully settled,
+        # or it switched with the fresh one, where the exact form
+        # degenerates and loses all precision (its analytic limit)
         return lambda t: exp((-t + a * log1p(t / a)) / tau)
-    a = (aged + fresh) / two_r
     d = a + delta
     c_prime = fresh * delta / two_r
     # chi = d^2 - 4 c' >= (fresh/2R - delta)^2 >= 0; the stable
@@ -141,10 +143,6 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     ratio = 4.0 * c_prime / (d * d)
     if ratio > 1.0:
         raise DomainError(f"negative discriminant chi for delta={delta!r}")
-    if delta < 1e-6 * a:
-        # near-simultaneous switching, where the exact form degenerates
-        # and loses all precision: use its analytic limit
-        return lambda t: exp((-t + a * log1p(t / a)) / tau)
     sqrt_chi = d * math.sqrt(1.0 - ratio)
     chi = d * d - 4.0 * c_prime
     if sqrt_chi > 0.0:
@@ -209,9 +207,7 @@ def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> floa
     At t = +inf it is the mode's limit: the rail it drives to, or the
     held level.
     """
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    _check_float_range("t", t)
+    _check_time("t", t, nonnegative=True)
     law = _mode_law(params, ms.kind)
     v0 = _start_level(ms, law, v_dd)
     if law[0] == "hold":
@@ -239,19 +235,13 @@ def implicit_I(t: float, delta: float, params,
     gate parameters it selects the input-pair direction.  At t = +inf
     it is the limit, -1/2.
     """
-    _check_float_range("delta", delta)
-    if math.isnan(delta) or delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta!r}")
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    _check_float_range("t", t)
-    if input_direction not in ("rising", "falling"):
-        raise ValueError("input_direction must be rising or falling, "
-                         f"got {input_direction!r}")
-    if input_direction == "rising" and isinstance(params, NorGateParams):
+    _check_time("delta", delta, nonnegative=True)
+    _check_time("t", t, nonnegative=True)
+    pair_rising = _is_rising("input_direction", input_direction)
+    if pair_rising and isinstance(params, NorGateParams):
         raise ValueError("a NOR's switch-on pair is necessarily falling")
     _, aged, fresh, r, c_eff, _ = _mode_law(
-        params, _switch_on_kind(input_direction == "rising", delta))
+        params, _switch_on_kind(pair_rising, delta))
     if t == math.inf:
         return -0.5  # phi's limit, which its exponent (inf - inf) misses
     return _phi(aged, fresh, r, delta, c_eff)(t) - 0.5
@@ -268,23 +258,16 @@ def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
     The transport delay delta_min is included, matching nor_delay and
     cgate_delay conventions.
     """
-    _check_float_range("delta", delta)
-    if math.isnan(delta):
-        raise ValueError("delta must not be NaN")
-    if direction not in ("rising", "falling"):
-        raise ValueError(f"direction must be rising or falling, got {direction!r}")
-    if gate_kind == "nor2":
-        if not isinstance(params, NorGateParams):
-            raise TypeError("gate_kind nor2 needs NorGateParams")
-        if direction == "falling":
-            return _nor_fall_by_inversion(params, delta)
-    elif gate_kind == "cgate":
-        if not isinstance(params, CGateParams):
-            raise TypeError("gate_kind cgate needs CGateParams")
-    else:
+    _check_time("delta", delta)
+    rising = _is_rising("direction", direction)
+    cls = _KIND_CLASSES.get(gate_kind)
+    if cls is None:
         raise ValueError(f"unknown gate_kind {gate_kind!r}")
-    return _switch_on_by_inversion(
-        params, _pair_rising(params, direction == "rising"), delta)
+    if not isinstance(params, cls):
+        raise TypeError(f"gate_kind {gate_kind} needs {cls.__name__}")
+    if not rising and cls is NorGateParams:
+        return _nor_fall_by_inversion(params, delta)
+    return _switch_on_by_inversion(params, _pair_rising(params, rising), delta)
 
 
 def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
@@ -303,8 +286,8 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
             return exp(-t / tau1)
         return v_sep * exp(-(t - sep) / tau2)
 
-    hi = math.log(2.0) * tau1 * 1.0000001 if math.isinf(sep) else \
-        min(sep, math.log(2.0) * tau1) + 40.0 * tau2
+    hi = _LN2 * tau1 * 1.0000001 if math.isinf(sep) else \
+        min(sep, _LN2 * tau1) + 40.0 * tau2
     t_cross = bisect_threshold_crossing(traj, 0.5, 0.0, hi, _CROSSING_TOL)
     return t_cross + p.delta_min
 

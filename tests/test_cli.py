@@ -24,7 +24,8 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import DelayQuery, _output_family, cgate_delay, nor_delay
+from misdelay.gates import (DelayQuery, _mis_scale, _output_family,
+                            cgate_delay, nor_delay)
 from misdelay.sim import build_cross_coupled_chain
 
 L3_PATH = str(fixture_dir() / "nor15_l3.json")
@@ -413,9 +414,10 @@ class TestParserReuse:
 
 def _verify_points(table):
     """Every separation verify evaluates the closed form or an oracle
-    at for one direction, whichever family is exact."""
+    at for one direction, whichever family is exact; the grids scale
+    with the family's MIS length, as verify's do."""
     points = []
-    for sign, bp in ((1.0, table.bp_plus), (-1.0, table.bp_minus)):
+    for sign, bp in zip((1.0, -1.0), _mis_scale(table)):
         points += [sign * 2.0 * bp * i / (cli._EXACT_GRID - 1)
                    for i in range(cli._EXACT_GRID)]
         points += [0.0, sign * math.inf]

@@ -14,6 +14,8 @@ from misdelay.gates import (
     DelayQuery,
     NorGateParams,
     ParamError,
+    _cgate_family,
+    _nor_tables,
     cgate_breakpoints,
     cgate_delay,
     cgate_extremal,
@@ -22,6 +24,7 @@ from misdelay.gates import (
     nor_delay,
     nor_extremal_rising,
 )
+from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.numerics import DomainError
 from misdelay.trajectories import delay_by_inversion
 
@@ -274,6 +277,21 @@ class TestNorBreakpoints:
             asum * (ext.d0 - ext.d_minus_inf) / NOR_A.alpha2,
         )
         assert all(0.0 < bp < math.inf for bp in bps)
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_mis_length_is_the_reported_breakpoint(self, name):
+        # bp0, the MIS region's length, is where the switch-on families
+        # clamp today; a wider clamp changes this test and no other grid
+        p = load_fixture(name)
+        if isinstance(p, NorGateParams):
+            rise, bps = _nor_tables(p).rise, nor_breakpoints(p)
+            pairs = [(rise, (bps.up_plus, bps.up_minus))]
+        else:
+            pairs = [(_cgate_family(p, d == "rising"), cgate_breakpoints(p, d))
+                     for d in ("rising", "falling")]
+        for fam, reported in pairs:
+            assert (fam.bp0_plus.hex(), fam.bp0_minus.hex()) == \
+                tuple(bp.hex() for bp in reported)
 
     def test_continuity_at_every_breakpoint(self):
         bps = nor_breakpoints(NOR_A)

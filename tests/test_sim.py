@@ -18,11 +18,11 @@ from misdelay.gates import (
     CGateParams,
     DelayQuery,
     NorGateParams,
+    _cgate_family,
+    _mis_scale,
     _nor_tables,
     _output_family,
-    cgate_breakpoints,
     cgate_delay,
-    nor_breakpoints,
     nor_delay,
 )
 from misdelay.sim import (
@@ -575,11 +575,10 @@ class TestBoundPathMatchesClosedForms:
     def test_single_nor(self, rising, multiple):
         p = load_fixture("nor15_l3")
         assert p.r5 > 0.0 and p.delta_min > 0.0
-        bps = nor_breakpoints(p)
-        if rising:
-            bp = bps.up_plus if multiple >= 0 else bps.up_minus
-        else:
-            bp = bps.down_plus if multiple >= 0 else bps.down_minus
+        # multiples of the family's MIS length: the switch-on family's
+        # bp0, the falling family's breakpoints
+        bp_plus, bp_minus = _mis_scale(_output_family(p, rising)[1])
+        bp = bp_plus if multiple >= 0 else bp_minus
         t_a = T_FIRST
         t_b = T_FIRST + multiple * bp
         # a rising output needs both inputs falling from 1, a falling
@@ -600,10 +599,10 @@ class TestBoundPathMatchesClosedForms:
     def test_single_cgate(self, inverted, pair_rising, multiple):
         p = replace(load_fixture("cgate15_l3"), inverted=inverted)
         assert p.r5 > 0.0 and p.delta_min > 0.0
-        bp_plus, bp_minus = cgate_breakpoints(
-            p, "rising" if pair_rising else "falling")
+        fam = _cgate_family(p, pair_rising)
         t_a = T_FIRST
-        t_b = T_FIRST + multiple * (bp_plus if multiple >= 0 else bp_minus)
+        t_b = T_FIRST + multiple * (fam.bp0_plus if multiple >= 0
+                                    else fam.bp0_minus)
         level = 0 if pair_rising else 1
         out0 = (1 - level) if inverted else level
         nl = single_cgate(stim_a=StimulusSpec(t_a, 0.0, 1, 1),
@@ -616,11 +615,49 @@ class TestBoundPathMatchesClosedForms:
         assert res.trace["out"] == [(want, 1 - out0)]
 
 
+class TestSharedInputNet:
+    """A gate whose two inputs share one net sees both switch at once.
+
+    Each change of the net is then a double transition at delta = 0,
+    referenced to that change, so the output follows it by the family's
+    zero-separation delay.  The gaps are ten such delays, so that no
+    output is cancelled (cgate15_isolated's are ~0.1 us).
+    """
+
+    @pytest.mark.parametrize("name,inverted", [
+        ("nor15_l3", False), ("nor65_l5", False), ("cgate15_l3", False),
+        ("cgate15_l3", True), ("cgate15_isolated", False)])
+    def test_output_follows_each_change(self, name, inverted):
+        p = load_fixture(name)
+        nor = isinstance(p, NorGateParams)
+        if inverted:
+            p = replace(p, inverted=True)
+        delay = nor_delay if nor else cgate_delay
+        mu = 10.0 * max(delay(p, DelayQuery(d, 0.0))
+                        for d in ("rising", "falling"))
+        # the output level an input level drives
+        follow = (lambda v: 1 - v) if nor or inverted else (lambda v: v)
+        nl = Netlist(
+            gates=(Gate("s", "input_source", (), "x"),
+                   Gate("g", "nor2" if nor else "cgate", ("x", "x"), "out",
+                        "p")),
+            nets={"x": 0, "out": follow(0)},
+            stimuli={"s": StimulusSpec(mu, 0.0, 8, 5)})
+        res = run(nl, {"p": p})
+        assert len(res.trace["x"]) == 8
+        want = []
+        for t_in, v in res.trace["x"]:
+            level = follow(v)
+            direction = "rising" if level else "falling"
+            want.append((t_in + delay(p, DelayQuery(direction, 0.0)), level))
+        assert res.trace["out"] == want
+
+
 def _symmetry_chain(p, seed):
     # separations and gaps on the scale of the switch-on family, so the
     # trace runs through MIS windows, revisions and cancellations
     fam = _output_family(p, True)[1]
-    mu = 2.0 * (fam.d0 + max(fam.bp_plus, fam.bp_minus))
+    mu = 2.0 * (fam.d0 + max(fam.bp0_plus, fam.bp0_minus))
     return build_cross_coupled_chain(4, params_ref="g", mu=mu, sigma=mu,
                                      n_transitions=40, seed=seed)
 
@@ -734,6 +771,14 @@ class TestNetlistValidation:
         nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
         with pytest.raises(ValueError, match="^t_end must be a float"):
             run(nl, LIB, t_end=10 ** 400)
+
+    @pytest.mark.parametrize("t_end", [True, "1e-12"])
+    def test_t_end_bool_or_str_is_a_value_error(self, t_end):
+        # True is not a time of 1 s, and "1e-12" is not a number
+        nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))
+        with pytest.raises(ValueError) as info:
+            run(nl, LIB, t_end=t_end)
+        assert str(info.value) == f"t_end must be a float, got {t_end!r}"
 
     @pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
     def test_initial_value_is_an_int_bit(self, value):

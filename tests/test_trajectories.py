@@ -11,10 +11,10 @@ from misdelay.gates import (
     CGateParams,
     DelayQuery,
     NorGateParams,
+    _cgate_family,
+    _mis_scale,
     _output_family,
-    cgate_breakpoints,
     cgate_delay,
-    cgate_extremal,
     effective_caps,
     nor_breakpoints,
     nor_delay,
@@ -132,7 +132,8 @@ class TestEvalTrajectory:
 
 class TestIntBeyondFloatRange:
     """An int that float() cannot hold is a ValueError, not an
-    OverflowError, wherever a separation or a mode time is taken."""
+    OverflowError, wherever a separation or a mode time is taken; so is
+    a bool or a str, which are not numbers."""
 
     HUGE = 10 ** 400
 
@@ -149,6 +150,23 @@ class TestIntBeyondFloatRange:
     def test_value_error(self, name, call):
         with pytest.raises(ValueError, match=f"^{name} must be a float, got "):
             call(self.HUGE)
+
+    @pytest.mark.parametrize("value", [True, "1e-12"])
+    @pytest.mark.parametrize("name,call", [
+        ("delta", lambda v: ModeSwitch("10->11", v)),
+        ("delta", lambda v: implicit_I(1e-12, v, NOR_A)),
+        ("t", lambda v: implicit_I(v, 1e-12, NOR_A)),
+        ("t", lambda v: eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A, v)),
+        ("t", lambda v: eval_trajectory(ModeSwitch("00->10"), NOR_A, v)),
+        ("delta", lambda v: delay_by_inversion("nor2", "rising", v, NOR_A)),
+        ("delta", lambda v: delay_by_inversion("nor2", "falling", v, NOR_A)),
+        ("delta", lambda v: delay_by_ode("cgate", "rising", v, CG_W3)),
+    ])
+    def test_bool_and_str_are_value_errors(self, name, call, value):
+        # True is not a separation of 1 s, and "1e-12" is not a number
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be a float, got {value!r}"
 
     def test_infinite_separations_stay_valid(self):
         assert ModeSwitch("10->11", math.inf).delta == math.inf
@@ -261,13 +279,13 @@ class TestInversionOracle:
     def test_rising_interpolation_envelope(self, p):
         # the closed form is the oracle's tangent at delta = 0, clamped
         # where it meets the single-input limit; the oracle lies above it
-        # for 0 < |delta| <= bp, so the worst deviation sits at the
-        # breakpoint and stays inside the recorded 5% envelope for these
+        # for 0 < |delta| <= bp0, so the worst deviation sits at the MIS
+        # length bp0 and stays inside the recorded 5% envelope for these
         # two gates
-        bps = nor_breakpoints(p)
+        bp_plus, bp_minus = _mis_scale(_output_family(p, True)[1])
         worst = 0.0
         for i in range(1, 51):
-            for delta in (i / 50.0 * bps.up_plus, -i / 50.0 * bps.up_minus):
+            for delta in (i / 50.0 * bp_plus, -i / 50.0 * bp_minus):
                 closed = nor_delay(p, DelayQuery("rising", delta))
                 inverted = delay_by_inversion("nor2", "rising", delta, p)
                 worst = max(worst, abs(closed - inverted) / inverted)
@@ -288,13 +306,8 @@ class TestInversionOracle:
         for p, bound in ((CG_ISO, 0.27), (CG_W3, 0.065)):
             worst = 0.0
             for direction in ("rising", "falling"):
-                ext = cgate_extremal(p, direction)
-                first, second = ((p.alpha1, p.alpha2)
-                                 if direction == "rising"
-                                 else (p.alpha4, p.alpha3))
-                asum = first + second
-                bp_plus = asum * (ext.d0 - ext.d_inf) / first
-                bp_minus = asum * (ext.d0 - ext.d_minus_inf) / second
+                bp_plus, bp_minus = _mis_scale(
+                    _cgate_family(p, direction == "rising"))
                 for i in range(1, 26):
                     for delta in (i / 25.0 * bp_plus, -i / 25.0 * bp_minus):
                         closed = cgate_delay(p, DelayQuery(direction, delta))
@@ -318,7 +331,8 @@ class TestInversionOracle:
         inv = replace(base, inverted=True)
         for direction, other in (("rising", "falling"),
                                  ("falling", "rising")):
-            bp_plus, bp_minus = cgate_breakpoints(base, other)
+            bp_plus, bp_minus = _mis_scale(
+                _cgate_family(base, other == "rising"))
             for delta in (0.0, 0.5 * bp_plus, -0.5 * bp_minus,
                           1.5 * bp_plus, -1.5 * bp_minus,
                           math.inf, -math.inf):
@@ -477,10 +491,10 @@ class TestOdeEarlyStop:
 
     @staticmethod
     def _grid(p, direction):
-        table = _output_family(p, direction == "rising")[1]
-        return (0.0, -0.0, 0.5 * table.bp_plus, -0.5 * table.bp_minus,
-                1.5 * table.bp_plus, -1.5 * table.bp_minus,
-                math.inf, -math.inf)
+        bp_plus, bp_minus = _mis_scale(
+            _output_family(p, direction == "rising")[1])
+        return (0.0, -0.0, 0.5 * bp_plus, -0.5 * bp_minus,
+                1.5 * bp_plus, -1.5 * bp_minus, math.inf, -math.inf)
 
     @pytest.mark.parametrize("name", list_fixtures())
     def test_matches_full_horizon(self, name):
@@ -520,7 +534,7 @@ class TestTrajectoryLayerPinned:
 
     eval_trajectory over all mode kinds, implicit_I over both C-gate
     pair directions and delay_by_inversion from 1e-9 to 40 times each
-    fixture's largest breakpoint: a refactor of this layer must leave
+    fixture's largest MIS length: a refactor of this layer must leave
     every one bit-identical.
     """
 
@@ -531,8 +545,8 @@ class TestTrajectoryLayerPinned:
     def _outputs(self, p):
         nor = isinstance(p, NorGateParams)
         kind = "nor2" if nor else "cgate"
-        bp = max(max(t.bp_plus, t.bp_minus)
-                 for t in (_output_family(p, r)[1] for r in (False, True)))
+        bp = max(max(_mis_scale(_output_family(p, r)[1]))
+                 for r in (False, True))
         scale = delay_by_inversion(kind, "rising", 0.0, p) - p.delta_min
         ts = tuple(m * scale for m in (0.0, 0.1, 0.5, 1.0, 3.0))
         # 1e-8 sits in the near-simultaneous limit branch, 1e-3 above it
