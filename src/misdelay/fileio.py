@@ -26,8 +26,8 @@ from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .characterize import MeasuredDelays
-from .gates import _KIND_CLASSES, CGateParams, NorGateParams, _kind_of
+from .characterize import _DELAY_FIELDS, MeasuredDelays
+from .gates import _KIND_CLASSES, CGateParams, NorGateParams, _is_int, _kind_of
 from .sim import Gate, Netlist, SimStats, StimulusSpec, _is_bit
 
 GateParams = Union[NorGateParams, CGateParams]
@@ -61,14 +61,7 @@ _CGATE_FIELDS = (
     ("delta_min_s", "delta_min"),
 )
 
-_MEASURED_FIELDS = (
-    ("d_down_minus_inf_s", "d_down_minus_inf"),
-    ("d_down_zero_s", "d_down_zero"),
-    ("d_down_inf_s", "d_down_inf"),
-    ("d_up_minus_inf_s", "d_up_minus_inf"),
-    ("d_up_zero_s", "d_up_zero"),
-    ("d_up_inf_s", "d_up_inf"),
-)
+_MEASURED_FIELDS = tuple((f"{name}_s", name) for name in _DELAY_FIELDS)
 
 _METADATA_STRINGS = ("label", "technology")
 
@@ -142,7 +135,7 @@ def _number(obj: dict, key: str, path: str) -> float:
 
 def _integer(obj: dict, key: str, path: str) -> int:
     val = _pop(obj, key, path)
-    if isinstance(val, bool) or not isinstance(val, int):
+    if not _is_int(val):
         raise SchemaError(_join(path, key), "expected an integer")
     return val
 

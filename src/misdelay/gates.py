@@ -59,6 +59,11 @@ def _is_real(value) -> bool:
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
+def _is_int(value) -> bool:
+    """An int; a bool is a flag, not an integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_time(name: str, value, nonnegative: bool = False) -> None:
     """ValueError unless a separation or time is a float, or an int in
     the float range, other than NaN (and with nonnegative, >= 0)."""

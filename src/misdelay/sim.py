@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from itertools import count, cycle, repeat
 from typing import Dict, List, Optional, Tuple
 
-from .gates import (_FLOAT_MAX, _KIND_CLASSES, _check_time, _is_real,
-                    _output_family)
+from .gates import (_FLOAT_MAX, _KIND_CLASSES, _check_time, _is_int,
+                    _is_real, _output_family)
 
 GATE_KINDS = (*_KIND_CLASSES, "input_source")
 
@@ -141,7 +141,7 @@ class Xoshiro256StarStar:
     """Deterministic 64-bit RNG; identical streams on every platform."""
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _is_int(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         gen = _splitmix64(seed & _MASK64)
         self._s = [next(gen) for _ in range(4)]
@@ -183,9 +183,9 @@ def _stimulus_problems(mu, sigma, n, seed) -> List[str]:
         problems.append(f"mu must be a finite positive time, got {mu!r}")
     if not (_is_real(sigma) and sigma >= 0.0):
         problems.append(f"sigma must be finite and non-negative, got {sigma!r}")
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         problems.append(f"n must be a positive count, got {n!r}")
-    if not (isinstance(seed, int) and not isinstance(seed, bool)):
+    if not _is_int(seed):
         problems.append(f"seed must be an integer, got {seed!r}")
     return problems
 
@@ -523,8 +523,7 @@ def build_cross_coupled_chain(n_stages: int, params_ref: str = "nor",
     and the opposite-rail output second; with n_transitions = 0 the
     sources stay quiet.
     """
-    if not isinstance(n_stages, int) or isinstance(n_stages, bool) \
-            or n_stages < 1:
+    if not (_is_int(n_stages) and n_stages >= 1):
         raise ValueError(f"n_stages must be a positive count, got {n_stages!r}")
     nets: Dict[str, int] = {"i1": 0, "i2": 0}
     gates: List[Gate] = [

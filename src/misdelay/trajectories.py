@@ -35,9 +35,9 @@ exact-divider ODE with the same coefficients therefore integrates a
 different gate, and its gap to the constant-divider delays measures
 that difference, not an approximation error.
 
-Voltages are ratiometric: the supply defaults to 1.0 and the switching
-threshold is half the supply, so delays are independent of the chosen
-scale.  Mode kinds name the input-state transition, e.g. "01->00"
+Voltages are ratiometric: the supply is 1 and the switching threshold
+is 1/2, so delays are independent of the supply; there is no supply
+argument.  Mode kinds name the input-state transition, e.g. "01->00"
 means input A was already low and input B falls now.  ModeSwitch.delta
 is the nonnegative separation between the two input transitions of a
 double transition; the order is carried by the kind itself.
@@ -49,8 +49,8 @@ import math
 from dataclasses import dataclass
 
 from .gates import (_KIND_CLASSES, _LN2, CGateParams, NorGateParams,
-                    _check_time, _is_rising, _pair_rising, _switch_on_pair,
-                    effective_caps)
+                    _check_time, _is_real, _is_rising, _pair_rising,
+                    _switch_on_pair, effective_caps)
 from .numerics import (
     DomainError,
     NoCrossingError,
@@ -86,8 +86,10 @@ _A_FIRST = {"10->11", "01->00"}       # input A switched first
 # supply for any realistic parameter set
 _T_EPS = 1e-18
 
-# bracket width at which the oracles stop bisecting a crossing
+# bracket width at which the oracles stop bisecting a crossing, and the
+# step-size tolerance of the ODE oracle
 _CROSSING_TOL = Tolerance(abs=1e-17)
+_ODE_TOL = Tolerance(rel=1e-10, abs=1e-13)
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,9 @@ class ModeSwitch:
         double transition (nonnegative; +inf means the first input
         switched in the unbounded past).  Ignored for single
         transitions out of a settled state.
-    initial_v: output voltage when the mode begins; None selects the
-        natural steady level (supply for discharging modes, 0 for the
-        drive-up modes).
+    initial_v: output voltage when the mode begins, a finite number in
+        units of the supply; None selects the natural steady level
+        (1 for discharging modes, 0 for the drive-up modes).
     """
 
     kind: str
@@ -112,6 +114,9 @@ class ModeSwitch:
         if self.kind not in NOR_MODE_KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         _check_time("delta", self.delta, nonnegative=True)
+        if not (self.initial_v is None or _is_real(self.initial_v)):
+            raise ValueError("initial_v must be None or a finite number, "
+                             f"got {self.initial_v!r}")
 
 
 def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
@@ -194,14 +199,14 @@ def _switch_on_kind(pair_rising: bool, delta: float) -> str:
     return "01->00" if delta >= 0.0 else "10->00"
 
 
-def _start_level(ms: ModeSwitch, law, v_dd: float) -> float:
+def _start_level(ms: ModeSwitch, law) -> float:
     # initial_v, or the natural level: the rail the mode drives away from
     if ms.initial_v is not None:
         return ms.initial_v
-    return 0.0 if law[0] == "dual" and law[-1] else v_dd
+    return 0.0 if law[0] == "dual" and law[-1] else 1.0
 
 
-def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> float:
+def eval_trajectory(ms: ModeSwitch, params, t: float) -> float:
     """Closed-form output voltage of one mode, t seconds after its start.
 
     At t = +inf it is the mode's limit: the rail it drives to, or the
@@ -209,7 +214,7 @@ def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> floa
     """
     _check_time("t", t, nonnegative=True)
     law = _mode_law(params, ms.kind)
-    v0 = _start_level(ms, law, v_dd)
+    v0 = _start_level(ms, law)
     if law[0] == "hold":
         return v0
     if law[0] == "exp":
@@ -219,7 +224,7 @@ def eval_trajectory(ms: ModeSwitch, params, t: float, v_dd: float = 1.0) -> floa
     # phi's exponent is inf - inf at t = +inf, where its limit is 0
     phi = 0.0 if t == math.inf else _phi(aged, fresh, r, ms.delta,
                                           c_eff)(t)
-    return v_dd + (v0 - v_dd) * phi if up else v0 * phi
+    return 1.0 + (v0 - 1.0) * phi if up else v0 * phi
 
 
 def implicit_I(t: float, delta: float, params,
@@ -342,7 +347,7 @@ class PiecewiseSolution:
         return sol(sol.t0)
 
 
-def _ode_rhs(params, kind: str, delta: float, exact_f: bool, v_dd: float):
+def _ode_rhs(params, kind: str, delta: float, exact_f: bool):
     """Right-hand side dv/dt = f(s) * (drive - v) / (C * rg(s)) for one mode.
 
     s is local mode time.  Returns None for non-conducting modes.
@@ -357,7 +362,7 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool, v_dd: float):
         tau = c * (r5 + law[1])
         return lambda s, v: (0.0 - v) / tau
     _, aged, fresh, r, _, up = law
-    drive = v_dd if up else 0.0
+    drive = 1.0 if up else 0.0
     r_series = 2.0 * r
     if exact_f:
         def rhs(s: float, v: float) -> float:
@@ -375,8 +380,7 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool, v_dd: float):
 
 
 def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
-                       v_dd: float = 1.0,
-                       tol: Tolerance = Tolerance(rel=1e-10, abs=1e-13),
+                       tol: Tolerance = _ODE_TOL,
                        stop_past: float | None = None) -> PiecewiseSolution:
     """Numerically integrate the output through a sequence of modes.
 
@@ -401,14 +405,14 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
         raise ValueError(
             f"t_end={t_end!r} must be finite and reach the last mode")
 
-    v = v_start = _start_level(modes[0], _mode_law(params, modes[0].kind), v_dd)
+    v = v_start = _start_level(modes[0], _mode_law(params, modes[0].kind))
     segments: list[tuple[float, OdeSolution]] = []
     for i, ms in enumerate(modes):
         if stop_past is not None and (v < stop_past < v_start
                                       or v_start < stop_past < v):
             break
         seg_end = (starts[i + 1] if i + 1 < len(modes) else t_end) - starts[i]
-        rhs = _ode_rhs(params, ms.kind, ms.delta, exact_f, v_dd)
+        rhs = _ode_rhs(params, ms.kind, ms.delta, exact_f)
         if rhs is None:
             # non-conducting mode: hold v
             sol = OdeSolution([0.0, seg_end], [v, v], [0.0, 0.0])
@@ -420,8 +424,7 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
 
 
 def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
-                 exact_f: bool = True,
-                 tol: Tolerance = Tolerance(rel=1e-10, abs=1e-13)) -> float:
+                 exact_f: bool = True, tol: Tolerance = _ODE_TOL) -> float:
     """Oracle delay from full ODE integration of the canonical mode chain.
 
     Reference conventions and delta_min handling match
@@ -441,22 +444,19 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     sep = abs(delta)
 
     if gate_kind == "nor2" and direction == "falling":
-        if delta >= 0.0:
-            chain = ["00->10", "10->11"]
-        else:
-            chain = ["00->01", "01->11"]
+        chain = ("00->10", "10->11") if delta >= 0.0 else ("00->01", "01->11")
         if math.isinf(sep):
             modes = [ModeSwitch(chain[0], delta=math.inf)]
         elif sep == 0.0:
-            modes = [ModeSwitch(chain[1], delta=0.0, initial_v=1.0)]
+            modes = [ModeSwitch(chain[1])]
         else:
             modes = [ModeSwitch(chain[0]), ModeSwitch(chain[1], delta=sep)]
-        t_end = (0.0 if math.isinf(sep) else sep) + horizon
     else:
-        # the mode starts at its natural level, the rail it drives away from
         pair_rising = _pair_rising(params, direction == "rising")
         modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
-        t_end = horizon
+    # each chain starts at its natural level, the rail it drives away from
+    last = sum(ms.delta for ms in modes[1:])
+    t_end = last + horizon
 
     sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f, tol=tol,
                              stop_past=0.5)
@@ -466,7 +466,6 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     # ends at its first node past 0.5 and reads that value beyond, so
     # each probe has the sign the run to t_end gives it, and the window
     # is that run's: its last node lands on the last mode's end
-    last = sum(ms.delta for ms in modes[1:])
     t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, last + (t_end - last),
                                         _CROSSING_TOL)
     return t_cross + params.delta_min

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import (CG_ISO, CG_W3, NOR_A, NOR_B, cgate_params, measured_from,
+                     nor_params)
 from misdelay import characterize
 from misdelay.characterize import (
     InvalidMeasurementsError,
@@ -31,51 +33,8 @@ from misdelay.numerics import DomainError
 
 LN2 = math.log(2.0)
 
-NOR_A = NorGateParams(r_n_a=2193.6, r_n_b=2011.0, r=1277.1,
-                      alpha1=1.078e-9, alpha2=0.5102e-9,
-                      c_load=1.2831e-15, r5=399.41, delta_min=4.32e-12)
-NOR_B = NorGateParams(r_n_a=2900.0, r_n_b=2749.3, r=2054.5,
-                      alpha1=1.479e-9, alpha2=0.8441e-9,
-                      c_load=1.2831e-15, r5=360.49, delta_min=5.08e-12)
-CG_ISO = CGateParams(r_n=2142.0, r_p=2321.5,
-                     alpha1=2.1472, alpha2=1.1303,
-                     alpha3=1.5549, alpha4=1.8403,
-                     c_load=2.6331e-15, r5=0.0, delta_min=1.77e-12)
-CG_W3 = CGateParams(r_n=964.76, r_p=1146.0,
-                    alpha1=645.48e-12, alpha2=264.94e-12,
-                    alpha3=255.59e-12, alpha4=406.81e-12,
-                    c_load=2.6331e-15, r5=545.49, delta_min=1.7e-12)
-
 NOR_FIELDS = ("r_n_a", "r_n_b", "r", "alpha1", "alpha2", "r5")
 CG_FIELDS = ("r_n", "r_p", "alpha1", "alpha2", "alpha3", "alpha4")
-
-
-def nor_measured(p, **overrides):
-    def f(d, x):
-        return nor_delay(p, DelayQuery(d, x))
-    fields = dict(d_down_minus_inf=f("falling", -math.inf),
-                  d_down_zero=f("falling", 0.0),
-                  d_down_inf=f("falling", math.inf),
-                  d_up_minus_inf=f("rising", -math.inf),
-                  d_up_zero=f("rising", 0.0),
-                  d_up_inf=f("rising", math.inf),
-                  delta_min=p.delta_min, c_chosen=p.c_load)
-    fields.update(overrides)
-    return MeasuredDelays(**fields)
-
-
-def cgate_measured(p, **overrides):
-    def f(d, x):
-        return cgate_delay(p, DelayQuery(d, x))
-    fields = dict(d_down_minus_inf=f("falling", -math.inf),
-                  d_down_zero=f("falling", 0.0),
-                  d_down_inf=f("falling", math.inf),
-                  d_up_minus_inf=f("rising", -math.inf),
-                  d_up_zero=f("rising", 0.0),
-                  d_up_inf=f("rising", math.inf),
-                  delta_min=p.delta_min, c_chosen=p.c_load)
-    fields.update(overrides)
-    return MeasuredDelays(**fields)
 
 
 def transient_crossing(alpha, r, r5, c):
@@ -126,11 +85,11 @@ class TestAlphaInverse:
 
 class TestValidation:
     def test_accepts_consistent_measurements(self):
-        validate_measured(nor_measured(NOR_A), "nor2")
-        validate_measured(cgate_measured(CG_W3), "cgate")
+        validate_measured(measured_from(NOR_A), "nor2")
+        validate_measured(measured_from(CG_W3), "cgate")
 
     def test_reports_every_ordering_violation(self):
-        m = nor_measured(NOR_A)
+        m = measured_from(NOR_A)
         bad = MeasuredDelays(m.d_down_zero, m.d_down_inf, m.d_down_zero,
                              m.d_up_zero, m.d_up_inf, m.d_up_minus_inf,
                              m.delta_min, m.c_chosen)
@@ -139,26 +98,26 @@ class TestValidation:
         assert len(exc.value.problems) == 4
 
     def test_structural_problems_silence_ordering_checks(self):
-        m = nor_measured(NOR_A, d_up_zero=math.nan)
+        m = measured_from(NOR_A, d_up_zero=math.nan)
         with pytest.raises(InvalidMeasurementsError) as exc:
             validate_measured(m, "nor2")
         assert len(exc.value.problems) == 1
         assert "d_up_zero" in exc.value.problems[0]
 
     def test_delays_must_exceed_offset(self):
-        m = nor_measured(NOR_A, delta_min=1.0)
+        m = measured_from(NOR_A, delta_min=1.0)
         with pytest.raises(InvalidMeasurementsError) as exc:
             validate_measured(m, "nor2")
         assert sum("delta_min" in p for p in exc.value.problems) >= 6
 
     def test_cgate_down_family_peaks_at_zero(self):
-        m = cgate_measured(CG_W3)
+        m = measured_from(CG_W3)
         bad = replace(m, d_down_zero=0.5 * m.d_down_inf)
         with pytest.raises(InvalidMeasurementsError):
             validate_measured(bad, "cgate")
 
     def test_bools_are_not_numbers(self):
-        m = nor_measured(NOR_A)
+        m = measured_from(NOR_A)
         for name in ("d_up_zero", "c_chosen", "delta_min"):
             with pytest.raises(InvalidMeasurementsError, match=name):
                 validate_measured(replace(m, **{name: True}), "nor2")
@@ -178,7 +137,7 @@ class TestValidation:
                      (1e-11, 1e3, 0.0, -huge)):
             with pytest.raises(DomainError):
                 alpha_from_extremal_delay(*args)
-        m = nor_measured(NOR_A)
+        m = measured_from(NOR_A)
         for name in ("d_up_zero", "c_chosen", "delta_min"):
             with pytest.raises(InvalidMeasurementsError,
                                match=f"{name} must be (a )?finite"):
@@ -188,13 +147,13 @@ class TestValidation:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            validate_measured(nor_measured(NOR_A), "nand2")
+            validate_measured(measured_from(NOR_A), "nand2")
 
 
 class TestNorRoundTrip:
     @pytest.mark.parametrize("p", [NOR_A, NOR_B], ids=["l3", "l15"])
     def test_recovers_parameters(self, p):
-        rec = characterize_nor(nor_measured(p))
+        rec = characterize_nor(measured_from(p))
         for name in NOR_FIELDS:
             assert math.isclose(getattr(rec, name), getattr(p, name),
                                 rel_tol=1e-12)
@@ -202,19 +161,19 @@ class TestNorRoundTrip:
         assert rec.c_load == p.c_load
 
     def test_known_pull_resistance(self):
-        rec = characterize_nor(nor_measured(NOR_A))
+        rec = characterize_nor(measured_from(NOR_A))
         assert rec.r == pytest.approx(1277.1, rel=1e-12)
 
     def test_zero_interconnect_recovered_exactly(self):
         p = replace(NOR_A, r5=0.0)
-        rec = characterize_nor(nor_measured(p))
+        rec = characterize_nor(measured_from(p))
         assert rec.r5 == 0.0
         assert math.isclose(rec.r, p.r, rel_tol=1e-12)
 
     def test_capacitance_choice_rescales_but_preserves_delays(self):
         # measured delays fix only R*C products; a different chosen C
         # must give a different parameterization of the same behaviour
-        m = nor_measured(NOR_A)
+        m = measured_from(NOR_A)
         rec = characterize_nor(replace(m, c_chosen=10.0 * m.c_chosen))
         assert math.isclose(rec.r, NOR_A.r / 10.0, rel_tol=1e-9)
         for d in ("falling", "rising"):
@@ -224,7 +183,7 @@ class TestNorRoundTrip:
                 assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_inconsistent_rising_triple(self):
-        m = nor_measured(NOR_A,
+        m = measured_from(NOR_A,
                          d_up_zero=2e-10 + NOR_A.delta_min,
                          d_up_inf=2e-12 + NOR_A.delta_min,
                          d_up_minus_inf=2e-12 + NOR_A.delta_min)
@@ -232,7 +191,7 @@ class TestNorRoundTrip:
             characterize_nor(m)
 
     def test_delay_under_rc_floor(self):
-        m = nor_measured(NOR_A, d_up_inf=3e-13 + NOR_A.delta_min)
+        m = measured_from(NOR_A, d_up_inf=3e-13 + NOR_A.delta_min)
         with pytest.raises(InvalidMeasurementsError,
                            match="no admissible pull resistance"):
             characterize_nor(m)
@@ -240,7 +199,7 @@ class TestNorRoundTrip:
 
 class TestCGateRoundTrip:
     def test_recovers_interconnected_gate(self):
-        rec = characterize_cgate(cgate_measured(CG_W3), r5_choice=CG_W3.r5)
+        rec = characterize_cgate(measured_from(CG_W3), r5_choice=CG_W3.r5)
         for name in CG_FIELDS:
             assert math.isclose(getattr(rec, name), getattr(CG_W3, name),
                                 rel_tol=1e-12)
@@ -249,7 +208,7 @@ class TestCGateRoundTrip:
         # transient coefficients orders of magnitude above the RC scale
         # push the crossing solve right up against the W branch point;
         # recovery must survive that regime
-        rec = characterize_cgate(cgate_measured(CG_ISO), r5_choice=0.0)
+        rec = characterize_cgate(measured_from(CG_ISO), r5_choice=0.0)
         for name in CG_FIELDS:
             assert math.isclose(getattr(rec, name), getattr(CG_ISO, name),
                                 rel_tol=1e-6)
@@ -260,7 +219,7 @@ class TestCGateRoundTrip:
                 assert math.isclose(a, b, rel_tol=1e-9)
 
     def test_interconnect_share_is_free(self):
-        m = cgate_measured(CG_W3)
+        m = measured_from(CG_W3)
         nominal = characterize_cgate(m, r5_choice=CG_W3.r5)
         lumped = characterize_cgate(m, r5_choice=0.0)
         assert lumped.r_n > nominal.r_n
@@ -272,7 +231,7 @@ class TestCGateRoundTrip:
 
     def test_inverted_gate_swaps_families(self):
         p = replace(CG_W3, inverted=True)
-        rec = characterize_cgate(cgate_measured(p), r5_choice=p.r5,
+        rec = characterize_cgate(measured_from(p), r5_choice=p.r5,
                                  inverted=True)
         assert rec.inverted
         for name in CG_FIELDS:
@@ -280,14 +239,14 @@ class TestCGateRoundTrip:
                                 rel_tol=1e-12)
 
     def test_r5_choice_domain(self):
-        m = cgate_measured(CG_W3)
+        m = measured_from(CG_W3)
         with pytest.raises(ParamError):
             characterize_cgate(m, r5_choice=-1.0)
         with pytest.raises(ParamError, match="below"):
             characterize_cgate(m, r5_choice=1e9)
 
     def test_flag_arguments_checked_before_any_solve(self):
-        m = cgate_measured(CG_W3)
+        m = measured_from(CG_W3)
         for kwargs in ({"r5_choice": True}, {"r5_choice": False},
                        {"inverted": 1}, {"inverted": None}):
             calls = _solve_calls(
@@ -296,37 +255,11 @@ class TestCGateRoundTrip:
             assert calls == []
 
 
-nor_params = st.builds(
-    NorGateParams,
-    r_n_a=st.floats(500.0, 8000.0),
-    r_n_b=st.floats(500.0, 8000.0),
-    r=st.floats(300.0, 2500.0),
-    alpha1=st.floats(5e-10, 1e-8),
-    alpha2=st.floats(5e-10, 1e-8),
-    c_load=st.floats(5e-16, 2.5e-15),
-    r5=st.floats(0.0, 800.0),
-    delta_min=st.floats(0.0, 1e-11),
-)
-
-cgate_params = st.builds(
-    CGateParams,
-    r_n=st.floats(300.0, 2500.0),
-    r_p=st.floats(300.0, 2500.0),
-    alpha1=st.floats(5e-10, 1e-8),
-    alpha2=st.floats(5e-10, 1e-8),
-    alpha3=st.floats(5e-10, 1e-8),
-    alpha4=st.floats(5e-10, 1e-8),
-    c_load=st.floats(5e-16, 2.5e-15),
-    r5=st.floats(0.0, 800.0),
-    delta_min=st.floats(0.0, 1e-11),
-)
-
-
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(nor_params)
     def test_nor_parameter_recovery(self, p):
-        rec = characterize_nor(nor_measured(p))
+        rec = characterize_nor(measured_from(p))
         for name in NOR_FIELDS:
             assert math.isclose(getattr(rec, name), getattr(p, name),
                                 rel_tol=1e-6, abs_tol=1e-9)
@@ -334,7 +267,7 @@ class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(cgate_params)
     def test_cgate_delay_recovery(self, p):
-        rec = characterize_cgate(cgate_measured(p), r5_choice=float(p.r5))
+        rec = characterize_cgate(measured_from(p), r5_choice=float(p.r5))
         for d in ("falling", "rising"):
             for x in (0.0, math.inf, -math.inf):
                 a = cgate_delay(p, DelayQuery(d, x))
@@ -411,9 +344,9 @@ class TestFitBytesPinned:
         p = load_fixture(name)
         want = FIT_SHA256[name]
         if isinstance(p, NorGateParams):
-            assert _sha256(characterize_nor(nor_measured(p))) == want
+            assert _sha256(characterize_nor(measured_from(p))) == want
             return
-        m = cgate_measured(p)
+        m = measured_from(p)
         got = tuple(_sha256(characterize_cgate(m, r5, inverted=p.inverted))
                     for r5 in (0.0, p.r5))
         assert got == want
@@ -425,8 +358,8 @@ class TestFitBytesPinned:
 def _fit(p):
     """Fit p from its own six extremal delays; C gates at r5_choice = 0."""
     if isinstance(p, NorGateParams):
-        return characterize_nor(nor_measured(p))
-    return characterize_cgate(cgate_measured(p), inverted=p.inverted)
+        return characterize_nor(measured_from(p))
+    return characterize_cgate(measured_from(p), inverted=p.inverted)
 
 
 def _solve_calls(fit):

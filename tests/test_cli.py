@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import measured_from
 from misdelay import cli
-from misdelay.characterize import MeasuredDelays
 from misdelay.cli import main
 from misdelay.fileio import (
     fixture_dir,
@@ -32,20 +32,6 @@ L3_PATH = str(fixture_dir() / "nor15_l3.json")
 CG_PATH = str(fixture_dir() / "cgate15_l3.json")
 
 
-def _measured_from(params, delay_fn):
-    inf = math.inf
-    return MeasuredDelays(
-        d_down_minus_inf=delay_fn(params, DelayQuery("falling", -inf)),
-        d_down_zero=delay_fn(params, DelayQuery("falling", 0.0)),
-        d_down_inf=delay_fn(params, DelayQuery("falling", inf)),
-        d_up_minus_inf=delay_fn(params, DelayQuery("rising", -inf)),
-        d_up_zero=delay_fn(params, DelayQuery("rising", 0.0)),
-        d_up_inf=delay_fn(params, DelayQuery("rising", inf)),
-        delta_min=params.delta_min,
-        c_chosen=params.c_load,
-    )
-
-
 def _stderr_diag(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])
@@ -55,7 +41,7 @@ class TestCharacterize:
 
     def test_nor_round_trip(self, tmp_path):
         p = load_fixture("nor15_l3")
-        m = _measured_from(p, nor_delay)
+        m = measured_from(p)
         measured = tmp_path / "measured.json"
         out = tmp_path / "fitted.json"
         measured.write_text(serialize_measured(m))
@@ -71,7 +57,7 @@ class TestCharacterize:
 
     def test_cgate_r5_choice_preserves_delays(self, tmp_path):
         p = load_fixture("cgate15_l3")
-        m = _measured_from(p, cgate_delay)
+        m = measured_from(p)
         measured = tmp_path / "measured.json"
         out = tmp_path / "fitted.json"
         measured.write_text(serialize_measured(m))
@@ -92,7 +78,7 @@ class TestCharacterize:
     def test_r5_flag_rejected_for_nor(self, tmp_path, capsys):
         p = load_fixture("nor15_l3")
         measured = tmp_path / "measured.json"
-        measured.write_text(serialize_measured(_measured_from(p, nor_delay)))
+        measured.write_text(serialize_measured(measured_from(p)))
         code = main(["characterize", "--gate", "nor2",
                      "--measured", str(measured), "--c", "1e-15",
                      "--r5", "10", "-o", str(tmp_path / "x.json")])
@@ -114,13 +100,10 @@ class TestCharacterize:
 
     def test_inconsistent_measurements_exit_2(self, tmp_path, capsys):
         p = load_fixture("nor15_l3")
-        m = _measured_from(p, nor_delay)
+        m = measured_from(p)
         # swap the up-family ordering so validation collects problems
-        bad = MeasuredDelays(
-            d_down_minus_inf=m.d_down_minus_inf, d_down_zero=m.d_down_zero,
-            d_down_inf=m.d_down_inf, d_up_minus_inf=m.d_up_zero,
-            d_up_zero=m.d_up_inf, d_up_inf=m.d_up_minus_inf,
-            delta_min=m.delta_min, c_chosen=m.c_chosen)
+        bad = replace(m, d_up_minus_inf=m.d_up_zero, d_up_zero=m.d_up_inf,
+                      d_up_inf=m.d_up_minus_inf)
         measured = tmp_path / "measured.json"
         measured.write_text(serialize_measured(bad))
         code = main(["characterize", "--gate", "nor2",

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import CG_ISO, CG_W3, NOR_A, NOR_B
 from misdelay.characterize import MeasuredDelays
 from misdelay.fileio import (
     SchemaError,
@@ -42,13 +43,19 @@ from misdelay.sim import (
     run,
 )
 
-NOR_A = NorGateParams(r_n_a=2193.6, r_n_b=2011.0, r=1277.1,
-                      alpha1=1.078e-9, alpha2=0.5102e-9,
-                      c_load=1.2831e-15, r5=399.41, delta_min=4.32e-12)
-CG_W3 = CGateParams(r_n=964.76, r_p=1146.0,
-                    alpha1=645.48e-12, alpha2=264.94e-12,
-                    alpha3=255.59e-12, alpha4=406.81e-12,
-                    c_load=2.6331e-15, r5=545.49, delta_min=1.7e-12)
+
+class TestReferenceGates:
+    """The shared reference gates restate bundled fixtures; a drift
+    between a copy and its fixture must fail here, not downstream."""
+
+    @pytest.mark.parametrize("name,ref", [
+        ("nor15_l3", NOR_A), ("nor15_l15", NOR_B),
+        ("cgate15_isolated", CG_ISO), ("cgate15_l3", CG_W3)])
+    def test_equals_bundled_fixture(self, name, ref):
+        fixture = load_fixture(name)
+        assert type(fixture) is type(ref)
+        for f in dataclasses.fields(ref):
+            assert getattr(fixture, f.name) == getattr(ref, f.name), f.name
 
 
 class TestParamsDocuments:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import (CG_ISO, NOR_A, NOR_B, CountingFloat, cgate_params,
+                     nor_params)
 from misdelay.gates import (
     Breakpoints,
     CGateParams,
@@ -30,21 +32,6 @@ from misdelay.trajectories import delay_by_inversion
 
 LN2 = math.log(2.0)
 
-# 15 nm NOR gate behind a 3 um wire
-NOR_A = NorGateParams(r_n_a=2193.6, r_n_b=2011.0, r=1277.1,
-                      alpha1=1.078e-9, alpha2=0.5102e-9,
-                      c_load=1.2831e-15, r5=399.41, delta_min=4.32e-12)
-# same gate behind a 15 um wire
-NOR_B = NorGateParams(r_n_a=2900.0, r_n_b=2749.3, r=2054.5,
-                      alpha1=1.479e-9, alpha2=0.8441e-9,
-                      c_load=1.2831e-15, r5=360.49, delta_min=5.08e-12)
-# 15 nm C gate without interconnect
-CG_ISO = CGateParams(r_n=2142.0, r_p=2321.5,
-                     alpha1=2.1472, alpha2=1.1303,
-                     alpha3=1.5549, alpha4=1.8403,
-                     c_load=2.6331e-15, r5=0.0, delta_min=1.77e-12)
-
-
 # each kind of bad number with the repr a ParamError must quote
 BAD_NUMBERS = [
     pytest.param(-1.5, "-1.5", id="negative"),
@@ -56,16 +43,6 @@ BAD_NUMBERS = [
     pytest.param(10 ** 400, "1" + "0" * 400, id="huge-int"),
     pytest.param("2e3", "'2e3'", id="str"),
 ]
-
-
-class CountingFloat(float):
-    """A float that counts how often its repr is taken."""
-
-    calls = 0
-
-    def __repr__(self):
-        CountingFloat.calls += 1
-        return super().__repr__()
 
 
 class PlainSubFloat(float):
@@ -463,34 +440,6 @@ class TestValidation:
             DelayQuery("sideways", math.nan)
         assert str(info.value) == ("output_direction must be one of "
                                    "('rising', 'falling'), got 'sideways'")
-
-
-# bounds keep 2RC(R5+2R)/alpha below ~150 for every alpha subset, well
-# inside the Lambert-W domain (the argument underflows near 1070)
-nor_params = st.builds(
-    NorGateParams,
-    r_n_a=st.floats(500.0, 8000.0),
-    r_n_b=st.floats(500.0, 8000.0),
-    r=st.floats(300.0, 2500.0),
-    alpha1=st.floats(5e-10, 1e-8),
-    alpha2=st.floats(5e-10, 1e-8),
-    c_load=st.floats(5e-16, 2.5e-15),
-    r5=st.floats(0.0, 800.0),
-    delta_min=st.floats(0.0, 1e-11),
-)
-
-cgate_params = st.builds(
-    CGateParams,
-    r_n=st.floats(300.0, 2500.0),
-    r_p=st.floats(300.0, 2500.0),
-    alpha1=st.floats(5e-10, 1e-8),
-    alpha2=st.floats(5e-10, 1e-8),
-    alpha3=st.floats(5e-10, 1e-8),
-    alpha4=st.floats(5e-10, 1e-8),
-    c_load=st.floats(5e-16, 2.5e-15),
-    r5=st.floats(0.0, 800.0),
-    delta_min=st.floats(0.0, 1e-11),
-)
 
 
 def scaled_nor(p: NorGateParams, k: float) -> NorGateParams:

@@ -465,7 +465,7 @@ class TestIntegrateOdeMatchesReference:
         gate_kind = "nor2" if name.startswith("nor") else "cgate"
         inv = delay_by_inversion(gate_kind, direction, sep, p)
         horizon = 12.0 * (inv - p.delta_min)
-        rhs = _ode_rhs(p, kind, sep, exact_f, 1.0)
+        rhs = _ode_rhs(p, kind, sep, exact_f)
         self._assert_same(rhs, _T_EPS, horizon, v0,
                           Tolerance(rel=1e-10, abs=1e-13))
 
@@ -516,7 +516,7 @@ class TestIntegrateOdeMatchesReference:
         p = load_fixture(name)
         gate_kind = "nor2" if name.startswith("nor") else "cgate"
         inv = delay_by_inversion(gate_kind, direction, sep, p)
-        rhs = _ode_rhs(p, kind, sep, exact_f, 1.0)
+        rhs = _ode_rhs(p, kind, sep, exact_f)
         sol, full = self._assert_prefix(rhs, _T_EPS, 12.0 * (inv - p.delta_min),
                                         v0, Tolerance(rel=1e-10, abs=1e-13),
                                         0.5)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import CG_W3, NOR_A, CountingFloat
 from misdelay import load_fixture, sim
 from misdelay.fileio import list_fixtures, write_vcd
 from misdelay.gates import (
@@ -38,25 +39,7 @@ from misdelay.sim import (
     validate_netlist,
 )
 
-NOR_A = NorGateParams(r_n_a=2193.6, r_n_b=2011.0, r=1277.1,
-                      alpha1=1.078e-9, alpha2=0.5102e-9,
-                      c_load=1.2831e-15, r5=399.41, delta_min=4.32e-12)
-CG_W3 = CGateParams(r_n=964.76, r_p=1146.0,
-                    alpha1=645.48e-12, alpha2=264.94e-12,
-                    alpha3=255.59e-12, alpha4=406.81e-12,
-                    c_load=2.6331e-15, r5=545.49, delta_min=1.7e-12)
-
 LIB = {"nor": NOR_A, "cg": CG_W3}
-
-
-class CountingFloat(float):
-    """A float that counts how often its repr is taken."""
-
-    calls = 0
-
-    def __repr__(self):
-        CountingFloat.calls += 1
-        return super().__repr__()
 
 
 class CountingInt(int):

@@ -7,8 +7,8 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from helpers import CG_ISO, CG_W3, NOR_A, NOR_B
 from misdelay.gates import (
-    CGateParams,
     DelayQuery,
     NorGateParams,
     _cgate_family,
@@ -21,7 +21,6 @@ from misdelay.gates import (
     nor_extremal_rising,
 )
 from misdelay.fileio import list_fixtures, load_fixture
-from misdelay.numerics import Tolerance
 from misdelay.trajectories import (
     NOR_MODE_KINDS,
     ModeSwitch,
@@ -33,22 +32,6 @@ from misdelay.trajectories import (
 )
 
 LN2 = math.log(2.0)
-
-NOR_A = NorGateParams(r_n_a=2193.6, r_n_b=2011.0, r=1277.1,
-                      alpha1=1.078e-9, alpha2=0.5102e-9,
-                      c_load=1.2831e-15, r5=399.41, delta_min=4.32e-12)
-NOR_B = NorGateParams(r_n_a=2900.0, r_n_b=2749.3, r=2054.5,
-                      alpha1=1.479e-9, alpha2=0.8441e-9,
-                      c_load=1.2831e-15, r5=360.49, delta_min=5.08e-12)
-CG_ISO = CGateParams(r_n=2142.0, r_p=2321.5,
-                     alpha1=2.1472, alpha2=1.1303,
-                     alpha3=1.5549, alpha4=1.8403,
-                     c_load=2.6331e-15, r5=0.0, delta_min=1.77e-12)
-# interconnected C gate, 3 um wire
-CG_W3 = CGateParams(r_n=964.76, r_p=1146.0,
-                    alpha1=645.48e-12, alpha2=264.94e-12,
-                    alpha3=255.59e-12, alpha4=406.81e-12,
-                    c_load=2.6331e-15, r5=545.49, delta_min=1.7e-12)
 
 
 class TestEvalTrajectory:
@@ -81,13 +64,6 @@ class TestEvalTrajectory:
         caps = effective_caps(NOR_A)
         t_late = 60.0 * NOR_A.r * caps.c3
         assert eval_trajectory(ms, NOR_A, t_late) > 0.999
-
-    def test_supply_scale_factors_out(self):
-        ms = ModeSwitch("01->00", delta=1e-12, initial_v=0.0)
-        t = 3e-12
-        v1 = eval_trajectory(ms, NOR_A, t, v_dd=1.0)
-        v2 = eval_trajectory(ms, NOR_A, t, v_dd=0.8)
-        assert math.isclose(v2, 0.8 * v1, rel_tol=1e-14)
 
     def test_near_zero_delta_continuous_with_limit_form(self):
         # the product form degenerates as delta -> 0; the limit branch
@@ -128,6 +104,20 @@ class TestEvalTrajectory:
                 eval_trajectory(ModeSwitch(kind), NOR_A, math.nan)
         with pytest.raises(ValueError, match="t must be >= 0"):
             eval_trajectory(ModeSwitch("11->01"), CG_ISO, math.nan)
+
+    @pytest.mark.parametrize("bad", [True, False, math.nan, math.inf,
+                                     -math.inf, "0.5", 10 ** 400],
+                             ids=["true", "false", "nan", "inf", "-inf",
+                                  "str", "huge-int"])
+    def test_initial_v_must_be_a_finite_number(self, bad):
+        with pytest.raises(ValueError) as info:
+            ModeSwitch("01->00", initial_v=bad)
+        assert str(info.value) == ("initial_v must be None or a finite "
+                                   f"number, got {bad!r}")
+
+    def test_initial_v_accepts_an_int(self):
+        ms = ModeSwitch("10->11", initial_v=1)
+        assert eval_trajectory(ms, NOR_A, 0.0) == 1.0
 
 
 class TestIntBeyondFloatRange:
