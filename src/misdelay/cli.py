@@ -28,7 +28,7 @@ from .fileio import (SchemaError, _dumps, atomic_write, list_fixtures,
                      serialize_params, serialize_stats, write_curve_csv,
                      write_vcd)
 from .gates import (DelayQuery, NorGateParams, ParamError, _kind_of,
-                    _mis_scale, _output_family, cgate_delay, nor_delay)
+                    _mis_scale, _output_families, cgate_delay, nor_delay)
 from .numerics import (ConvergenceError, DomainError, NoCrossingError,
                        NoSignChangeError, StepUnderflowError)
 from .sim import (CausalityError, LivelockError, NetlistError,
@@ -159,7 +159,7 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
     for direction, fam_pos, fam_neg in _FAMILY_AXES:
         # the family table is bound once per direction; evaluate(table, d)
         # is what nor_delay/cgate_delay return for DelayQuery(direction, d)
-        evaluate, table = _output_family(params, direction == "rising")
+        evaluate, table = _output_families(params)[direction == "rising"]
         is_exact = kind == "nor2" and direction == "falling"
         # each point is inverted and integrated once; keyed on the
         # float, so -0.0 and 0.0 (which both oracles treat alike) share

@@ -12,15 +12,21 @@ Sign convention: delta > 0 means input B switched after input A.
 delta = +/-inf selects the single-input-switching limits directly.
 All quantities are SI (seconds, ohms, farads); alpha parameters are
 ohm-seconds.
+
+A gate's tables, for both output directions, are built on the first
+query of its parameter-set object and kept in one cache keyed by that
+object's identity, which holds the last 512 sets still alive; a query
+is then one lookup and a few flops.  An equal set built separately
+builds its own.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .numerics import DomainError, _branch_series, lambert_w_m1
 
@@ -352,12 +358,19 @@ class _NorTables(NamedTuple):
     rise: _Family
 
 
-@lru_cache(maxsize=512)
-def _nor_tables(p: NorGateParams) -> _NorTables:
+def _build_families(p: NorGateParams | CGateParams):
+    """((evaluate, table) of the family driving a falling output, that
+    of a rising output); evaluate(table, delta) is the delay.  TypeError
+    for anything but a gate parameter set."""
+    if _kind_of(p) == "cgate":
+        return tuple(
+            (_family_delay, _family(*_switch_on_pair(p, _pair_rising(p, r)),
+                                    p.r5, p.c_load, p.delta_min))
+            for r in (False, True))
     caps = effective_caps(p)
     ra, rb = p.r_n_a, p.r_n_b
     fall_k = _LN2 * caps.c2 * ra * rb / (ra + rb)
-    return _NorTables(
+    t = _NorTables(
         dmin=p.delta_min,
         fall_k=fall_k,
         fall_frac_pos=caps.c2 * rb / (caps.c1 * (ra + rb)),
@@ -367,6 +380,52 @@ def _nor_tables(p: NorGateParams) -> _NorTables:
         rise=_family(*_switch_on_pair(p, False), p.r5, p.c_load,
                      p.delta_min),
     )
+    return (_nor_fall_delay, t), (_family_delay, t.rise)
+
+
+_TABLE_CACHE_SIZE = 512
+# id(params) -> (weak reference to params, _build_families(params)),
+# oldest first.  Keying on identity spares a query the hash of every
+# field that an equality key costs.  An entry answers only for the
+# object it refers to; the reference drops the entry when that object
+# dies, before its id can be reused, so a set built afresh for each run
+# leaves no copies behind.
+_tables: Dict[int, tuple] = {}
+
+
+def _cache_families(p: NorGateParams | CGateParams) -> tuple:
+    """Build p's families and store them, evicting the oldest entry past
+    _TABLE_CACHE_SIZE; returns the new entry."""
+    families = _build_families(p)
+    if len(_tables) >= _TABLE_CACHE_SIZE:
+        del _tables[next(iter(_tables))]
+    key = id(p)
+    entry = _tables[key] = (
+        weakref.ref(p, lambda _: _tables.pop(key, None)), families)
+    return entry
+
+
+def _output_families(p: NorGateParams | CGateParams):
+    """p's families by output level: [rising] is the (evaluate, table)
+    pair of the family driving a rising (True) or falling output."""
+    entry = _tables.get(id(p))
+    if entry is None or entry[0]() is not p:
+        entry = _cache_families(p)
+    return entry[1]
+
+
+def _nor_tables(p: NorGateParams) -> _NorTables:
+    """The falling-output tables of a NOR gate, with its rising family."""
+    if not isinstance(p, NorGateParams):
+        raise TypeError(f"expected NorGateParams, got {type(p).__name__}")
+    return _output_families(p)[False][1]
+
+
+def _cgate_family(p: CGateParams, pair_rising: bool) -> _Family:
+    """The family a rising (or falling) input pair of a C gate drives."""
+    if not isinstance(p, CGateParams):
+        raise TypeError(f"expected CGateParams, got {type(p).__name__}")
+    return _output_families(p)[pair_rising != p.inverted][1]
 
 
 def nor_extremal_rising(p: NorGateParams) -> ExtremalDelays:
@@ -403,23 +462,12 @@ def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
     outputs to the second falling input.  The result includes the
     interconnect transport delay delta_min.
     """
-    evaluate, table = _output_family(p, q.output_direction == "rising")
+    # _output_families written out: a query is one lookup and the flops
+    entry = _tables.get(id(p))
+    if entry is None or entry[0]() is not p:
+        entry = _cache_families(p)
+    evaluate, table = entry[1][q.output_direction == "rising"]
     return evaluate(table, q.delta)
-
-
-@lru_cache(maxsize=512)
-def _cgate_family(p: CGateParams, pair_rising: bool) -> _Family:
-    return _family(*_switch_on_pair(p, pair_rising), p.r5, p.c_load,
-                   p.delta_min)
-
-
-def _output_family(p: NorGateParams | CGateParams, rising: bool):
-    """(evaluate, table) of the family driving a rising (or falling)
-    output; evaluate(table, delta) is its delay."""
-    if isinstance(p, NorGateParams):
-        t = _nor_tables(p)
-        return (_family_delay, t.rise) if rising else (_nor_fall_delay, t)
-    return _family_delay, _cgate_family(p, _pair_rising(p, rising))
 
 
 def cgate_extremal(p: CGateParams, input_direction: str) -> ExtremalDelays:
@@ -445,5 +493,8 @@ def cgate_delay(p: CGateParams, q: DelayQuery) -> float:
     are referenced to the second input transition and include
     delta_min.
     """
-    evaluate, table = _output_family(p, q.output_direction == "rising")
+    entry = _tables.get(id(p))
+    if entry is None or entry[0]() is not p:
+        entry = _cache_families(p)
+    evaluate, table = entry[1][q.output_direction == "rising"]
     return evaluate(table, q.delta)

@@ -18,7 +18,7 @@ from itertools import count, cycle, repeat
 from typing import Dict, List, Optional, Tuple
 
 from .gates import (_FLOAT_MAX, _KIND_CLASSES, _check_time, _is_int,
-                    _is_real, _output_family)
+                    _is_real, _output_families)
 
 GATE_KINDS = (*_KIND_CLASSES, "input_source")
 
@@ -330,7 +330,8 @@ class _GateRun:
 
     logic[a][b] is the level inputs (a, b) drive the output to, or None
     where a C gate's disagreeing inputs hold it; families[level] is the
-    (evaluate, table) pair of `_output_family` for that output level;
+    (evaluate, table) pair of the family driving that output level, as
+    one `_output_families` lookup gives them;
     pending is the heap entry of the output event in flight, or None.
     """
 
@@ -349,8 +350,7 @@ class _GateRun:
             lo = int(params.inverted)
             self.logic = ((lo, None), (None, 1 - lo))
         self.delta_min = params.delta_min
-        self.families = (_output_family(params, False),
-                         _output_family(params, True))
+        self.families = _output_families(params)
         self.pending = None
 
 

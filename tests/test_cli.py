@@ -24,7 +24,7 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import (DelayQuery, _mis_scale, _output_family,
+from misdelay.gates import (DelayQuery, _mis_scale, _output_families,
                             cgate_delay, nor_delay)
 from misdelay.sim import build_cross_coupled_chain
 
@@ -417,7 +417,7 @@ class TestBoundTables:
         p = load_fixture(name)
         fn = nor_delay if name.startswith("nor") else cgate_delay
         for direction in ("falling", "rising"):
-            evaluate, table = _output_family(p, direction == "rising")
+            evaluate, table = _output_families(p)[direction == "rising"]
             points = _verify_points(table)
             assert {math.copysign(1.0, d) for d in points if d == 0.0} \
                 == {1.0, -1.0}

@@ -1,6 +1,8 @@
 """Tests for the closed-form delay families in misdelay.gates."""
 
+import hashlib
 import math
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import (CG_ISO, NOR_A, NOR_B, CountingFloat, cgate_params,
-                     nor_params)
+from helpers import (CG_ISO, CG_W3, NOR_A, NOR_B, CountingFloat,
+                     cgate_params, nor_params)
+from misdelay import gates
 from misdelay.gates import (
     Breakpoints,
     CGateParams,
@@ -17,7 +20,10 @@ from misdelay.gates import (
     NorGateParams,
     ParamError,
     _cgate_family,
+    _mis_scale,
     _nor_tables,
+    _output_families,
+    _pair_rising,
     cgate_breakpoints,
     cgate_delay,
     cgate_extremal,
@@ -566,3 +572,140 @@ class TestSharedSwitchOnFamily:
             assert nor_delay(p, q) == cgate_delay(c, q), delta
             assert delay_by_inversion("nor2", "rising", delta, p) == \
                 delay_by_inversion("cgate", "rising", delta, c), delta
+
+
+class TestDelayPinned:
+    """nor_delay/cgate_delay on every fixture, and on each C gate
+    inverted, in both directions at 0, +-bp0/2, +-bp0, +-2*bp0 and
+    +-inf, hashed: a change to how the tables are found or stored must
+    leave every delay bit-identical."""
+
+    SHA256 = "c6db3839ab48bcae67e5606120aa2a9f554f549f39a715fb2a4895bb77c33348"
+
+    @staticmethod
+    def _table(p, rising):
+        if isinstance(p, NorGateParams):
+            return _nor_tables(p).rise if rising else _nor_tables(p)
+        return _cgate_family(p, _pair_rising(p, rising))
+
+    def test_outputs_bit_identical(self):
+        sets = [load_fixture(name) for name in list_fixtures()]
+        sets += [replace(p, inverted=True) for p in sets
+                  if isinstance(p, CGateParams)]
+        out = []
+        for p in sets:
+            delay = nor_delay if isinstance(p, NorGateParams) else cgate_delay
+            for direction in ("falling", "rising"):
+                plus, minus = _mis_scale(self._table(p, direction == "rising"))
+                deltas = (0.0, math.inf, -math.inf) + tuple(
+                    m * bp for m in (0.5, 1.0, 2.0)
+                    for bp in (plus, -minus))
+                out.extend(delay(p, DelayQuery(direction, d)) for d in deltas)
+        assert len(out) == 30 * 2 * 9
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.SHA256
+
+
+class TestParamTypes:
+    """A delay or table of the wrong kind of object is a TypeError, found
+    where the tables are built, so a query pays no check."""
+
+    @pytest.mark.parametrize("delay", [nor_delay, cgate_delay])
+    @pytest.mark.parametrize("bad", [None, "x", 1.0])
+    def test_delay_of_a_non_gate(self, delay, bad):
+        with pytest.raises(TypeError, match="expected gate params"):
+            delay(bad, DelayQuery("rising", 0.0))
+
+    @pytest.mark.parametrize("table", [nor_breakpoints, nor_extremal_rising])
+    def test_nor_table_of_a_c_gate(self, table):
+        with pytest.raises(TypeError,
+                           match="expected NorGateParams, got CGateParams"):
+            table(CG_ISO)
+
+    @pytest.mark.parametrize("table", [cgate_breakpoints, cgate_extremal])
+    @pytest.mark.parametrize("direction", ["rising", "falling"])
+    def test_c_gate_table_of_a_nor(self, table, direction):
+        with pytest.raises(TypeError,
+                           match="expected CGateParams, got NorGateParams"):
+            table(NOR_A, direction)
+
+
+class TestTableCache:
+    """One cache, keyed by the parameter set's identity, holds both
+    output families of each of the last 512 sets still alive."""
+
+    @pytest.mark.parametrize("base", [NOR_A, CG_W3,
+                                      replace(CG_W3, inverted=True)],
+                             ids=["nor", "cgate", "cgate-inverted"])
+    def test_one_miss_builds_every_family(self, base, monkeypatch):
+        misses, families = [], []
+        build, family = gates._build_families, gates._family
+
+        def counting_build(p):
+            misses.append(p)
+            return build(p)
+
+        def counting_family(*args):
+            families.append(args)
+            return family(*args)
+
+        monkeypatch.setattr(gates, "_build_families", counting_build)
+        monkeypatch.setattr(gates, "_family", counting_family)
+        p = replace(base)   # a new object, so its first query misses
+        nor = isinstance(p, NorGateParams)
+        delay = nor_delay if nor else cgate_delay
+        first = delay(p, DelayQuery("rising", 0.0))
+        # a NOR has one switch-on family; a C gate one per input pair
+        assert (len(misses), len(families)) == (1, 1 if nor else 2)
+        for direction in ("falling", "rising"):
+            for d in (0.0, 1e-12, -1e-12, math.inf, -math.inf):
+                delay(p, DelayQuery(direction, d))
+            if nor:
+                nor_breakpoints(p), nor_extremal_rising(p)
+            else:
+                cgate_breakpoints(p, direction), cgate_extremal(p, direction)
+        assert (len(misses), len(families)) == (1, 1 if nor else 2)
+        assert first == delay(base, DelayQuery("rising", 0.0))
+
+    def test_equal_sets_built_separately_get_their_own_entry(self):
+        a, b = replace(CG_W3), replace(CG_W3)
+        assert a == b and a is not b
+        fa, fb = _output_families(a), _output_families(b)
+        assert fa == fb and fa is not fb
+        assert gates._tables[id(a)][0]() is a
+        assert gates._tables[id(b)][0]() is b
+
+    def test_holds_the_last_512_sets(self):
+        sets = [replace(NOR_A, c_load=NOR_A.c_load * (1.0 + 1e-3 * i))
+                for i in range(600)]
+        first = _output_families(sets[0])
+        for p in sets[1:]:
+            nor_delay(p, DelayQuery("falling", 0.0))
+            assert len(gates._tables) <= 512
+        assert len(gates._tables) == 512
+        # the oldest entries went first
+        assert all(gates._tables[id(p)][0]() is p for p in sets[-512:])
+        assert id(sets[0]) not in gates._tables
+        again = _output_families(sets[0])
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("lookup,base,other", [
+        (lambda p: nor_delay(p, DelayQuery("rising", 1e-12)), NOR_A, NOR_B),
+        (lambda p: cgate_delay(p, DelayQuery("rising", 1e-12)), CG_W3,
+         CG_ISO),
+        (_output_families, NOR_A, NOR_B),
+    ], ids=["nor_delay", "cgate_delay", "_output_families"])
+    def test_entry_for_another_object_is_not_returned(self, lookup, base,
+                                                      other):
+        p = replace(base)
+        gates._tables[id(p)] = (weakref.ref(other), _output_families(other))
+        assert lookup(p) == lookup(base) != lookup(other)
+        assert gates._tables[id(p)][0]() is p
+
+    def test_entry_goes_with_its_set(self):
+        # a set built afresh for each run leaves no tables behind
+        p = replace(CG_W3)
+        key = id(p)
+        cgate_delay(p, DelayQuery("falling", 0.0))
+        assert gates._tables[key][0]() is p
+        del p
+        assert key not in gates._tables

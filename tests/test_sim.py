@@ -22,7 +22,7 @@ from misdelay.gates import (
     _cgate_family,
     _mis_scale,
     _nor_tables,
-    _output_family,
+    _output_families,
     cgate_delay,
     nor_delay,
 )
@@ -422,6 +422,27 @@ class TestChain:
         DelayQuery("rising", 0.0)  # the counter itself does count
         assert len(built) == 1
 
+    @pytest.mark.parametrize("nl", [
+        build_cross_coupled_chain(5, mu=5e-11, sigma=3e-11, n_transitions=50,
+                                  seed=11),
+        single_cgate(StimulusSpec(5e-11, 3e-11, 50, 1),
+                     StimulusSpec(5e-11, 3e-11, 50, 2)),
+    ], ids=["nor-chain", "cgate"])
+    def test_run_looks_up_each_gate_once(self, nl, monkeypatch):
+        # one lookup binds both output families of a gate
+        looked_up = []
+        lookup = sim._output_families
+
+        def counting(params):
+            looked_up.append(params)
+            return lookup(params)
+
+        monkeypatch.setattr(sim, "_output_families", counting)
+        res = run(nl, LIB)
+        assert res.stats.events > 0
+        assert looked_up == [LIB[g.params_ref] for g in nl.gates
+                             if g.kind != "input_source"]
+
     def test_livelock_cap(self):
         nl = build_cross_coupled_chain(2, mu=5e-11, sigma=0.0,
                                        n_transitions=30, seed=1)
@@ -560,7 +581,7 @@ class TestBoundPathMatchesClosedForms:
         assert p.r5 > 0.0 and p.delta_min > 0.0
         # multiples of the family's MIS length: the switch-on family's
         # bp0, the falling family's breakpoints
-        bp_plus, bp_minus = _mis_scale(_output_family(p, rising)[1])
+        bp_plus, bp_minus = _mis_scale(_output_families(p)[rising][1])
         bp = bp_plus if multiple >= 0 else bp_minus
         t_a = T_FIRST
         t_b = T_FIRST + multiple * bp
@@ -639,7 +660,7 @@ class TestSharedInputNet:
 def _symmetry_chain(p, seed):
     # separations and gaps on the scale of the switch-on family, so the
     # trace runs through MIS windows, revisions and cancellations
-    fam = _output_family(p, True)[1]
+    fam = _output_families(p)[True][1]
     mu = 2.0 * (fam.d0 + max(fam.bp0_plus, fam.bp0_minus))
     return build_cross_coupled_chain(4, params_ref="g", mu=mu, sigma=mu,
                                      n_transitions=40, seed=seed)

@@ -13,7 +13,7 @@ from misdelay.gates import (
     NorGateParams,
     _cgate_family,
     _mis_scale,
-    _output_family,
+    _output_families,
     cgate_delay,
     effective_caps,
     nor_breakpoints,
@@ -272,7 +272,7 @@ class TestInversionOracle:
         # for 0 < |delta| <= bp0, so the worst deviation sits at the MIS
         # length bp0 and stays inside the recorded 5% envelope for these
         # two gates
-        bp_plus, bp_minus = _mis_scale(_output_family(p, True)[1])
+        bp_plus, bp_minus = _mis_scale(_output_families(p)[True][1])
         worst = 0.0
         for i in range(1, 51):
             for delta in (i / 50.0 * bp_plus, -i / 50.0 * bp_minus):
@@ -482,7 +482,7 @@ class TestOdeEarlyStop:
     @staticmethod
     def _grid(p, direction):
         bp_plus, bp_minus = _mis_scale(
-            _output_family(p, direction == "rising")[1])
+            _output_families(p)[direction == "rising"][1])
         return (0.0, -0.0, 0.5 * bp_plus, -0.5 * bp_minus,
                 1.5 * bp_plus, -1.5 * bp_minus, math.inf, -math.inf)
 
@@ -502,7 +502,7 @@ class TestOdeEarlyStop:
         # past the single-input crossing the falling output passes V_dd/2
         # before the second input arrives: the second mode is skipped
         p = load_fixture("nor15_l3")
-        delta = 1.5 * _output_family(p, False)[1].bp_plus
+        delta = 1.5 * _output_families(p)[False][1].bp_plus
         single = delay_by_inversion("nor2", "falling", math.inf, p)
         assert delta > single - p.delta_min
         modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
@@ -535,7 +535,7 @@ class TestTrajectoryLayerPinned:
     def _outputs(self, p):
         nor = isinstance(p, NorGateParams)
         kind = "nor2" if nor else "cgate"
-        bp = max(max(_mis_scale(_output_family(p, r)[1]))
+        bp = max(max(_mis_scale(_output_families(p)[r][1]))
                  for r in (False, True))
         scale = delay_by_inversion(kind, "rising", 0.0, p) - p.delta_min
         ts = tuple(m * scale for m in (0.0, 0.1, 0.5, 1.0, 3.0))
