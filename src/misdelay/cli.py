@@ -23,12 +23,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .characterize import (InvalidMeasurementsError, characterize_cgate,
                            characterize_nor)
-from .fileio import (SchemaError, _dumps, atomic_write, list_fixtures,
-                     load_fixture, parse_measured, parse_netlist, parse_params,
-                     serialize_params, serialize_stats, write_curve_csv,
-                     write_vcd)
+from .fileio import (SchemaError, _dumps, _read_document, atomic_write,
+                     list_fixtures, load_fixture, parse_measured,
+                     parse_netlist, parse_params, serialize_params,
+                     serialize_stats, write_curve_csv, write_vcd)
 from .gates import (DelayQuery, NorGateParams, ParamError, _kind_of,
-                    _mis_scale, _output_families, cgate_delay, nor_delay)
+                    _output_families, cgate_delay, nor_delay)
 from .numerics import (ConvergenceError, DomainError, NoCrossingError,
                        NoSignChangeError, StepUnderflowError)
 from .sim import (CausalityError, LivelockError, NetlistError,
@@ -66,10 +66,6 @@ def _diagnostic(category: str, exc: BaseException) -> None:
     print(json.dumps(doc), file=sys.stderr)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _closed_delay(params) -> Callable[[str, float], float]:
     fn = nor_delay if isinstance(params, NorGateParams) else cgate_delay
     return lambda direction, delta: fn(params, DelayQuery(direction, delta))
@@ -78,7 +74,7 @@ def _closed_delay(params) -> Callable[[str, float], float]:
 # -- characterize -----------------------------------------------------------
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    m = parse_measured(_read(args.measured), c_chosen=args.c,
+    m = parse_measured(_read_document(args.measured), c_chosen=args.c,
                        delta_min=args.delta_min)
     if args.gate == "nor2":
         if args.r5 is not None:
@@ -98,7 +94,7 @@ _FAMILY_AXES = (("falling", "down_plus", "down_minus"),
 
 
 def _cmd_delay_curve(args: argparse.Namespace) -> int:
-    params = parse_params(_read(args.params))
+    params = parse_params(_read_document(args.params))
     if not (math.isfinite(args.dmin) and math.isfinite(args.dmax)):
         raise CliUsageError("--dmin/--dmax must be finite")
     if args.dmax <= args.dmin:
@@ -169,9 +165,9 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
         integration = functools.cache(
             lambda d: delay_by_ode(kind, direction, d, params))
 
-        scale = _mis_scale(table)   # the grids span the MIS region
-        for family, sign, bp in ((fam_pos, 1.0, scale[0]),
-                                 (fam_neg, -1.0, scale[1])):
+        # the grids span the MIS region
+        for family, sign, bp in ((fam_pos, 1.0, table.bp0_plus),
+                                 (fam_neg, -1.0, table.bp0_minus)):
             if is_exact:
                 grid = [sign * 2.0 * bp * i / (_EXACT_GRID - 1)
                         for i in range(_EXACT_GRID)]
@@ -212,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if stems.count(stem) > 1:
                 raise CliUsageError(f"--params stem {stem!r} given more than "
                                     f"once; report blocks are keyed by stem")
-        targets = [(stem, parse_params(_read(p)))
+        targets = [(stem, parse_params(_read_document(p)))
                    for stem, p in zip(stems, args.params)]
     else:
         targets = [(name, load_fixture(name)) for name in list_fixtures()]
@@ -247,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.t_end is not None and not args.t_end >= 0.0:
         raise CliUsageError("--t-end must be a non-negative time")
-    nl, library = parse_netlist(_read(args.netlist))
+    nl, library = parse_netlist(_read_document(args.netlist))
     result = run(nl, library, t_end=args.t_end)
     atomic_write(args.output, write_vcd(result.trace, nl.nets))
     atomic_write(args.stats, serialize_stats(result.stats))

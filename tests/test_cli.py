@@ -24,9 +24,10 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import (DelayQuery, _mis_scale, _output_families,
-                            cgate_delay, nor_delay)
+from misdelay.gates import (DelayQuery, _output_families, cgate_delay,
+                            nor_delay)
 from misdelay.sim import build_cross_coupled_chain
+from misdelay.trajectories import delay_by_ode
 
 L3_PATH = str(fixture_dir() / "nor15_l3.json")
 CG_PATH = str(fixture_dir() / "cgate15_l3.json")
@@ -181,6 +182,36 @@ class TestDelayCurve:
         assert _stderr_diag(capsys)["type"] == "CliUsageError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dmin,steps,message", [
+        ("-1e-12", "1", "--steps must be at least 2"),
+        ("nan", "5", "--dmin/--dmax must be finite"),
+        ("inf", "5", "--dmin/--dmax must be finite"),
+    ])
+    def test_bad_grid_bounds_exit_2(self, tmp_path, capsys, dmin, steps,
+                                    message):
+        out = tmp_path / "x.csv"
+        code = main(["delay-curve", "--params", L3_PATH, "--dmin", dmin,
+                     "--dmax", "1e-12", "--steps", steps, "-o", str(out)])
+        assert code == 2
+        assert _stderr_diag(capsys)["message"] == message
+        assert not out.exists()
+
+    def test_ode_oracle_rows(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = main(["delay-curve", "--params", L3_PATH,
+                     "--dmin", "-2e-12", "--dmax", "2e-12",
+                     "--steps", "3", "--oracle", "ode", "-o", str(out)])
+        assert code == 0
+        p = load_fixture("nor15_l3")
+        rows = [r for r in csv.DictReader(out.open())
+                if r["source"] == "ode_oracle"]
+        assert len(rows) == 6
+        for r in rows:
+            direction = ("falling" if r["family"].startswith("down")
+                         else "rising")
+            assert float(r["delay_s"]) == delay_by_ode(
+                "nor2", direction, float(r["delta_s"]), p)
+
     def test_largest_grids_stay_finite(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(["delay-curve", "--params", L3_PATH, "--dmin", "0",
@@ -333,12 +364,77 @@ class TestVerify:
                 assert inv[column][f"up_{side}"] == \
                     plain[column][f"down_{side}"], (column, side)
 
+    def test_table_build_failure_exits_3(self, tmp_path, capsys):
+        # transients this weak underflow the crossing-time argument
+        # while the gate's tables are built
+        path = tmp_path / "weak.json"
+        path.write_text(serialize_params(replace(
+            load_fixture("nor15_l3"), alpha1=1e-30, alpha2=1e-30)))
+        code = main(["verify", "--params", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[-1])["type"] == \
+            "DomainError"
+
+    def test_empty_fixture_directory_exit_2(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("MISDELAY_FIXTURES", str(tmp_path))
+        code = main(["verify"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert (diag["type"], diag["message"]) == (
+            "CliUsageError", "no parameter sets to verify")
+
     def test_tight_tolerance_fails_with_exit_3(self, capsys):
         code = main(["verify", "--params", L3_PATH,
                      "--tol-linearized", "1e-6"])
         assert code == 3
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False
+
+
+# bytes no document reader may crash on: each must exit 2 with a
+# SchemaError diagnostic
+_UNREADABLE = {
+    "non-utf8": (b'{"kind": "nor2\xff"}', "not valid UTF-8: "),
+    "long-integer": (b'{"kind": ' + b"9" * 5000 + b"}",
+                     "number out of range: "),
+    "deep-nesting": (b'{"kind": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                     "nesting too deep"),
+}
+
+
+class TestUnreadableFiles:
+
+    @pytest.mark.parametrize("command", ["verify", "simulate",
+                                         "characterize", "delay-curve"])
+    @pytest.mark.parametrize("case", sorted(_UNREADABLE))
+    def test_exit_2_with_schema_error(self, tmp_path, capsys, command, case):
+        data, message = _UNREADABLE[case]
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(data)
+        out = str(tmp_path / "out")
+        argv = {
+            "verify": ["verify", "--params", str(doc)],
+            "simulate": ["simulate", "--netlist", str(doc), "-o", out,
+                         "--stats", out + ".stats"],
+            "characterize": ["characterize", "--gate", "nor2", "--measured",
+                             str(doc), "--c", "1e-15", "-o", out],
+            "delay-curve": ["delay-curve", "--params", str(doc), "--dmin",
+                            "0", "--dmax", "1e-12", "--steps", "3",
+                            "-o", out],
+        }[command]
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert code == 2
+        assert stdout == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["type"] == "SchemaError"
+        assert diag["message"].startswith(message)
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 class TestParserReuse:
@@ -400,7 +496,7 @@ def _verify_points(table):
     at for one direction, whichever family is exact; the grids scale
     with the family's MIS length, as verify's do."""
     points = []
-    for sign, bp in zip((1.0, -1.0), _mis_scale(table)):
+    for sign, bp in zip((1.0, -1.0), (table.bp0_plus, table.bp0_minus)):
         points += [sign * 2.0 * bp * i / (cli._EXACT_GRID - 1)
                    for i in range(cli._EXACT_GRID)]
         points += [0.0, sign * math.inf]

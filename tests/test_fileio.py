@@ -467,6 +467,16 @@ class TestStatsAndAtomicWrite:
             atomic_write(target, "text")
         assert not target.exists()
 
+    def test_atomic_write_failed_write_removes_its_temp(self, tmp_path):
+        # a lone surrogate cannot be encoded: the write fails after the
+        # temp file exists
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(target, "new \ud800\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
 
 class TestFixtureLibrary:
 
@@ -485,6 +495,14 @@ class TestFixtureLibrary:
         assert load_fixture("only") == NOR_A
         with pytest.raises(KeyError):
             load_fixture("nor15_l3")
+
+    def test_non_utf8_fixture_is_a_schema_error(self, tmp_path, monkeypatch):
+        (tmp_path / "bad.json").write_bytes(b'{"kind": "nor2\xff"}')
+        monkeypatch.setenv("MISDELAY_FIXTURES", str(tmp_path))
+        with pytest.raises(SchemaError) as info:
+            load_fixture("bad")
+        assert info.value.path == ""
+        assert str(info.value).startswith("not valid UTF-8: ")
 
 
 # -- every SchemaError site, pinned -------------------------------------
@@ -722,6 +740,19 @@ class TestSchemaErrorsPinned:
         with pytest.raises(SchemaError) as info:
             _PARSERS[parse](text)
         assert (info.value.path, str(info.value)) == ("", message)
+
+    @pytest.mark.parametrize("parse", sorted(_PARSERS))
+    @pytest.mark.parametrize("text,message", [
+        ('{"kind": ' + "9" * 5000 + "}", "number out of range: "),
+        ('{"kind": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "nesting too deep"),
+    ], ids=["long-integer", "deep-nesting"])
+    def test_unparsable_text_is_a_schema_error(self, parse, text, message):
+        # json.loads raises ValueError and RecursionError on these
+        with pytest.raises(SchemaError) as info:
+            _PARSERS[parse](text)
+        assert info.value.path == ""
+        assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize("metadata,path,message", [
         ({"spice_deck": "x.sp"}, "metadata.spice_deck", "unknown field"),

@@ -20,8 +20,7 @@ from misdelay.gates import (
     NorGateParams,
     ParamError,
     _cgate_family,
-    _mis_scale,
-    _nor_tables,
+    _nor_family,
     _output_families,
     _pair_rising,
     cgate_breakpoints,
@@ -267,7 +266,7 @@ class TestNorBreakpoints:
         # clamp today; a wider clamp changes this test and no other grid
         p = load_fixture(name)
         if isinstance(p, NorGateParams):
-            rise, bps = _nor_tables(p).rise, nor_breakpoints(p)
+            rise, bps = _nor_family(p, True), nor_breakpoints(p)
             pairs = [(rise, (bps.up_plus, bps.up_minus))]
         else:
             pairs = [(_cgate_family(p, d == "rising"), cgate_breakpoints(p, d))
@@ -275,6 +274,18 @@ class TestNorBreakpoints:
         for fam, reported in pairs:
             assert (fam.bp0_plus.hex(), fam.bp0_minus.hex()) == \
                 tuple(bp.hex() for bp in reported)
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_every_table_is_a_family(self, name):
+        # one table type for all four families: the falling NOR family
+        # carries bp0 too, equal to its breakpoints
+        p = load_fixture(name)
+        tables = [table for _, table in _output_families(p)]
+        assert all(type(table) is gates._Family for table in tables)
+        if isinstance(p, NorGateParams):
+            bps = nor_breakpoints(p)
+            assert (tables[0].bp0_plus, tables[0].bp0_minus) == \
+                (bps.down_plus, bps.down_minus)
 
     def test_continuity_at_every_breakpoint(self):
         bps = nor_breakpoints(NOR_A)
@@ -585,7 +596,7 @@ class TestDelayPinned:
     @staticmethod
     def _table(p, rising):
         if isinstance(p, NorGateParams):
-            return _nor_tables(p).rise if rising else _nor_tables(p)
+            return _nor_family(p, rising)
         return _cgate_family(p, _pair_rising(p, rising))
 
     def test_outputs_bit_identical(self):
@@ -596,7 +607,8 @@ class TestDelayPinned:
         for p in sets:
             delay = nor_delay if isinstance(p, NorGateParams) else cgate_delay
             for direction in ("falling", "rising"):
-                plus, minus = _mis_scale(self._table(p, direction == "rising"))
+                fam = self._table(p, direction == "rising")
+                plus, minus = fam.bp0_plus, fam.bp0_minus
                 deltas = (0.0, math.inf, -math.inf) + tuple(
                     m * bp for m in (0.5, 1.0, 2.0)
                     for bp in (plus, -minus))

@@ -20,8 +20,7 @@ from misdelay.gates import (
     DelayQuery,
     NorGateParams,
     _cgate_family,
-    _mis_scale,
-    _nor_tables,
+    _nor_family,
     _output_families,
     cgate_delay,
     nor_delay,
@@ -581,7 +580,8 @@ class TestBoundPathMatchesClosedForms:
         assert p.r5 > 0.0 and p.delta_min > 0.0
         # multiples of the family's MIS length: the switch-on family's
         # bp0, the falling family's breakpoints
-        bp_plus, bp_minus = _mis_scale(_output_families(p)[rising][1])
+        fam = _output_families(p)[rising][1]
+        bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
         bp = bp_plus if multiple >= 0 else bp_minus
         t_a = T_FIRST
         t_b = T_FIRST + multiple * bp
@@ -689,10 +689,10 @@ class TestTraceSymmetries:
         res = run(nl, {"g": p})
         assert len(res.changes) > 80  # the gates switch, not only the sources
         got = run(mirror, {"g": swapped}).changes
-        if _nor_tables(swapped).fall_k == _nor_tables(p).fall_k:
+        if _nor_family(swapped, False).d0 == _nor_family(p, False).d0:
             assert got == res.changes
         else:
-            # fall_k = ln2*c2*ra*rb/(ra + rb) rounds differently once ra
+            # d0 = ln2*c2*ra*rb/(ra + rb) rounds differently once ra
             # and rb trade places (nor15_l3, nor15_l15_strong,
             # nor15_l15_fanout8, nor65_l25); the falling delays then
             # move by an ulp, and only the times show it
@@ -764,6 +764,50 @@ class TestNetlistValidation:
         assert exc.value.problems == [
             "stimulus for 'sb' is malformed: the train overflows the time "
             "range: transition 2 of 3 lands at inf (mu=1e+308, sigma=0.0)"]
+
+    def test_run_reports_set_up_and_train_problems_together(self):
+        # a missing parameter set and an overflowing train: NetlistError
+        # lists every violation, not the first group found
+        nl = single_nor(stim_b=StimulusSpec(1e308, 0.0, 3, 1))
+        with pytest.raises(NetlistError) as exc:
+            run(nl, {})
+        assert exc.value.problems == [
+            "gate g1: parameter set 'nor' missing or not a NorGateParams",
+            "stimulus for 'sb' is malformed: the train overflows the time "
+            "range: transition 2 of 3 lands at inf (mu=1e+308, sigma=0.0)"]
+
+    @pytest.mark.parametrize("gates,nets,stimuli,problem", [
+        ((Gate("", "input_source", (), "na"),), {"na": 0}, {},
+         "gate id '' is not a usable identifier"),
+        ((Gate("sa", "input_source", (), "n a"),), {"n a": 0}, {},
+         "gate sa: bad output net 'n a'"),
+        ((Gate("sa", "input_source", (), "nb"),), {"na": 0}, {},
+         "gate sa: output net 'nb' not declared"),
+        ((Gate("sa", "input_source", (), "na"),
+          Gate("g1", "nor2", ("na", ""), "out", "nor")),
+         {"na": 0, "out": 1}, {}, "gate g1: bad input net ''"),
+        ((Gate("sa", "input_source", (), "na"),
+          Gate("g1", "nor2", ("na", "nx"), "out", "nor")),
+         {"na": 0, "out": 1}, {}, "gate g1: input net 'nx' not declared"),
+        ((Gate("sa", "input_source", (), "na"),
+          Gate("g1", "nor2", ("na", "na"), "out", "")),
+         {"na": 0, "out": 1}, {}, "gate g1 has no parameter reference"),
+        ((Gate("sa", "input_source", (), "na"),), {"na": 0, "": 0}, {},
+         "bad net name ''"),
+        ((Gate("sa", "input_source", (), "na"),
+          Gate("g1", "nor2", ("na", "na"), "out", "nor")),
+         {"na": 0, "out": 1}, {"g1": StimulusSpec(1e-11, 0.0, 1, 1)},
+         "stimulus target 'g1' is not a source"),
+        ((Gate("sa", "input_source", (), "na"),), {"na": 0},
+         {"sa": (1e-11, 0.0, 1, 1)},
+         "stimulus for 'sa' is malformed: (1e-11, 0.0, 1, 1)"),
+    ], ids=["bad-id", "bad-output-net", "undeclared-output-net",
+            "bad-input-net", "undeclared-input-net", "no-params-ref",
+            "bad-net-name", "stimulus-for-gate", "malformed-spec"])
+    def test_names_each_field_problem(self, gates, nets, stimuli, problem):
+        with pytest.raises(NetlistError) as exc:
+            validate_netlist(Netlist(gates=gates, nets=nets, stimuli=stimuli))
+        assert problem in exc.value.problems
 
     def test_nan_t_end_rejected(self):
         nl = single_nor(stim_a=StimulusSpec(1e-10, 0.0, 6, 3))

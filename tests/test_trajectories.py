@@ -12,7 +12,6 @@ from misdelay.gates import (
     DelayQuery,
     NorGateParams,
     _cgate_family,
-    _mis_scale,
     _output_families,
     cgate_delay,
     effective_caps,
@@ -104,6 +103,8 @@ class TestEvalTrajectory:
                 eval_trajectory(ModeSwitch(kind), NOR_A, math.nan)
         with pytest.raises(ValueError, match="t must be >= 0"):
             eval_trajectory(ModeSwitch("11->01"), CG_ISO, math.nan)
+        with pytest.raises(TypeError, match="unsupported params type dict"):
+            eval_trajectory(ModeSwitch("00->10"), {}, 0.0)
 
     @pytest.mark.parametrize("bad", [True, False, math.nan, math.inf,
                                      -math.inf, "0.5", 10 ** 400],
@@ -272,7 +273,8 @@ class TestInversionOracle:
         # for 0 < |delta| <= bp0, so the worst deviation sits at the MIS
         # length bp0 and stays inside the recorded 5% envelope for these
         # two gates
-        bp_plus, bp_minus = _mis_scale(_output_families(p)[True][1])
+        fam = _output_families(p)[True][1]
+        bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
         worst = 0.0
         for i in range(1, 51):
             for delta in (i / 50.0 * bp_plus, -i / 50.0 * bp_minus):
@@ -296,8 +298,8 @@ class TestInversionOracle:
         for p, bound in ((CG_ISO, 0.27), (CG_W3, 0.065)):
             worst = 0.0
             for direction in ("rising", "falling"):
-                bp_plus, bp_minus = _mis_scale(
-                    _cgate_family(p, direction == "rising"))
+                fam = _cgate_family(p, direction == "rising")
+                bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
                 for i in range(1, 26):
                     for delta in (i / 25.0 * bp_plus, -i / 25.0 * bp_minus):
                         closed = cgate_delay(p, DelayQuery(direction, delta))
@@ -321,8 +323,8 @@ class TestInversionOracle:
         inv = replace(base, inverted=True)
         for direction, other in (("rising", "falling"),
                                  ("falling", "rising")):
-            bp_plus, bp_minus = _mis_scale(
-                _cgate_family(base, other == "rising"))
+            fam = _cgate_family(base, other == "rising")
+            bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
             for delta in (0.0, 0.5 * bp_plus, -0.5 * bp_minus,
                           1.5 * bp_plus, -1.5 * bp_minus,
                           math.inf, -math.inf):
@@ -481,8 +483,8 @@ class TestOdeEarlyStop:
 
     @staticmethod
     def _grid(p, direction):
-        bp_plus, bp_minus = _mis_scale(
-            _output_families(p)[direction == "rising"][1])
+        fam = _output_families(p)[direction == "rising"][1]
+        bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
         return (0.0, -0.0, 0.5 * bp_plus, -0.5 * bp_minus,
                 1.5 * bp_plus, -1.5 * bp_minus, math.inf, -math.inf)
 
@@ -535,8 +537,8 @@ class TestTrajectoryLayerPinned:
     def _outputs(self, p):
         nor = isinstance(p, NorGateParams)
         kind = "nor2" if nor else "cgate"
-        bp = max(max(_mis_scale(_output_families(p)[r][1]))
-                 for r in (False, True))
+        bp = max(max(fam.bp0_plus, fam.bp0_minus)
+                 for _, fam in _output_families(p))
         scale = delay_by_inversion(kind, "rising", 0.0, p) - p.delta_min
         ts = tuple(m * scale for m in (0.0, 0.1, 0.5, 1.0, 3.0))
         # 1e-8 sits in the near-simultaneous limit branch, 1e-3 above it
