@@ -71,8 +71,10 @@ def validate_measured(m: MeasuredDelays, kind: str) -> None:
 
     Raises InvalidMeasurementsError listing every violation found;
     ordering checks are skipped for fields that already failed the
-    structural ones.
+    structural ones.  Anything but a MeasuredDelays is a TypeError.
     """
+    if not isinstance(m, MeasuredDelays):
+        raise TypeError(f"expected MeasuredDelays, got {type(m).__name__}")
     if kind not in _KIND_CLASSES:
         raise ValueError(f"unknown gate kind {kind!r}")
     problems: List[str] = []
@@ -153,6 +155,11 @@ def alpha_from_extremal_delay(t: float, r: float, r5: float,
     return 2.0 * r * _a_from_extremal(t, r5 + 2.0 * r, c)
 
 
+# A C gate's two series totals do not depend on r5_choice, so refitting
+# one measurement at another convention finds both here.  Two entries
+# keep only the latest measurement's pair.  Callers pass z_lo by
+# keyword, so equal inputs always share one key.
+@functools.lru_cache(maxsize=2, typed=True)
 def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
              z_lo: float) -> float:
     """Series resistance consistent with the three rising extremals.
@@ -255,7 +262,10 @@ def characterize_cgate(m: MeasuredDelays, r5_choice: float = 0.0,
 
     Delays only determine the series totals r5 + 2*r_n and r5 + 2*r_p,
     so the interconnect share is a free convention: any r5_choice in
-    [0, min of the two totals) yields the same delay model.
+    [0, min of the two totals) yields the same delay model.  Refitting
+    the same measurement at another r5_choice reuses its two totals
+    instead of solving them again; only the latest measurement's totals
+    are kept.
     """
     validate_measured(m, "cgate")
     if not (_is_real(r5_choice) and r5_choice >= 0.0):

@@ -2,7 +2,10 @@
 
 import hashlib
 import math
-from dataclasses import replace
+import random
+import sys
+from collections import Counter
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,7 @@ from misdelay.gates import (
     cgate_delay,
     nor_delay,
 )
-from misdelay.numerics import DomainError
+from misdelay.numerics import DomainError, find_root_bracketed
 
 LN2 = math.log(2.0)
 
@@ -148,6 +151,14 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             validate_measured(measured_from(NOR_A), "nand2")
+
+    @pytest.mark.parametrize("fit", [characterize_nor, characterize_cgate])
+    @pytest.mark.parametrize("bad", [None, asdict(measured_from(CG_W3)),
+                                     NOR_A])
+    def test_only_measured_delays_are_measurements(self, fit, bad):
+        want = f"expected MeasuredDelays, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=want):
+            fit(bad)
 
 
 class TestNorRoundTrip:
@@ -379,7 +390,7 @@ def _solve_calls(fit):
 
 def _assert_solves_match_reference(calls):
     for args, kwargs in calls:
-        assert (characterize._solve_z(*args, **kwargs)
+        assert (characterize._solve_z.__wrapped__(*args, **kwargs)
                 == oracles.reference_solve_z(*args, **kwargs))
 
 
@@ -451,7 +462,7 @@ class TestSolveWork:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(characterize, "_a_from_extremal", counting)
-                characterize._solve_z(*args, **kwargs)
+                characterize._solve_z.__wrapped__(*args, **kwargs)
             # each g evaluation takes three transient scales
             worst = max(worst, len(terms) // 3)
         assert worst <= 40
@@ -468,7 +479,7 @@ class TestSolveWork:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(characterize, "_a_from_extremal", counting)
-                characterize._solve_z(*args, **kwargs)
+                characterize._solve_z.__wrapped__(*args, **kwargs)
             # one g evaluation per distinct z: the Brent refinement
             # reuses the bracket ends the index bisection evaluated
             assert per_z
@@ -486,3 +497,99 @@ class TestSolveWork:
         cg = replace(cg, inverted=inverted)
         self._assert_each_point_once(_solve_calls(lambda: (_fit(nor),
                                                            _fit(cg))))
+
+
+# criterion 2's parameter ranges
+_CG_RANGES = (("r_n", 300.0, 2500.0), ("r_p", 300.0, 2500.0),
+              ("alpha1", 5e-10, 1e-8), ("alpha2", 5e-10, 1e-8),
+              ("alpha3", 5e-10, 1e-8), ("alpha4", 5e-10, 1e-8),
+              ("c_load", 5e-16, 2.5e-15), ("r5", 0.0, 800.0),
+              ("delta_min", 0.0, 1e-11))
+
+
+def _memo_gates():
+    """Every C fixture both ways round, then a seeded random sample."""
+    gates = []
+    for name in list_fixtures():
+        p = load_fixture(name)
+        if isinstance(p, CGateParams):
+            gates += [p, replace(p, inverted=not p.inverted)]
+    rng = random.Random(25)
+    gates += [CGateParams(**{n: rng.uniform(lo, hi) for n, lo, hi in
+                             _CG_RANGES}) for _ in range(12)]
+    return gates
+
+
+def _conventions(p):
+    """The three r5 conventions criterion 2 fits each gate at."""
+    return (p.r5, 0.0, 0.9 * min(p.r5 + 2.0 * p.r_n, p.r5 + 2.0 * p.r_p))
+
+
+def _calls_in(fn):
+    """Calls of the unmemoised solver and of Brent that fn() makes."""
+    codes = {characterize._solve_z.__wrapped__.__code__: "solve",
+             find_root_bracketed.__code__: "brent"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+class TestSolveMemo:
+    """Refits of one measurement at other r5 conventions reuse its two
+    series totals; only the latest measurement's are kept."""
+
+    def test_refits_match_fits_from_an_empty_memo(self):
+        for p in _memo_gates():
+            m, conventions = measured_from(p), _conventions(p)
+            fits = [characterize_cgate(m, r5, inverted=p.inverted)
+                    for r5 in conventions]
+            for r5, fit in zip(conventions, fits):
+                characterize._solve_z.cache_clear()
+                fresh = characterize_cgate(m, r5, inverted=p.inverted)
+                assert serialize_params(fit) == serialize_params(fresh), p
+
+    def test_refits_solve_nothing(self):
+        for p in _memo_gates():
+            m = measured_from(p)
+            first, *others = _conventions(p)
+            # an inverted twin has the same two totals, so start empty
+            characterize._solve_z.cache_clear()
+            assert _calls_in(lambda: characterize_cgate(
+                m, first, inverted=p.inverted))["solve"] == 2
+            for r5 in others:
+                calls = _calls_in(lambda: characterize_cgate(
+                    m, r5, inverted=p.inverted))
+                assert calls == Counter(), (p, r5)
+
+    def test_only_the_latest_measurement_is_kept(self):
+        a, b = measured_from(CG_W3), measured_from(CG_ISO)
+        characterize_cgate(a, CG_W3.r5)
+        characterize_cgate(b, 0.0)
+        calls = _calls_in(lambda: characterize_cgate(a, 0.0))
+        assert calls["solve"] == 2
+
+    def test_failed_solve_is_not_kept(self):
+        characterize_cgate(measured_from(CG_W3), 0.0)
+        size = characterize._solve_z.cache_info().currsize
+        m = measured_from(NOR_A,
+                          d_up_zero=2e-10 + NOR_A.delta_min,
+                          d_up_inf=2e-12 + NOR_A.delta_min,
+                          d_up_minus_inf=2e-12 + NOR_A.delta_min)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidMeasurementsError,
+                               match="inconsistent") as info:
+                characterize_nor(m)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert characterize._solve_z.cache_info().currsize == size
