@@ -18,14 +18,16 @@ from typing import Iterable, List
 
 from .gates import (_KIND_CLASSES, _LN2, CGateParams, NorGateParams,
                     ParamError, _is_real)
-from .numerics import (DomainError, _branch_series, find_root_bracketed,
-                       lambert_w_m1)
+from .numerics import DomainError, _gap_root, find_root_bracketed
 
 # search window for the pull resistance; outside this range the gate is
 # not a gate worth modelling
 _R_MIN = 1e-2
 _R_MAX = 1e9
 _GRID = 128
+# 1/17, ..., 1/2: the terms of the gap series past u**17 are below
+# rounding for u < 0.1
+_GAP_SERIES = tuple(1.0 / k for k in range(17, 1, -1))
 
 _DELAY_FIELDS = (
     "d_down_minus_inf", "d_down_zero", "d_down_inf",
@@ -119,40 +121,26 @@ def _a_from_extremal(t: float, z: float, c: float) -> float:
     """Transient scale a = alpha/(2R) whose extremal crossing sits at t.
 
     z is the total series resistance of the recharge path.  The delay
-    can never fall below the pure-RC bound c*z*ln2, so t at or under it
-    has no preimage.
+    can never fall below the pure-RC bound tau = c*z*ln2, so t at or
+    under it has no preimage.  The crossing t - a*log1p(t/a) = tau
+    holds at a = (t - tau)/(y + u), where u = tau/t and y > 0 closes
+    the branch gap y - log1p(y) = -u - log1p(-u).
     """
     tau = c * z * _LN2
     if not t > tau:
         raise DomainError(
             f"delay {t:.6g} s is at or below the pure-RC bound {tau:.6g} s")
     u = tau / t
-    if u < 1e-3:
-        # W+1 and u cancel near the branch point; expand both there
-        # instead of subtracting nearly equal numbers:
-        # s = 1 + (u - 1) e^u = sum over k >= 2 of (k - 1) u^k / k!
-        s = u * u * (0.5 + u * (1.0 / 3.0 + u * (0.125 + u * (1.0 / 30.0
-            + u * (1.0 / 144.0 + u * (1.0 / 840.0 + u / 5760.0))))))
-        p = math.sqrt(2.0 * s)
-        denom = -p * _branch_series(p) - u
+    if u < 0.1:
+        # u and log1p(-u) cancel; sum the gap's positive series
+        # u**2/2 + u**3/3 + ... to rounding instead
+        s = 0.0
+        for k in _GAP_SERIES:
+            s = k + u * s
+        gap = u * u * s
     else:
-        x = (u - 1.0) * math.exp(u - 1.0)
-        denom = lambert_w_m1(x) + 1.0 - u
-    return (tau - t) / denom
-
-
-def alpha_from_extremal_delay(t: float, r: float, r5: float,
-                              c: float) -> float:
-    """Transient coefficient that makes a lone switch-on transient,
-    recharging c through r5 and pull resistance r, cross half supply
-    at delay t (offset excluded)."""
-    if not _is_pos(t):
-        raise DomainError(f"delay must be finite and positive, got {t!r}")
-    if not (_is_pos(r) and _is_pos(c)):
-        raise DomainError("resistance and capacitance must be positive")
-    if not (_is_real(r5) and r5 >= 0.0):
-        raise DomainError(f"r5 must be finite and non-negative, got {r5!r}")
-    return 2.0 * r * _a_from_extremal(t, r5 + 2.0 * r, c)
+        gap = -u - math.log1p(-u)
+    return (t - tau) / (_gap_root(gap) + u)
 
 
 # A C gate's two series totals do not depend on r5_choice, so refitting
@@ -197,8 +185,6 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
 
     lo, hi = 0, _GRID - 1
     g_lo = g(z_at(lo))
-    if g_lo == 0.0:
-        return z_at(lo)
     g_hi = g(z_at(hi))
     if g_lo * g_hi > 0.0:
         raise InvalidMeasurementsError(
@@ -211,9 +197,9 @@ def _solve_z(t_zero: float, t_first: float, t_second: float, c: float,
         if g_mid * g_lo > 0.0:
             lo = mid
         else:
-            hi, g_hi = mid, g_mid
-    if g_hi == 0.0:
-        return z_at(hi)
+            hi = mid
+    # a grid zero ends up at lo (index 0) or hi, and Brent returns an
+    # end where g is exactly 0
     return find_root_bracketed(g, z_at(lo), z_at(hi))
 
 

@@ -46,9 +46,11 @@ class CliUsageError(ValueError):
 
 _VALIDATION_ERRORS = (CliUsageError, SchemaError, ParamError,
                       InvalidMeasurementsError, NetlistError)
+# OverflowError: an oracle trajectory of extreme parameters leaves the
+# float range ("math range error")
 _NUMERICAL_ERRORS = (DomainError, NoSignChangeError, NoCrossingError,
                      ConvergenceError, StepUnderflowError,
-                     CausalityError, LivelockError)
+                     CausalityError, LivelockError, OverflowError)
 
 
 def _diagnostic(category: str, exc: BaseException) -> None:

@@ -219,15 +219,26 @@ class DelayQuery:
 
 
 def effective_caps(p: NorGateParams) -> EffectiveCaps:
-    """Constant-divider effective capacitances for the four NOR modes."""
-    c, r5 = p.c_load, p.r5
-    return EffectiveCaps(
-        c1=c * (r5 + p.r_n_a) / p.r_n_a,
-        c1_prime=c * (r5 + p.r_n_b) / p.r_n_b,
-        c2=c * (r5 * (p.r_n_a + p.r_n_b) + p.r_n_a * p.r_n_b)
-        / (p.r_n_a * p.r_n_b),
+    """Constant-divider effective capacitances for the four NOR modes.
+
+    DomainError where r_n_a * r_n_b or a capacitance underflows to 0:
+    the first divides here, the capacitances divide in the delay
+    tables.  Every other divisor here is a positive field or twice one.
+    """
+    c, r5, ra, rb = p.c_load, p.r5, p.r_n_a, p.r_n_b
+    rab = ra * rb
+    if rab == 0.0:
+        raise DomainError(
+            f"r_n_a * r_n_b underflows to 0 ({ra!r} * {rb!r} ohm**2)")
+    caps = EffectiveCaps(
+        c1=c * (r5 + ra) / ra,
+        c1_prime=c * (r5 + rb) / rb,
+        c2=c * (r5 * (ra + rb) + rab) / rab,
         c3=c * (r5 + 2.0 * p.r) / (2.0 * p.r),
     )
+    if not min(caps) > 0.0:
+        raise DomainError(f"an effective capacitance underflows to 0: {caps}")
+    return caps
 
 
 def _extremal_delay(alpha_sum: float, r: float, r5: float, c: float) -> float:
@@ -353,28 +364,36 @@ def _nor_fall_delay(fam: _Family, delta: float) -> float:
 def _build_families(p: NorGateParams | CGateParams):
     """((evaluate, table) of the family driving a falling output, that
     of a rising output); evaluate(table, delta) is the delay.  TypeError
-    for anything but a gate parameter set."""
+    for anything but a gate parameter set; DomainError where a table
+    field is not finite, as for a field near either end of the float
+    range, so that no query can return NaN or inf."""
     if _kind_of(p) == "cgate":
-        return tuple(
+        families = tuple(
             (_family_delay, _family(*_switch_on_pair(p, _pair_rising(p, r)),
                                     p.r5, p.c_load, p.delta_min))
             for r in (False, True))
-    caps = effective_caps(p)
-    ra, rb = p.r_n_a, p.r_n_b
-    # the falling family: its single-input limits d(+-inf) are also its
-    # breakpoints and its MIS length bp0, and its slopes are the fall
-    # fractions; _nor_fall_delay evaluates it
-    bp_plus, bp_minus = _LN2 * caps.c1 * ra, _LN2 * caps.c1_prime * rb
-    fall = _Family(
-        dmin=p.delta_min, d0=_LN2 * caps.c2 * ra * rb / (ra + rb),
-        d_inf=bp_plus, d_minus_inf=bp_minus,
-        slope_pos=caps.c2 * rb / (caps.c1 * (ra + rb)),
-        slope_neg=caps.c2 * ra / (caps.c1_prime * (ra + rb)),
-        bp_plus=bp_plus, bp_minus=bp_minus, bp0_plus=bp_plus,
-        bp0_minus=bp_minus)
-    return ((_nor_fall_delay, fall),
-            (_family_delay, _family(*_switch_on_pair(p, False), p.r5,
-                                    p.c_load, p.delta_min)))
+    else:
+        caps = effective_caps(p)
+        ra, rb = p.r_n_a, p.r_n_b
+        # the falling family: its single-input limits d(+-inf) are also
+        # its breakpoints and its MIS length bp0, and its slopes are the
+        # fall fractions; _nor_fall_delay evaluates it
+        bp_plus, bp_minus = _LN2 * caps.c1 * ra, _LN2 * caps.c1_prime * rb
+        fall = _Family(
+            dmin=p.delta_min, d0=_LN2 * caps.c2 * ra * rb / (ra + rb),
+            d_inf=bp_plus, d_minus_inf=bp_minus,
+            slope_pos=caps.c2 * rb / (caps.c1 * (ra + rb)),
+            slope_neg=caps.c2 * ra / (caps.c1_prime * (ra + rb)),
+            bp_plus=bp_plus, bp_minus=bp_minus, bp0_plus=bp_plus,
+            bp0_minus=bp_minus)
+        families = ((_nor_fall_delay, fall),
+                    (_family_delay, _family(*_switch_on_pair(p, False), p.r5,
+                                            p.c_load, p.delta_min)))
+    for _, table in families:
+        if not all(map(math.isfinite, table)):
+            raise DomainError(
+                f"parameters give a delay table that is not finite: {table}")
+    return families
 
 
 _TABLE_CACHE_SIZE = 512

@@ -1,10 +1,10 @@
 """Scalar numeric kernels used by the delay models.
 
 Everything here is deterministic, dependency-free and double precision:
-the lower Lambert W branch, Brent root bracketing, threshold-crossing
-bisection, and an adaptive embedded Runge-Kutta integrator with dense
-output.  These are the only nontrivial numerics the rest of the package
-relies on.
+the lower Lambert W branch and the branch-gap root behind it, Brent
+root bracketing, threshold-crossing bisection, and an adaptive embedded
+Runge-Kutta integrator with dense output.  These are the only
+nontrivial numerics the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _branch_series(p: float) -> float:
     """S(p) of the branch-point series W_-1(x) = -1 - p * S(p).
 
     p = sqrt(2(1 + e*x)); six terms of Corless et al., "On the Lambert
-    W function" (1996).  The gate delays and the characterization use
-    it too, for 1 + W near the branch point.
+    W function" (1996).  The gate delays use it too, for 1 + W near the
+    branch point.
     """
     return 1.0 + p * (1.0 / 3.0 + p * (11.0 / 72.0 + p * (43.0 / 540.0
         + p * (769.0 / 17280.0 + p * (221.0 / 8505.0)))))
@@ -193,6 +193,42 @@ def lambert_w_m1(x: float) -> float:
             if denom != 0.0:
                 w -= f / denom
     return _snap_to_best_neighbor(w, x)
+
+
+def _gap_root(e: float) -> float:
+    """The y >= 0 with y - log1p(y) = e, for a finite gap e >= 0.
+
+    This is W_-1(-exp(-1 - e)) = -1 - y without forming the argument,
+    whose rounding costs e's low bits next to the branch point.  Below
+    q = sqrt(2e) = 0.2, thirteen terms of the series of y in q (the
+    inverse of Temme's lambda - 1 - log(lambda) = q**2/2) are exact to
+    rounding.  Farther out they, or for q >= 2 the large-gap asymptote,
+    start Halley's iteration on y - log1p(y) - e.
+    """
+    log1p = math.log1p
+    q = math.sqrt(2.0 * e)
+    if q < 2.0:
+        y = q * (1.0 + q * (1.0 / 3.0 + q * (1.0 / 36.0 + q * (-1.0 / 270.0
+            + q * (1.0 / 4320.0 + q * (1.0 / 17010.0 + q * (-139.0 / 5443200.0
+            + q * (1.0 / 204120.0 + q * (-571.0 / 2351462400.0
+            + q * (-281.0 / 1515591000.0 + q * (163879.0 / 2172751257600.0
+            + q * (-5221.0 / 354648294000.0
+            + q * (5246819.0 / 10168475885568000.0)))))))))))))
+        if q < 0.2:
+            return y
+    else:
+        lg = log1p(e)
+        y = e + lg + lg / (1.0 + e)
+    for _ in range(8):
+        yp = 1.0 + y
+        d = (y - log1p(y) - e) * yp / y
+        d /= 1.0 - d / (2.0 * y * yp)
+        y -= d
+        # Halley cubes the relative error (times at most 1/4), so a
+        # step this small leaves y exact to rounding
+        if abs(d) <= 1e-6 * y:
+            return y
+    raise ConvergenceError(f"_gap_root: no convergence for e={e!r}")
 
 
 def find_root_bracketed(f, a: float, b: float, tol: Tolerance = Tolerance()) -> float:

@@ -5,13 +5,16 @@ test can use it without reading the fixture library;
 test_fileio.TestReferenceGates checks that they still agree.
 """
 
+import dataclasses
 import math
 
 from hypothesis import strategies as st
 
 from misdelay.characterize import MeasuredDelays
+from misdelay.fileio import load_fixture
 from misdelay.gates import (CGateParams, DelayQuery, NorGateParams,
                             cgate_delay, nor_delay)
+from misdelay.sim import build_cross_coupled_chain
 
 # 15 nm NOR gate behind a 3 um wire (nor15_l3)
 NOR_A = NorGateParams(r_n_a=2193.6, r_n_b=2011.0, r=1277.1,
@@ -46,6 +49,35 @@ def measured_from(p, **overrides) -> MeasuredDelays:
     fields.update(delta_min=p.delta_min, c_chosen=p.c_load)
     fields.update(overrides)
     return MeasuredDelays(**fields)
+
+
+# field values at and near both ends of the float range; the schema
+# accepts each of them
+EXTREME_VALUES = (5e-324, 1e-300, 1e300, 1.7e308)
+
+
+def extreme_variants(names=("nor15_l3", "cgate15_l3")):
+    """(fixture, field, value, params) for every float field of each
+    named fixture set to every value of EXTREME_VALUES."""
+    for name in names:
+        base = load_fixture(name)
+        for field in dataclasses.fields(base):
+            if isinstance(getattr(base, field.name), float):
+                for value in EXTREME_VALUES:
+                    yield (name, field.name, value,
+                           dataclasses.replace(base, **{field.name: value}))
+
+
+def chain_of(p, n_stages, **kwargs):
+    """(netlist, library) of a build_cross_coupled_chain made of p's
+    kind of gate.  C gates run inverted, as NOR gates hold the chain's
+    initial state."""
+    nl = build_cross_coupled_chain(n_stages, params_ref="g", **kwargs)
+    if isinstance(p, NorGateParams):
+        return nl, {"g": p}
+    return (dataclasses.replace(nl, gates=tuple(
+        dataclasses.replace(g, kind="cgate") if g.kind == "nor2" else g
+        for g in nl.gates)), {"g": dataclasses.replace(p, inverted=True)})
 
 
 class CountingFloat(float):

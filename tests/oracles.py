@@ -9,6 +9,10 @@ the form the library's straight-line step must match bit for bit.
 reference_solve_z is the full 128-point bracket scan of the
 characterization solve; it borrows the library's g terms and Brent
 solve, so it pins only the bracket search, bit for bit.
+reference_transient_scale inverts the switch-on crossing for the
+transient scale in 40-digit decimal arithmetic from the same floats
+the library gets, by Newton steps that fall monotonically onto the
+root.
 reference_write_vcd is the VCD renderer as a tuple merge and a
 two-field sort, the order the library's flat-key render must keep.
 reference_delay_by_ode integrates the ODE oracle's mode chain to its
@@ -29,6 +33,7 @@ only the netlist layout and the rendering.
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 
 def lambert_w_m1_bisect(x, n_iter=220):
@@ -254,6 +259,32 @@ def reference_solve_z(t_zero, t_first, t_second, c, z_lo):
         ["rising extremal delays are mutually inconsistent: no series "
          "resistance makes the zero-separation transient the sum of "
          "the single-input ones"])
+
+
+def reference_transient_scale(t, z, c, ln2):
+    """Transient scale a whose switch-on crossing sits at t, as a Decimal.
+
+    The crossing is t - a*ln(1 + t/a) = tau, tau = c*z*ln2, formed
+    exactly from the given floats and solved at 40 digits.  With
+    sigma = t/a and u = tau/t it reads ln(1 + sigma) = (1 - u)*sigma.
+    The left side is concave, and ln(1 + s) <= s/sqrt(1 + s) puts the
+    right side above it at sigma = u(2 - u)/(1 - u)**2, so Newton steps
+    from there fall monotonically onto the root; they stop when
+    rounding stops them falling.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(t)
+        u = Decimal(c) * Decimal(z) * Decimal(ln2) / t
+        m = 1 - u
+        sigma = u * (2 - u) / (m * m)
+        for _ in range(200):
+            f = (1 + sigma).ln() - m * sigma
+            nxt = sigma - f / (1 / (1 + sigma) - m)
+            if not nxt < sigma:
+                break
+            sigma = nxt
+        return t / sigma
 
 
 def reference_delay_by_ode(gate_kind, direction, delta, params,

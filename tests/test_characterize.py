@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 import oracles
 from helpers import (CG_ISO, CG_W3, NOR_A, NOR_B, cgate_params, measured_from,
                      nor_params)
-from misdelay import characterize
+from misdelay import characterize, gates, numerics
 from misdelay.characterize import (
     InvalidMeasurementsError,
     MeasuredDelays,
-    alpha_from_extremal_delay,
     characterize_cgate,
     characterize_nor,
     validate_measured,
@@ -52,38 +51,106 @@ def transient_crossing(alpha, r, r5, c):
 
 
 class TestAlphaInverse:
+    """_a_from_extremal inverts the lone switch-on crossing."""
+
     def test_matches_bisection_oracle(self):
         r, r5, c = NOR_A.r, NOR_A.r5, NOR_A.c_load
         for alpha in (1e-10, 5.102e-10, 1.078e-9, 1e-8, 1e-6, 1e-3, 0.3355):
             t = transient_crossing(alpha, r, r5, c)
-            got = alpha_from_extremal_delay(t, r, r5, c)
-            assert math.isclose(got, alpha, rel_tol=1e-10)
+            got = characterize._a_from_extremal(t, r5 + 2.0 * r, c)
+            assert math.isclose(got, alpha / (2.0 * r), rel_tol=1e-10)
 
     def test_round_trip_across_series_switch(self):
-        # the branch-point expansion takes over at small tau/t; both
-        # sides must invert the same curve
+        # the gap's series arm ends at u = tau/t = 0.1; the root's series
+        # arm ends near u = 0.187 (q = 0.2) and its asymptotic start near
+        # u = 0.947 (q = 2); u = 1e-3 is where the Lambert W form
+        # switched.  Every side must invert the same curve
         r, r5, c = NOR_A.r, NOR_A.r5, NOR_A.c_load
         tau = c * (r5 + 2.0 * r) * LN2
-        for u in (0.9e-3, 0.99e-3, 1.01e-3, 1.1e-3):
+        for u in (0.9e-3, 0.99e-3, 1.01e-3, 1.1e-3, 0.099, 0.101, 0.18,
+                  0.19, 0.94, 0.95):
             t = tau / u
-            alpha = alpha_from_extremal_delay(t, r, r5, c)
-            assert math.isclose(transient_crossing(alpha, r, r5, c), t,
+            a = characterize._a_from_extremal(t, r5 + 2.0 * r, c)
+            assert math.isclose(transient_crossing(2.0 * r * a, r, r5, c), t,
                                 rel_tol=1e-9)
 
     def test_rejects_delay_at_or_below_rc_floor(self):
-        r, r5, c = NOR_A.r, NOR_A.r5, NOR_A.c_load
-        floor = c * (r5 + 2.0 * r) * LN2
+        z, c = NOR_A.r5 + 2.0 * NOR_A.r, NOR_A.c_load
+        floor = c * z * LN2
         for t in (floor, 0.5 * floor):
             with pytest.raises(DomainError):
-                alpha_from_extremal_delay(t, r, r5, c)
+                characterize._a_from_extremal(t, z, c)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            alpha_from_extremal_delay(math.nan, 1e3, 0.0, 1e-15)
-        with pytest.raises(DomainError):
-            alpha_from_extremal_delay(1e-11, -1e3, 0.0, 1e-15)
-        with pytest.raises(DomainError):
-            alpha_from_extremal_delay(1e-11, 1e3, -1.0, 1e-15)
+
+class TestTransientScaleAccuracy:
+    """_a_from_extremal against a 40-digit decimal inversion of the same
+    floats, on a log grid that covers every arm switch."""
+
+    def test_within_a_few_eps_of_the_decimal_reference(self):
+        z, c = NOR_A.r5 + 2.0 * NOR_A.r, NOR_A.c_load
+        tau = c * z * LN2
+        # 300 points from 1e-9 to 0.99, and 200 more across the old
+        # Lambert W switch at 1e-3 and the gap series' switch at 0.1
+        lo, hi = math.log(1e-9), math.log(0.99)
+        us = [math.exp(lo + i * (hi - lo) / 299) for i in range(300)]
+        lo, hi = math.log(5e-4), math.log(2e-2)
+        us += [math.exp(lo + i * (hi - lo) / 199) for i in range(200)]
+        us += [0.0999, 0.1, 0.1001]
+        worst = 0.0
+        for u in us:
+            t = tau / u
+            want = oracles.reference_transient_scale(t, z, c, gates._LN2)
+            err = abs(characterize._a_from_extremal(t, z, c) - float(want))
+            # t - tau amplifies the rounding of tau by u/(1 - u)
+            bound = 8.0 * sys.float_info.epsilon
+            if u > 0.5:
+                bound /= 1.0 - u
+            worst = max(worst, err / float(want) / bound)
+        assert worst <= 1.0
+
+
+def _lambert_calls(fn):
+    """Calls of lambert_w_m1 that fn() makes, counted by patching every
+    misdelay module that binds it."""
+    real = numerics.lambert_w_m1
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        bound = [m for name, m in sorted(sys.modules.items())
+                 if name.startswith("misdelay")
+                 and getattr(m, "lambert_w_m1", None) is real]
+        assert numerics in bound and gates in bound
+        for module in bound:
+            mp.setattr(module, "lambert_w_m1", counting)
+        fn()
+    return len(calls)
+
+
+class TestFitsAvoidLambertW:
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_no_call_on_fixture(self, name):
+        p = load_fixture(name)
+        if isinstance(p, NorGateParams):
+            m = measured_from(p)
+            assert _lambert_calls(lambda: characterize_nor(m)) == 0
+            return
+        for q in (p, replace(p, inverted=not p.inverted)):
+            m = measured_from(q)
+            # the inverted twin has the same two totals; solve them anew
+            characterize._solve_z.cache_clear()
+            assert _lambert_calls(lambda: [
+                characterize_cgate(m, r5, inverted=q.inverted)
+                for r5 in (0.0, q.r5)]) == 0
+
+    def test_counter_sees_table_builds(self):
+        # a fresh parameter set builds its tables through Lambert W
+        p = replace(NOR_A, r=NOR_A.r * 1.01)
+        assert _lambert_calls(
+            lambda: nor_delay(p, DelayQuery("rising", 0.0))) > 0
 
 
 class TestValidation:
@@ -126,20 +193,10 @@ class TestValidation:
                 validate_measured(replace(m, **{name: True}), "nor2")
         with pytest.raises(InvalidMeasurementsError, match="delta_min"):
             validate_measured(replace(m, delta_min=False), "nor2")
-        for args in ((True, 1e3, 0.0, 1e-15), (1e-11, True, 0.0, 1e-15),
-                     (1e-11, 1e3, False, 1e-15), (1e-11, 1e3, 0.0, True)):
-            with pytest.raises(DomainError):
-                alpha_from_extremal_delay(*args)
 
     def test_ints_beyond_float_range_are_not_numbers(self):
         # compared as ints, never converted: no OverflowError escapes
         huge = 10 ** 400
-        with pytest.raises(DomainError, match="finite and positive"):
-            alpha_from_extremal_delay(huge, 1e3, 0.0, 1e-15)
-        for args in ((1e-11, huge, 0.0, 1e-15), (1e-11, 1e3, huge, 1e-15),
-                     (1e-11, 1e3, 0.0, -huge)):
-            with pytest.raises(DomainError):
-                alpha_from_extremal_delay(*args)
         m = measured_from(NOR_A)
         for name in ("d_up_zero", "c_chosen", "delta_min"):
             with pytest.raises(InvalidMeasurementsError,
@@ -199,6 +256,16 @@ class TestNorRoundTrip:
                          d_up_inf=2e-12 + NOR_A.delta_min,
                          d_up_minus_inf=2e-12 + NOR_A.delta_min)
         with pytest.raises(InvalidMeasurementsError, match="inconsistent"):
+            characterize_nor(m)
+
+    def test_negative_interconnect_rejected(self):
+        # in units of t_d0: eps = sqrt(9 * 9) = 9 > t_d0 puts r5 below 0
+        unit, dm = 1e-12, NOR_A.delta_min
+        m = measured_from(NOR_A, d_down_zero=dm + unit,
+                          d_down_inf=dm + 10.0 * unit,
+                          d_down_minus_inf=dm + 10.0 * unit)
+        with pytest.raises(InvalidMeasurementsError,
+                           match="negative interconnect resistance"):
             characterize_nor(m)
 
     def test_delay_under_rc_floor(self):
@@ -292,32 +359,32 @@ class TestRoundTripProperties:
 # these bytes exactly.
 FIT_SHA256 = {
     "cgate15_doublecap": (
-        "073cacfe19098873260eb465b94f1bf9bb4befe3b6bda86f6c86097c3d34d95e",
-        "e31e6c2be7093d45fc517b470e685cc6e698df78cba5441143f1e6dbea705529"),
+        "7fc520bbdb1ef136140c7a78836562a88a00ff8d7ce02814128e3a5a81a4c2fd",
+        "55ac05accf3e3c030aa5db389ac8a60d5a1b057bf90dc50014ba714a09d7950e"),
     "cgate15_doublecap_r5zero": (
-        "4afdcc2af909425cf97d05a355cbbf6e377bca9e503fbbf80a72dcaab35667b9",
-        "4afdcc2af909425cf97d05a355cbbf6e377bca9e503fbbf80a72dcaab35667b9"),
+        "7e8197e7d21ebd9fa39eb9f631744f1f4ae9b98bdae62ffef2071bfd1c1acff1",
+        "7e8197e7d21ebd9fa39eb9f631744f1f4ae9b98bdae62ffef2071bfd1c1acff1"),
     "cgate15_halfres": (
-        "c1953f58a7d1b1e63a288a3ec585ebe764e295af06e811d08a5ae02e30ff54ad",
-        "93f4750fdfbd599fd095207b60458a333f712e895da875c82c016f7fa25e336d"),
+        "d72a23049ec7773b874fc8f658d9cb54af2cd5844142a853938cf22c29e5c899",
+        "7a2a9482a169dd064f547a1d8d8133ceb9c28012bd307a59324fc74f5fff5a2a"),
     "cgate15_halfres_r5zero": (
-        "31595da571d57b4a0114c328b4430af18b4af95b7077a3c5be7efdcaedb0f66a",
-        "31595da571d57b4a0114c328b4430af18b4af95b7077a3c5be7efdcaedb0f66a"),
+        "de144b7452297b61a5c185eaf141b28d04fdb3245f967235be49ff2757a8fe8c",
+        "de144b7452297b61a5c185eaf141b28d04fdb3245f967235be49ff2757a8fe8c"),
     "cgate15_isolated": (
-        "08d4ab69edcac22a17d2b3d0836a0cba0c94ebc4d2b2e878773d1f7770dacb34",
-        "08d4ab69edcac22a17d2b3d0836a0cba0c94ebc4d2b2e878773d1f7770dacb34"),
+        "3081215e5ffbcdf83c27030b2f55770c929c3ab658cdc699fbdfcc6284448c03",
+        "3081215e5ffbcdf83c27030b2f55770c929c3ab658cdc699fbdfcc6284448c03"),
     "cgate15_l15": (
-        "6b211d9f023793c9ef63f33c9c0b83f90a09880080cb8d5ea7e8bb8d5413df60",
-        "62a2a2a33b46f9f6ca0ce23e4f134ea9cf32ca76594ccc3f62370f10cc8c0ff4"),
+        "7070c0bb20cddfb431d3a0d47e2b9e77a872758ee1b1b52b5740d2af3883af4d",
+        "2751c9efb80b29bdefeed68bea42e0945c1503853134a86e3113f86a0d808f75"),
     "cgate15_l15_r5zero": (
-        "f37518de703e9b042df178ceb692e0f4850758829901e883fbf886915b876fcd",
-        "f37518de703e9b042df178ceb692e0f4850758829901e883fbf886915b876fcd"),
+        "b25eec23bb78a07122f66cb38447307bfe545b7462c241b39110f82ba67270ca",
+        "b25eec23bb78a07122f66cb38447307bfe545b7462c241b39110f82ba67270ca"),
     "cgate15_l3": (
-        "a760166f59ed9bc03281ab7329f58c56972e02234a50c6b2e9f88210f6a3bb14",
-        "1736d6012a70426c46e339cafee7bc6bc8302484cdca0132501a0287b7c4bf61"),
+        "58b79426aeedfda575fc435c969455eecbe853669d7c41ffce704d5cfca208ab",
+        "dcd9d046263f13b1b79127513895fd35d86a871c1a63d32a5c929b4e86631ecf"),
     "cgate15_l3_r5zero": (
-        "712785252d9db8f94a7e95cc4a4e44aa9a6f2215352cdd47cc3668da6f56139e",
-        "712785252d9db8f94a7e95cc4a4e44aa9a6f2215352cdd47cc3668da6f56139e"),
+        "22a4aae9b3bfd840b2583a7eed63d85da7282000a43411a9dd1ac2648e97366b",
+        "22a4aae9b3bfd840b2583a7eed63d85da7282000a43411a9dd1ac2648e97366b"),
     "nor15_l15":
         "bd3c0bc2021a896e4334c57a8b7e41f37196805bd1ff5df582af9f3c3a73f8a7",
     "nor15_l15_doublecap":
@@ -327,19 +394,19 @@ FIT_SHA256 = {
     "nor15_l15_fanout8":
         "fe8c23252d7801719dc1748c0c4d042cdb45d23de6d58569388b8a7e28df3ae7",
     "nor15_l15_halfres":
-        "05b1d1d043425eaf6276ff0f02701dead9a45f8930da6efb2c2f784c89c35488",
+        "6efa2437f112f67477a7f58c2b06b9a6d9f512cf052fc5351615f6f729cbbc6a",
     "nor15_l15_strong":
         "5ed2822e7449f943e358944964443bfb8ec007a656e90dd47fc612a4dbcd6167",
     "nor15_l15_weak":
-        "063472fcdb32d2a3cecb07672446d043ff28bac7a140c4e0911f249abd2497e7",
+        "a098a799b7f1fcb58bd1e69c9dc1ff498a88a05354140e7a3fc2a6f7dd57daf0",
     "nor15_l3":
-        "cecb219350220c507a32a0cab9880d7656f5f99939a4a3f07e92c17d04fc60e1",
+        "11da3d7c72e1f9b29a756f8c85df12ca1a4cde2f540b28f1d0965cec5073caa2",
     "nor15_l3_fanout2":
-        "2e0f12218355756024d5f206a4ae43ef6e69badbcf97d325fc5257eb00403238",
+        "5d3c3068b0085ad2baa34e045919d1ff13e04c666d7b0e5e625e90f8cfdeb962",
     "nor15_l3_fanout8":
-        "b5b62afa36740e01e83f452d1148b2b4cb9176e86b7b5f14e4cc7aaa31c793fc",
+        "ee7db8d3a14fa6be15616fcce6a0bd943e76fda56dd7a19dca9fc7c564c2e3bd",
     "nor65_l25":
-        "367c9665bfb4bce4de3c9becfe8a0f392206c9037796f3fde7b8dd4b7a25e615",
+        "efef164e54b9f65480dc726aaf023ddbc8dad55c048721e356adfb1927e44e88",
     "nor65_l5":
         "7827cc0442dd5098a31eed75ce1a87f6f287dc060b4da6e61eb4a5435a3cc416",
 }
@@ -443,6 +510,36 @@ class TestSolveMatchesReference:
         want = _invalid_message(oracles.reference_solve_z, *args)
         assert "no admissible pull resistance" in want
         assert _invalid_message(characterize._solve_z, *args) == want
+
+
+class TestSolveGridZero:
+    """A g that vanishes at a grid point gives that grid point back."""
+
+    ARGS = (3e-11, 1e-11, 2e-11, 1e-15)
+
+    @classmethod
+    def _solve_with_root_at(cls, z_star):
+        t_zero, _, _, c = cls.ARGS
+        seen = []
+
+        def a_stub(t, z, c):
+            # g(z) = a(t_zero) - a(t_first) - a(t_second) = z - z_star
+            seen.append(z)
+            return z - z_star if t == t_zero else 0.0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(characterize, "_a_from_extremal", a_stub)
+            z = characterize._solve_z.__wrapped__(*cls.ARGS, z_lo=0.0)
+        return z, sorted(set(seen))
+
+    def test_grid_zero_comes_back(self):
+        # a root between grid points shows which points the solve visits
+        _, visited = self._solve_with_root_at(1.0)
+        assert len(visited) > 3
+        # the low end, an interior point and the high end of the grid
+        for z_star in (visited[0], visited[len(visited) // 2],
+                       visited[-1]):
+            assert self._solve_with_root_at(z_star)[0] == z_star
 
 
 class TestSolveWork:

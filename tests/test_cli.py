@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import measured_from
+from helpers import chain_of, extreme_variants, measured_from
 from misdelay import cli
 from misdelay.cli import main
 from misdelay.fileio import (
@@ -24,8 +25,9 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import (DelayQuery, _output_families, cgate_delay,
-                            nor_delay)
+from misdelay.gates import (DelayQuery, NorGateParams, _output_families,
+                            cgate_delay, nor_delay)
+from misdelay.numerics import DomainError
 from misdelay.sim import build_cross_coupled_chain
 from misdelay.trajectories import delay_by_ode
 
@@ -677,3 +679,40 @@ class TestBench:
         diag = _stderr_diag(capsys)
         assert diag["type"] == "NetlistError"
         assert all(flag[2:] in p for p in diag["problems"])
+
+
+class TestExtremeParams:
+    """A field near either end of the float range gives finite delays or
+    a DomainError, and no command ends in a traceback (exit 1)."""
+
+    def test_delays_finite_or_domain_error(self):
+        rng = random.Random(26)
+        deltas = [0.0, math.inf, -math.inf] + [
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -9.0)
+            for _ in range(6)]
+        for name, field, value, p in extreme_variants():
+            fn = nor_delay if isinstance(p, NorGateParams) else cgate_delay
+            for direction in ("rising", "falling"):
+                for delta in deltas:
+                    try:
+                        d = fn(p, DelayQuery(direction, delta))
+                    except DomainError:
+                        continue
+                    assert math.isfinite(d), (name, field, value, delta)
+
+    def test_commands_exit_0_2_or_3(self, tmp_path):
+        params, netlist = tmp_path / "p.json", tmp_path / "chain.json"
+        csv_out, vcd, stats = (str(tmp_path / name)
+                               for name in ("c.csv", "t.vcd", "s.json"))
+        for name, field, value, p in extreme_variants():
+            nl, library = chain_of(p, 2, mu=5e-11, sigma=3e-11,
+                                   n_transitions=10, seed=26)
+            params.write_text(serialize_params(p))
+            netlist.write_text(serialize_netlist(nl, library))
+            for argv in (["verify", "--params", str(params)],
+                         ["delay-curve", "--params", str(params), "--dmin",
+                          "-1e-11", "--dmax", "1e-11", "--steps", "5",
+                          "-o", csv_out],
+                         ["simulate", "--netlist", str(netlist), "-o", vcd,
+                          "--stats", stats]):
+                assert main(argv) in (0, 2, 3), (name, field, value, argv[0])

@@ -13,6 +13,7 @@ from misdelay.numerics import (
     NoSignChangeError,
     StepUnderflowError,
     Tolerance,
+    _gap_root,
     bisect_threshold_crossing,
     find_root_bracketed,
     integrate_ode,
@@ -141,6 +142,39 @@ class TestLambertWm1Pinned:
                         for x in _w_pin_arguments())
         digest = hashlib.sha256(lines.encode("ascii")).hexdigest()
         assert digest == W_PIN_SHA256
+
+
+class TestGapRoot:
+    """_gap_root(e) is the y >= 0 with y - log1p(y) = e."""
+
+    def test_zero_gap(self):
+        assert _gap_root(0.0) == 0.0
+
+    def test_matches_lambert_w_away_from_the_branch(self):
+        # there forming -exp(-1 - e) costs W only a few ulp
+        for i in range(200):
+            e = 10.0 ** (-2.0 + 4.5 * i / 199)
+            want = -1.0 - lambert_w_m1(-math.exp(-1.0 - e))
+            assert math.isclose(_gap_root(e), want, rel_tol=1e-12), e
+
+    def test_continuous_across_arm_switches(self):
+        # the series arm ends at q = sqrt(2e) = 0.2, the asymptotic
+        # start begins at q = 2
+        for e in (0.02, 2.0):
+            below = _gap_root(math.nextafter(e, 0.0))
+            at = _gap_root(e)
+            assert below <= at
+            assert math.isclose(below, at, rel_tol=4e-16)
+
+    def test_small_gap_is_the_square_root_law(self):
+        # y = q + q**2/3 + ..., q = sqrt(2e)
+        for e in (5e-324, 1e-300, 1e-40):
+            q = math.sqrt(2.0 * e)
+            assert math.isclose(_gap_root(e), q, rel_tol=1e-15)
+
+    def test_nan_does_not_converge(self):
+        with pytest.raises(ConvergenceError):
+            _gap_root(math.nan)
 
 
 class TestFindRootBracketed:

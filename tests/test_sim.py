@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CG_W3, NOR_A, CountingFloat
+from helpers import CG_W3, NOR_A, CountingFloat, chain_of, extreme_variants
 from misdelay import load_fixture, sim
 from misdelay.fileio import list_fixtures, write_vcd
 from misdelay.gates import (
@@ -25,6 +25,7 @@ from misdelay.gates import (
     cgate_delay,
     nor_delay,
 )
+from misdelay.numerics import DomainError
 from misdelay.sim import (
     Gate,
     LivelockError,
@@ -874,3 +875,18 @@ class TestNetlistValidation:
             stimuli={})
         with pytest.raises(NetlistError, match="must not have inputs"):
             validate_netlist(nl)
+
+
+class TestExtremeParams:
+    def test_changes_finite_and_in_time_order(self):
+        # a NaN time would break the event heap's order without a sound
+        for name, field, value, p in extreme_variants():
+            nl, library = chain_of(p, 3, mu=5e-11, sigma=3e-11,
+                                   n_transitions=20, seed=26)
+            try:
+                result = run(nl, library)
+            except DomainError:
+                continue
+            times = [t for t, _, _ in result.changes]
+            assert all(map(math.isfinite, times)), (name, field, value)
+            assert times == sorted(times), (name, field, value)
