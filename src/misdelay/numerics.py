@@ -294,19 +294,32 @@ def find_root_bracketed(f, a: float, b: float, tol: Tolerance = Tolerance()) -> 
         f"find_root_bracketed: {tol.max_iter} iterations exhausted")
 
 
+# least margin of a guided bisection relative to its estimate, 4,096 ulps
+_NEAR_REL = 2.0 ** -40
+
 # a finite window is under 2**1024 wide and floats lie at least 2**-1074
 # apart, so 2,098 halvings narrow any window to adjacent floats
 _MAX_HALVINGS = 2100
 
 
 def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float,
-                              tol: Tolerance = Tolerance(abs=1e-16)) -> float:
+                              tol: Tolerance = Tolerance(abs=1e-16), *,
+                              near: float | None = None) -> float:
     """Locate where a monotone trajectory crosses a level by bisection.
 
     Returns the midpoint of the final bracket once its width is at most
     ``tol.abs``.  Raises NoCrossingError when trajectory - level has the
     same sign at both window ends, and ValueError when the window, its
     width or trajectory - level at either end is not finite.
+
+    near is the caller's estimate of the crossing.  A midpoint farther
+    from it than a margin, tol.abs or 2**-40 |near| if that is larger,
+    takes the side that near puts it on without evaluating the
+    trajectory; every other step, the end checks, the midpoints and the
+    iteration budget are those of the plain bisection.  So the result
+    is the plain bisection's, bit for bit, whenever the trajectory's
+    computed sign outside near +- margin is its true one.
+    A near that is not a number inside the window is ignored.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"invalid window [{t_lo!r}, {t_hi!r}]")
@@ -329,6 +342,15 @@ def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float
         raise NoCrossingError(
             f"no crossing of level {level!r} in [{t_lo!r}, {t_hi!r}]")
     lo_positive = g_lo > 0.0
+    # a midpoint below near_lo or above near_hi takes near's side; a
+    # near that is NaN, infinite or outside the window guides nothing.
+    # A trajectory's computed sign is noise within some ulps of t of its
+    # root, so the margin is at least 4,096 ulps of near
+    if near is not None and t_lo <= near <= t_hi:
+        margin = max(tol_abs, abs(near) * _NEAR_REL)
+        near_lo, near_hi = near - margin, near + margin
+    else:
+        near_lo, near_hi = -math.inf, math.inf
     # ceil(log2(width/tol)) iterations reach the requested bracket width;
     # the +8 covers pathological float spacing near the endpoints.  A
     # ratio past the float range takes _MAX_HALVINGS, which reach
@@ -346,6 +368,12 @@ def bisect_threshold_crossing(trajectory, level: float, t_lo: float, t_hi: float
             mid = t_lo + 0.5 * (t_hi - t_lo)  # the sum overflowed
             if mid <= t_lo or mid >= t_hi:
                 break
+        if mid < near_lo:
+            t_lo = mid
+            continue
+        if mid > near_hi:
+            t_hi = mid
+            continue
         g_mid = trajectory(mid) - level
         if g_mid == 0.0:
             return mid

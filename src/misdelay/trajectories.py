@@ -12,10 +12,20 @@ delay oracles:
 * full ODE integration, with the interconnect either as the constant
   divider or as the exact time-varying divider f(t).
 
+Both oracles estimate each crossing before they bisect it: the falling
+NOR chain in closed form, a switch-on by Newton's method on tau*log(phi),
+the ODE by Newton's method on the cubic of the step that crosses.  The
+bisection (`bisect_threshold_crossing`'s near) then evaluates the
+trajectory only at its last levels, about 2.4 midpoints instead of 24,
+and keeps its result bit for bit: every midpoint it skips lies farther
+from the estimate than the bisection's margin, where the trajectory's
+computed sign is the estimate's.
+
 `_mode_law` is the one table of the eight modes.  A dual-transient
-mode's decay factor is built in one place, `_phi`, which the
-trajectories, the implicit function and the inversion oracle call
-after it; the ODE right-hand side `_ode_rhs` reads the same table.
+mode's decay factor and its exponent's slope are built in one place,
+`_phi`, which the trajectories, the implicit function, the inversion
+oracle and its Newton estimate call after it; the ODE right-hand side
+`_ode_rhs` reads the same table.
 
 The oracles share with the closed forms only the description of the
 gate and the argument checks: which parameter class each gate kind
@@ -24,7 +34,7 @@ names (`gates._KIND_CLASSES`), which input pair drives an output
 pair engages (`gates._switch_on_pair`) and the divider-corrected loads
 (`effective_caps`).  The crossing formulas and their solves stay
 independent: the closed forms use Lambert W and a linearization, the
-oracles bisect the chained trajectories or integrate the ODE.
+oracles bisect the chained trajectories or the integrated ODE.
 
 The constant divider is exact for this circuit, not an approximation.
 The constant-resistance modes need no divider correction at all; a
@@ -90,6 +100,10 @@ _T_EPS = 1e-18
 # step-size tolerance of the ODE oracle
 _CROSSING_TOL = Tolerance(abs=1e-17)
 _ODE_TOL = Tolerance(rel=1e-10, abs=1e-13)
+# Newton steps allowed for a crossing estimate: three reach it on most
+# fixtures, about 20 where the transient scale dwarfs tau
+# (cgate15_isolated)
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +134,8 @@ class ModeSwitch:
 
 
 def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
-    """Homogeneous decay factor of a dual-transient mode.
+    """Homogeneous decay factor of a dual-transient mode, as tau and an
+    exponent.
 
     aged and fresh are the transient coefficients of the transistor
     that switched on delta earlier and of the one switching on at
@@ -128,27 +143,32 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     divider-corrected load.  With a = (aged + fresh)/2r, d = a + delta,
     c' = fresh * delta/2r and chi = d^2 - 4c', phi is a product of
     exp(-t/tau) and two power laws in 1 + 2t/(d +- sqrt(chi)).
-    Returns it as a function of mode time t, with everything that does
-    not depend on t computed once.
+    Returns (tau, e, de): phi(t) = exp(e(t)/tau), and de is e's
+    derivative in t, as functions of mode time t with everything that
+    does not depend on t computed once.  Raises DomainError when
+    tau = 2r * c_eff underflows to 0.
     """
     two_r = 2.0 * r
     tau = two_r * c_eff
-    exp, log1p = math.exp, math.log1p
+    if not tau > 0.0:
+        raise DomainError(f"time constant 2r*c_eff={tau!r} is not positive")
+    log1p = math.log1p
     settled = math.isinf(delta)
     a = (fresh if settled else aged + fresh) / two_r
     if settled or delta < 1e-6 * a:
         # single-transient law: the aged transistor has fully settled,
         # or it switched with the fresh one, where the exact form
         # degenerates and loses all precision (its analytic limit)
-        return lambda t: exp((-t + a * log1p(t / a)) / tau)
+        return (tau, lambda t: -t + a * log1p(t / a),
+                lambda t: a / (a + t) - 1.0)
     d = a + delta
     c_prime = fresh * delta / two_r
     # chi = d^2 - 4 c' >= (fresh/2R - delta)^2 >= 0; the stable
-    # forms below avoid the cancellation for small c'
+    # forms below avoid the cancellation for small c'.  Rounding can
+    # put the ratio a few ulp past 1 where chi is 0 (aged/2R
+    # underflowing, delta = fresh/2R): that is chi = 0, as at ratio 1
     ratio = 4.0 * c_prime / (d * d)
-    if ratio > 1.0:
-        raise DomainError(f"negative discriminant chi for delta={delta!r}")
-    sqrt_chi = d * math.sqrt(1.0 - ratio)
+    sqrt_chi = d * math.sqrt(1.0 - ratio) if ratio < 1.0 else 0.0
     chi = d * d - 4.0 * c_prime
     if sqrt_chi > 0.0:
         p_minus = 4.0 * c_prime / (d + sqrt_chi)  # = d - sqrt(chi), stably
@@ -158,8 +178,26 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     p_plus = d + (math.sqrt(chi) if chi > 0.0 else 0.0)
     p_minus = 4.0 * c_prime / p_plus
     a_rest = a - a_exp
-    return lambda t: exp((-t + a_rest * log1p(2.0 * t / p_plus)
-                          + a_exp * log1p(2.0 * t / p_minus)) / tau)
+    return (tau,
+            lambda t: (-t + a_rest * log1p(2.0 * t / p_plus)
+                       + a_exp * log1p(2.0 * t / p_minus)),
+            lambda t: (-1.0 + 2.0 * a_rest / (p_plus + 2.0 * t)
+                       + 2.0 * a_exp / (p_minus + 2.0 * t)))
+
+
+def _newton(f, df, level: float, t: float, step_tol: float) -> float | None:
+    """Newton's iteration on f(t) = level from t, stopped by a step of
+    at most step_tol, or None when the budget runs out first.
+
+    The oracles pass the root to the bisection as its near, and pass
+    None when f or df raises ArithmeticError or ValueError.
+    """
+    for _ in range(_NEWTON_STEPS):
+        step = (f(t) - level) / df(t)
+        t -= step
+        if abs(step) <= step_tol:
+            return t
+    return None
 
 
 def _mode_law(params, kind: str):
@@ -222,8 +260,11 @@ def eval_trajectory(ms: ModeSwitch, params, t: float) -> float:
         return v0 * math.exp(-t / (c_eff * rg))
     _, aged, fresh, r, c_eff, up = law
     # phi's exponent is inf - inf at t = +inf, where its limit is 0
-    phi = 0.0 if t == math.inf else _phi(aged, fresh, r, ms.delta,
-                                          c_eff)(t)
+    if t == math.inf:
+        phi = 0.0
+    else:
+        tau, expo, _ = _phi(aged, fresh, r, ms.delta, c_eff)
+        phi = math.exp(expo(t) / tau)
     return 1.0 + (v0 - 1.0) * phi if up else v0 * phi
 
 
@@ -249,7 +290,8 @@ def implicit_I(t: float, delta: float, params,
         params, _switch_on_kind(pair_rising, delta))
     if t == math.inf:
         return -0.5  # phi's limit, which its exponent (inf - inf) misses
-    return _phi(aged, fresh, r, delta, c_eff)(t) - 0.5
+    tau, expo, _ = _phi(aged, fresh, r, delta, c_eff)
+    return math.exp(expo(t) / tau) - 0.5
 
 
 def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
@@ -293,24 +335,47 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
 
     hi = _LN2 * tau1 * 1.0000001 if math.isinf(sep) else \
         min(sep, _LN2 * tau1) + 40.0 * tau2
-    t_cross = bisect_threshold_crossing(traj, 0.5, 0.0, hi, _CROSSING_TOL)
+    # the crossing in closed form, so the bisection evaluates traj only
+    # at the last levels; tau1 > 0 wherever sep / tau1 is formed
+    near = _LN2 * tau1
+    if near > sep:
+        near = sep + tau2 * (_LN2 - sep / tau1)
+    t_cross = bisect_threshold_crossing(traj, 0.5, 0.0, hi, _CROSSING_TOL,
+                                        near=near)
     return t_cross + p.delta_min
 
 
 def _switch_on_by_inversion(p, pair_rising: bool, delta: float) -> float:
     _, aged, fresh, r, c_eff, _ = _mode_law(p, _switch_on_kind(pair_rising,
                                                                delta))
-    phi = _phi(aged, fresh, r, abs(delta), c_eff)
-    # phi decays monotonically from 1: widen a bracket from the hint
+    tau, expo, slope = _phi(aged, fresh, r, abs(delta), c_eff)
+    exp = math.exp
+
+    def phi(t: float) -> float:
+        return exp(expo(t) / tau)
+
+    # the hint brackets the crossing: phi decays at least as fast as
+    # the simultaneous switch-on's single-transient law, which is below
+    # exp(-1.8) there
     hi = max(8.0 * r * c_eff + (aged + fresh) / r, 1e-15)
-    for _ in range(200):
-        if phi(hi) < 0.5:
-            break
-        hi *= 2.0
-    else:
-        raise NoCrossingError("drive trajectory never reaches threshold")
-    return bisect_threshold_crossing(phi, 0.5, 0.0, hi,
-                                     _CROSSING_TOL) + p.delta_min
+    # Newton on tau*log(phi) + tau*ln2, concave and decreasing: from
+    # tau*ln2 plus the log1p terms at tau*ln2, left of the root, the
+    # first step lands right of it and the rest fall onto it
+    shift = tau * _LN2
+    try:
+        near = _newton(expo, slope, -shift, 2.0 * shift + expo(shift),
+                       1e-2 * _CROSSING_TOL.abs)
+    except (ArithmeticError, ValueError):
+        near = None
+    try:
+        t_cross = bisect_threshold_crossing(phi, 0.5, 0.0, hi, _CROSSING_TOL,
+                                            near=near)
+    except ValueError as exc:
+        # the window end or phi there left the float range; a wider
+        # window cannot bring either back
+        raise NoCrossingError(f"drive trajectory has no crossing within "
+                              f"the float range: {exc}") from None
+    return t_cross + p.delta_min
 
 
 class PiecewiseSolution:
@@ -431,7 +496,9 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     delay_by_inversion.  The integration stops at its first accepted
     node past V_dd/2 instead of running to 12x the inversion delay;
     the nodes before it are the full run's and the bisection window is
-    the same, so the delay is the same to the bit.  exact_f=True
+    the same, so the delay is the same to the bit.  The crossing step's
+    cubic, solved by Newton's method, guides the bisection (its near),
+    which leaves the result unchanged too.  exact_f=True
     integrates the time-varying divider with the transient
     coefficients of params as given; that is the gate the constant
     divider describes only after those coefficients are scaled by
@@ -467,5 +534,28 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     # each probe has the sign the run to t_end gives it, and the window
     # is that run's: its last node lands on the last mode's end
     t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, last + (t_end - last),
-                                        _CROSSING_TOL)
+                                        _CROSSING_TOL, near=_hermite_root(sol))
     return t_cross + params.delta_min
+
+
+def _hermite_root(sol: PiecewiseSolution) -> float | None:
+    # Newton on the cubic Hermite of the solution's last step, which a
+    # stop_past=0.5 run ends on the step that crosses 0.5; None unless
+    # that step's node values straddle the level
+    start, seg = sol.segments[-1]
+    ts, vs, dvs = seg.ts, seg.vs, seg.dvs
+    v0, v1 = vs[-2], vs[-1]
+    if not min(v0, v1) < 0.5 < max(v0, v1):
+        return None
+    h = ts[-1] - ts[-2]
+    d0, d1 = dvs[-2] * h, dvs[-1] * h
+    # the step's cubic in x = (t - ts[-2])/h, in powers of x
+    c2 = 3.0 * (v1 - v0) - 2.0 * d0 - d1
+    c3 = 2.0 * (v0 - v1) + d0 + d1
+    try:
+        x = _newton(lambda x: v0 + x * (d0 + x * (c2 + x * c3)),
+                    lambda x: d0 + x * (2.0 * c2 + 3.0 * x * c3), 0.5,
+                    (0.5 - v0) / (v1 - v0), 1e-2 * _CROSSING_TOL.abs / h)
+    except ArithmeticError:
+        return None
+    return None if x is None else start + ts[-2] + x * h

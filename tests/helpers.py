@@ -7,6 +7,7 @@ test_fileio.TestReferenceGates checks that they still agree.
 
 import dataclasses
 import math
+import random
 
 from hypothesis import strategies as st
 
@@ -66,6 +67,35 @@ def extreme_variants(names=("nor15_l3", "cgate15_l3")):
                 for value in EXTREME_VALUES:
                     yield (name, field.name, value,
                            dataclasses.replace(base, **{field.name: value}))
+
+
+def random_nor(rng: random.Random) -> NorGateParams:
+    """A NOR parameter set drawn in the ranges of acceptance criterion 1."""
+    return NorGateParams(
+        r_n_a=rng.uniform(500.0, 8000.0),
+        r_n_b=rng.uniform(500.0, 8000.0),
+        r=rng.uniform(300.0, 2500.0),
+        alpha1=rng.uniform(5e-10, 1e-8),
+        alpha2=rng.uniform(5e-10, 1e-8),
+        c_load=rng.uniform(5e-16, 2.5e-15),
+        r5=rng.uniform(0.0, 800.0),
+        delta_min=rng.uniform(0.0, 1e-11),
+    )
+
+
+def random_cgate(rng: random.Random) -> CGateParams:
+    """A C gate parameter set drawn in the ranges of acceptance criterion 2."""
+    return CGateParams(
+        r_n=rng.uniform(300.0, 2500.0),
+        r_p=rng.uniform(300.0, 2500.0),
+        alpha1=rng.uniform(5e-10, 1e-8),
+        alpha2=rng.uniform(5e-10, 1e-8),
+        alpha3=rng.uniform(5e-10, 1e-8),
+        alpha4=rng.uniform(5e-10, 1e-8),
+        c_load=rng.uniform(5e-16, 2.5e-15),
+        r5=rng.uniform(0.0, 800.0),
+        delta_min=rng.uniform(0.0, 1e-11),
+    )
 
 
 def chain_of(p, n_stages, **kwargs):

@@ -13,11 +13,11 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from helpers import random_cgate, random_nor
 from misdelay.characterize import characterize_cgate, characterize_nor
 from misdelay.characterize import MeasuredDelays
 from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.gates import (
-    CGateParams,
     DelayQuery,
     NorGateParams,
     cgate_breakpoints,
@@ -66,33 +66,6 @@ def _measured_from(p, delay_fn) -> MeasuredDelays:
     )
 
 
-def _random_nor(rng: random.Random) -> NorGateParams:
-    return NorGateParams(
-        r_n_a=rng.uniform(500.0, 8000.0),
-        r_n_b=rng.uniform(500.0, 8000.0),
-        r=rng.uniform(300.0, 2500.0),
-        alpha1=rng.uniform(5e-10, 1e-8),
-        alpha2=rng.uniform(5e-10, 1e-8),
-        c_load=rng.uniform(5e-16, 2.5e-15),
-        r5=rng.uniform(0.0, 800.0),
-        delta_min=rng.uniform(0.0, 1e-11),
-    )
-
-
-def _random_cgate(rng: random.Random) -> CGateParams:
-    return CGateParams(
-        r_n=rng.uniform(300.0, 2500.0),
-        r_p=rng.uniform(300.0, 2500.0),
-        alpha1=rng.uniform(5e-10, 1e-8),
-        alpha2=rng.uniform(5e-10, 1e-8),
-        alpha3=rng.uniform(5e-10, 1e-8),
-        alpha4=rng.uniform(5e-10, 1e-8),
-        c_load=rng.uniform(5e-16, 2.5e-15),
-        r5=rng.uniform(0.0, 800.0),
-        delta_min=rng.uniform(0.0, 1e-11),
-    )
-
-
 def _clamps(p, direction: str):
     """(plus, minus) |delta| clamp points of the output direction's family."""
     if isinstance(p, NorGateParams):
@@ -123,7 +96,7 @@ def test_criterion_1_nor_characterization_round_trip():
     start = time.perf_counter()
     rng = random.Random(0xC1)
     cases = [load_fixture("nor15_l3"), load_fixture("nor15_l15")]
-    cases += [_random_nor(rng) for _ in range(200)]
+    cases += [random_nor(rng) for _ in range(200)]
     worst_param = worst_delay = 0.0
     for p in cases:
         fit = characterize_nor(_measured_from(p, nor_delay))
@@ -147,7 +120,7 @@ def test_criterion_2_cgate_characterization_round_trip():
     rng = random.Random(0xC2)
     cases = [p for _, p in _cgate_fixtures()]
     assert len(cases) == 9
-    cases += [_random_cgate(rng) for _ in range(200)]
+    cases += [random_cgate(rng) for _ in range(200)]
     worst_param = worst_delay = worst_choice = 0.0
     for p in cases:
         m = _measured_from(p, cgate_delay)
@@ -310,9 +283,9 @@ def test_criterion_6_structural_delay_properties():
     zero_ok = clamp_ok = True
     for i in range(1000):
         if i % 2 == 0:
-            p, delay = _random_nor(rng), nor_delay
+            p, delay = random_nor(rng), nor_delay
         else:
-            p, delay = _random_cgate(rng), cgate_delay
+            p, delay = random_cgate(rng), cgate_delay
         for direction in ("rising", "falling"):
             bpp, bpm = _clamps(p, direction)
             for sign, bp in ((1.0, bpp), (-1.0, bpm)):

@@ -716,3 +716,14 @@ class TestExtremeParams:
                          ["simulate", "--netlist", str(netlist), "-o", vcd,
                           "--stats", stats]):
                 assert main(argv) in (0, 2, 3), (name, field, value, argv[0])
+
+    def test_time_constant_underflow_exits_3(self, tmp_path, capsys):
+        # three extreme fields together: with r5 = 0 the switch-on time
+        # constant 2r*c_eff = c_load*2r_p underflows to 0
+        p = replace(load_fixture("cgate15_isolated"), c_load=2.6331e-115,
+                    r_p=2.3215e-297, alpha1=1e300)
+        path = tmp_path / "p.json"
+        path.write_text(serialize_params(p))
+        assert main(["verify", "--params", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "DomainError"

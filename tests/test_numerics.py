@@ -13,6 +13,7 @@ from misdelay.numerics import (
     NoSignChangeError,
     StepUnderflowError,
     Tolerance,
+    _NEAR_REL,
     _gap_root,
     bisect_threshold_crossing,
     find_root_bracketed,
@@ -375,6 +376,104 @@ class TestBisectMatchesReference:
             want = self._outcome(reference_bisect_threshold_crossing, traj,
                                  t_lo, t_hi, tol)
             assert got == want
+
+
+@st.composite
+def _guided_cases(draw):
+    """A trajectory whose computed sign is exact, a window holding its
+    root, a tolerance, and an estimate within half the tolerance of the
+    root."""
+    t_lo = draw(st.floats(-1e3, 1e3))
+    width = (abs(t_lo) + 1.0) * draw(_decades(-12, 1))
+    t_hi = t_lo + width
+    root = t_lo + draw(st.integers(1, 999)) / 1000.0 * width
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        traj = lambda t: sign * (t - root)
+    else:
+        scale = width * draw(_decades(-12, 0))
+        traj = lambda t: math.tanh(sign * (t - root) / scale)
+    tol = max(width * draw(_decades(-20, -1)), 5e-324)
+    near = root + draw(st.floats(-0.49, 0.49)) * tol
+    return traj, t_lo, t_hi, Tolerance(abs=tol), near
+
+
+class TestBisectNear:
+    """An estimate of the crossing picks the bisection's last levels and
+    leaves its result as it was."""
+
+    _outcome = staticmethod(TestBisectMatchesReference._outcome)
+
+    @staticmethod
+    def _guided(traj, t_lo, t_hi, tol, near):
+        return TestBisectMatchesReference._outcome(
+            lambda *args: bisect_threshold_crossing(*args, near=near),
+            traj, t_lo, t_hi, tol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_guided_cases())
+    def test_same_result_from_fewer_probes(self, case):
+        traj, t_lo, t_hi, tol, near = case
+        got, probes = self._guided(traj, t_lo, t_hi, tol, near)
+        want, plain_probes = self._outcome(bisect_threshold_crossing, traj,
+                                           t_lo, t_hi, tol)
+        assert got == want
+        assert want == self._outcome(reference_bisect_threshold_crossing,
+                                     traj, t_lo, t_hi, tol)[0]
+        # the window ends, then only midpoints within the margin of an
+        # estimate inside the window (to the rounding of near +- margin),
+        # each one the plain bisection probes too
+        assert probes[:2] == plain_probes[:2]
+        assert set(probes) <= set(plain_probes)
+        if t_lo <= near <= t_hi:
+            reach = max(tol.abs, abs(near) * _NEAR_REL) + math.ulp(near)
+            assert all(abs(t - near) <= reach for t in probes[2:])
+        else:
+            assert probes == plain_probes
+
+    @pytest.mark.parametrize("near", [math.nan, math.inf, -math.inf,
+                                      -1.0, -1e-300, 5.0 + 1e-9, 1e300])
+    def test_near_outside_the_window_is_ignored(self, near):
+        traj = lambda t: math.exp(-t) - 0.5
+        tol = Tolerance(abs=1e-12)
+        assert self._guided(traj, 0.0, 5.0, tol, near) == \
+            self._outcome(bisect_threshold_crossing, traj, 0.0, 5.0, tol)
+
+    def test_exponential_crossing_in_five_probes(self):
+        # 43 halvings of [0, 5] at 1e-12; the plain bisection probes
+        # 2 + 43 times
+        traj = lambda t: math.exp(-t) - 0.5
+        tol = Tolerance(abs=1e-12)
+        got, probes = self._guided(traj, 0.0, 5.0, tol, math.log(2.0))
+        want, plain_probes = self._outcome(bisect_threshold_crossing, traj,
+                                           0.0, 5.0, tol)
+        assert got == want and len(plain_probes) == 45
+        assert len(probes) <= 5
+
+    @pytest.mark.parametrize("root", [1.2345678, 3.3e5])
+    def test_noisy_sign_past_tol_at_a_large_time_scale(self, root):
+        # tol.abs is below the ulp of t here, and the computed sign is
+        # noise within 8 ulps of the root: the margin of 4,096 ulps of
+        # near keeps every skipped midpoint outside that band
+        noise = 8.0 * math.ulp(root)
+        traj = lambda t: (t - root) + noise * math.sin(t * 1e17)
+        tol = Tolerance(abs=1e-17)
+        for near in (root, math.nextafter(root, 0.0)):
+            got, probes = self._guided(traj, 0.0, 2.0 * root, tol, near)
+            want, plain_probes = self._outcome(bisect_threshold_crossing,
+                                               traj, 0.0, 2.0 * root, tol)
+            assert got == want
+            assert len(probes) < len(plain_probes) - 20
+
+    def test_estimate_is_trusted_outside_tol(self):
+        # a midpoint farther than tol from near is not evaluated, so a
+        # wrong estimate inside the window steers the result, which
+        # lands within two tol of it rather than at ln 2
+        traj = lambda t: math.exp(-t) - 0.5
+        got, probes = self._guided(traj, 0.0, 5.0, Tolerance(abs=1e-12),
+                                   1.0)
+        assert abs(got - 1.0) <= 2e-12
+        assert all(abs(t - 1.0) <= 1e-12 for t in probes[2:])
 
 
 class TestIntegrateOde:

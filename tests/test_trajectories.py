@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 import oracles
-from helpers import CG_ISO, CG_W3, NOR_A, NOR_B
+from helpers import (CG_ISO, CG_W3, NOR_A, NOR_B, extreme_variants,
+                     random_cgate, random_nor)
+from misdelay import trajectories
 from misdelay.gates import (
     DelayQuery,
     NorGateParams,
@@ -20,6 +24,7 @@ from misdelay.gates import (
     nor_extremal_rising,
 )
 from misdelay.fileio import list_fixtures, load_fixture
+from misdelay.numerics import DomainError, NoCrossingError, OdeSolution
 from misdelay.trajectories import (
     NOR_MODE_KINDS,
     ModeSwitch,
@@ -565,3 +570,184 @@ class TestTrajectoryLayerPinned:
             out.extend(self._outputs(load_fixture(name)))
         assert len(out) == 13986
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.SHA256
+
+
+def _kind(p):
+    return "nor2" if isinstance(p, NorGateParams) else "cgate"
+
+
+def _bisect_outcome(bisect, trajectory, *args, **kwargs):
+    # (result or exception type, trajectory evaluations)
+    evals = 0
+
+    def counted(t):
+        nonlocal evals
+        evals += 1
+        return trajectory(t)
+
+    try:
+        return bisect(counted, *args, **kwargs), evals
+    except Exception as exc:  # compared by type with the other bisections
+        return type(exc), evals
+
+
+@pytest.fixture
+def crossings(monkeypatch):
+    """Route every oracle crossing through a checking bisection.
+
+    Each call bisects the trajectory three times: guided by the caller's
+    near, with near=None, and by the reference bisection.  The first two
+    must agree on the result or the exception type, and the reference
+    too wherever both return.  Each call returns or raises what the
+    guided run did, and appends (caller, near, trajectory evaluations
+    of the guided run, whether the reference was compared) to the list
+    the fixture returns.
+    """
+    bisect = trajectories.bisect_threshold_crossing
+    records = []
+
+    def checked(trajectory, level, t_lo, t_hi, tol, *, near=None):
+        got, evals = _bisect_outcome(bisect, trajectory, level, t_lo, t_hi,
+                                     tol, near=near)
+        plain, _ = _bisect_outcome(bisect, trajectory, level, t_lo, t_hi,
+                                   tol)
+        ref, _ = _bisect_outcome(oracles.reference_bisect_threshold_crossing,
+                                 trajectory, level, t_lo, t_hi, tol)
+        assert got == plain, (got, plain, near)
+        compared = isinstance(got, float) and isinstance(ref, float)
+        assert got == ref or not compared, (got, ref, near)
+        records.append((sys._getframe(1).f_code.co_name, near, evals,
+                        compared))
+        if isinstance(got, type):
+            raise got("from the guided bisection")
+        return got
+
+    monkeypatch.setattr(trajectories, "bisect_threshold_crossing", checked)
+    return records
+
+
+def _grid(p, direction, n):
+    # 0, +-inf and n points per side on (0, 3 bp]
+    fam = _output_families(p)[direction == "rising"][1]
+    bp = max(fam.bp0_plus, fam.bp0_minus)
+    return [0.0, math.inf, -math.inf] + [
+        s * 3.0 * bp * i / n for i in range(1, n + 1) for s in (1.0, -1.0)]
+
+
+_CALLERS = {"_nor_fall_by_inversion", "_switch_on_by_inversion",
+            "delay_by_ode"}
+
+
+class TestGuidedCrossings:
+    """Each oracle's crossing estimate (closed form, Newton on log phi,
+    Newton on the crossing step's cubic) picks the bisection's last
+    levels and leaves every delay bit-identical."""
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_fixture_grid_same_bits_in_five_evaluations(self, name,
+                                                        crossings):
+        p = load_fixture(name)
+        for direction in ("falling", "rising"):
+            for i, delta in enumerate(_grid(p, direction, 32)):
+                delay_by_inversion(_kind(p), direction, delta, p)
+                if i % 4 == 0:
+                    delay_by_ode(_kind(p), direction, delta, p, i % 8 == 0)
+        assert {caller for caller, *_ in crossings} == (
+            _CALLERS if name.startswith("nor") else
+            _CALLERS - {"_nor_fall_by_inversion"})
+        # every crossing was guided and checked against the reference.
+        # The evaluation count is exact, window ends included: one that
+        # fell back to the plain bisection would take 20 or more
+        for caller, near, evals, compared in crossings:
+            assert near is not None and compared, caller
+            assert evals <= 5, (caller, evals)
+
+    def test_random_sets_bit_identical(self, crossings):
+        rng = random.Random(27)
+        for p in [draw(rng) for _ in range(15)
+                  for draw in (random_nor, random_cgate)]:
+            for direction in ("falling", "rising"):
+                for i, delta in enumerate(_grid(p, direction, 6)):
+                    delay_by_inversion(_kind(p), direction, delta, p)
+                    if i % 3 == 0:
+                        delay_by_ode(_kind(p), direction, delta, p)
+        assert all(near is not None and compared
+                   for _, near, _, compared in crossings)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e12])
+    def test_slow_gates_bit_identical(self, scale, crossings):
+        # delays up to seconds, where tol.abs is far below an ulp of t
+        # and the bisection's margin is 4,096 ulps of near
+        for p in (NOR_B, CG_ISO, CG_W3):
+            p = replace(p, c_load=p.c_load * scale)
+            for direction in ("falling", "rising"):
+                for delta in (0.0, math.inf, -1e-12 * scale, 2e-11 * scale):
+                    delay_by_inversion(_kind(p), direction, delta, p)
+                    if scale < 1e6:
+                        delay_by_ode(_kind(p), direction, delta, p)
+        assert all(near is not None and compared
+                   for _, near, _, compared in crossings)
+
+    def test_extreme_sets_bit_identical(self, crossings):
+        # the TestExtremeParams sets whose tables build; a crossing may
+        # raise, the same way guided or not
+        for _, _, _, p in extreme_variants():
+            try:
+                _output_families(p)
+            except DomainError:
+                continue
+            for direction in ("falling", "rising"):
+                for delta in (0.0, 1e-12, -1e-12, math.inf, -math.inf):
+                    for oracle in (delay_by_inversion, delay_by_ode):
+                        try:
+                            oracle(_kind(p), direction, delta, p)
+                        except (ArithmeticError, ValueError, RuntimeError):
+                            pass
+        assert any(near is None for _, near, _, _ in crossings)
+        assert sum(near is not None for _, near, _, _ in crossings) > 500
+
+
+class TestOracleEdges:
+    """Inputs at the edges of the float range reach each guard of the
+    switch-on inversion and its decay factor."""
+
+    def test_tau_underflow_is_a_domain_error(self):
+        # 2r*c_eff = c_load*2r_p underflows to 0 with r5 = 0; it used to
+        # raise ZeroDivisionError
+        p = replace(load_fixture("cgate15_isolated"), c_load=2.6331e-115,
+                    r_p=2.3215e-297, alpha1=1e300)
+        with pytest.raises(DomainError, match="not positive"):
+            delay_by_inversion("cgate", "falling", 0.0, p)
+
+    def test_decay_factor_past_float_range_is_no_crossing(self):
+        # the bracket end's t/a overflows, so phi there is inf; the
+        # bracket used to be doubled 200 times before this error
+        p = replace(CG_W3, c_load=2.6331e-115, r_p=2.3215e-297,
+                    alpha1=1e300)
+        for oracle in (delay_by_inversion, delay_by_ode):
+            with pytest.raises(NoCrossingError, match="float range"):
+                oracle("cgate", "rising", math.inf, p)
+
+    def test_estimates_that_fail_give_none(self):
+        # Newton's budget runs out on a function without a real root; a
+        # crossing step's cubic flat where Newton starts divides by zero
+        assert trajectories._newton(lambda t: t * t + 1.0,
+                                    lambda t: 2.0 * t, 0.0, 0.5,
+                                    1e-19) is None
+        flat = trajectories.PiecewiseSolution(
+            [(0.0, OdeSolution([0.0, 1.0], [0.0, 1.0], [3.0, 3.0]))])
+        assert trajectories._hermite_root(flat) is None
+
+    def test_rounded_negative_discriminant_is_zero(self):
+        # aged/2r underflows to 0 and delta = fresh/2r: chi is 0, but
+        # its ratio rounds past 1.  That used to raise DomainError
+        p = replace(NOR_A, alpha1=5e-324, alpha2=7.661368727868479e-09,
+                    r=988.6863694964386)
+        delta = 3.874519243028806e-12
+        assert delta == p.alpha2 / (2.0 * p.r)
+        d = delay_by_inversion("nor2", "rising", delta, p)
+        for nudge in (1.0 - 1e-9, 1.0 + 1e-9):
+            assert d == pytest.approx(
+                delay_by_inversion("nor2", "rising", delta * nudge, p),
+                rel=1e-8)
+        assert -0.5 < implicit_I(d - p.delta_min, delta, p) < 0.5
