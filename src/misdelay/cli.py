@@ -3,8 +3,7 @@
 Subcommands: characterize (fit parameters from measured extremal
 delays), delay-curve (tabulate the four delay families over a
 separation grid), verify (sweep closed forms against the trajectory
-and ODE oracles), simulate (run a netlist to VCD + stats), bench
-(time the cross-coupled chain).
+and ODE oracles), simulate (run a netlist to VCD + stats).
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 Failures emit a one-line JSON diagnostic on standard error.
@@ -31,8 +30,7 @@ from .gates import (DelayQuery, NorGateParams, ParamError, _kind_of,
                     _output_families, cgate_delay, nor_delay)
 from .numerics import (ConvergenceError, DomainError, NoCrossingError,
                        NoSignChangeError, StepUnderflowError)
-from .sim import (CausalityError, LivelockError, NetlistError,
-                  build_cross_coupled_chain, run)
+from .sim import CausalityError, LivelockError, NetlistError, run
 from .trajectories import delay_by_inversion, delay_by_ode
 
 EXIT_OK = 0
@@ -252,40 +250,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# -- bench --------------------------------------------------------------------
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.stages < 1 or args.transitions < 1 or args.repeat < 1:
-        raise CliUsageError("--stages, --transitions and --repeat must be >= 1")
-    nl = build_cross_coupled_chain(args.stages, params_ref="nor",
-                                   mu=args.mu, sigma=args.sigma,
-                                   n_transitions=args.transitions,
-                                   seed=args.seed)
-    library = {"nor": load_fixture("nor15_l3")}
-    events = None
-    walls = []
-    for _ in range(args.repeat):
-        result = run(nl, library)
-        if events is None:
-            events = result.stats.events
-        elif events != result.stats.events:
-            raise RuntimeError("event count varied between identical runs")
-        walls.append(result.stats.wall_clock_s)
-    report = {
-        "stages": args.stages,
-        "transitions_per_source": args.transitions,
-        "mu_s": args.mu,
-        "sigma_s": args.sigma,
-        "seed": args.seed,
-        "events": events,
-        "wall_clock_s": walls,
-        "best_wall_clock_s": min(walls),
-        "events_per_s": events / min(walls),
-    }
-    print(_dumps(report), end="")
-    return EXIT_OK
-
-
 # -- parser -------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -355,15 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", required=True, metavar="FILE")
     p.add_argument("--t-end", type=float, default=None, metavar="SECONDS")
     p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("bench", help="time the cross-coupled NOR chain")
-    p.add_argument("--stages", type=int, default=50)
-    p.add_argument("--transitions", type=int, default=1000)
-    p.add_argument("--mu", type=float, default=50e-12, metavar="SECONDS")
-    p.add_argument("--sigma", type=float, default=30e-12, metavar="SECONDS")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

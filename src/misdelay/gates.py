@@ -221,8 +221,9 @@ class DelayQuery:
 def effective_caps(p: NorGateParams) -> EffectiveCaps:
     """Constant-divider effective capacitances for the four NOR modes.
 
-    DomainError where r_n_a * r_n_b or a capacitance underflows to 0:
-    the first divides here, the capacitances divide in the delay
+    DomainError where r_n_a * r_n_b underflows to 0 or a capacitance
+    is not positive (it underflows, or an overflowing field makes it
+    NaN): the first divides here, the capacitances divide in the delay
     tables.  Every other divisor here is a positive field or twice one.
     """
     c, r5, ra, rb = p.c_load, p.r5, p.r_n_a, p.r_n_b
@@ -236,8 +237,8 @@ def effective_caps(p: NorGateParams) -> EffectiveCaps:
         c2=c * (r5 * (ra + rb) + rab) / rab,
         c3=c * (r5 + 2.0 * p.r) / (2.0 * p.r),
     )
-    if not min(caps) > 0.0:
-        raise DomainError(f"an effective capacitance underflows to 0: {caps}")
+    if not all(cap > 0.0 for cap in caps):
+        raise DomainError(f"an effective capacitance is not positive: {caps}")
     return caps
 
 

@@ -145,8 +145,6 @@ class Xoshiro256StarStar:
             raise ValueError(f"seed must be an integer, got {seed!r}")
         gen = _splitmix64(seed & _MASK64)
         self._s = [next(gen) for _ in range(4)]
-        if not any(self._s):
-            self._s[0] = 1
         self._gauss_spare: Optional[float] = None
 
     def next_u64(self) -> int:

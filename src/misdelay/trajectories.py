@@ -146,7 +146,7 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     Returns (tau, e, de): phi(t) = exp(e(t)/tau), and de is e's
     derivative in t, as functions of mode time t with everything that
     does not depend on t computed once.  Raises DomainError when
-    tau = 2r * c_eff underflows to 0.
+    tau = 2r * c_eff, a or d - sqrt(chi) underflows to 0.
     """
     two_r = 2.0 * r
     tau = two_r * c_eff
@@ -155,6 +155,8 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     log1p = math.log1p
     settled = math.isinf(delta)
     a = (fresh if settled else aged + fresh) / two_r
+    if not a > 0.0:
+        raise DomainError(f"transient scale a={a!r} is not positive")
     if settled or delta < 1e-6 * a:
         # single-transient law: the aged transistor has fully settled,
         # or it switched with the fresh one, where the exact form
@@ -177,6 +179,9 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
         a_exp = 0.0
     p_plus = d + (math.sqrt(chi) if chi > 0.0 else 0.0)
     p_minus = 4.0 * c_prime / p_plus
+    if not p_minus > 0.0:
+        raise DomainError(f"transient scale d - sqrt(chi)={p_minus!r} is "
+                          f"not positive")
     a_rest = a - a_exp
     return (tau,
             lambda t: (-t + a_rest * log1p(2.0 * t / p_plus)

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import argparse
 import csv
 import hashlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -652,33 +654,27 @@ class TestSimulate:
         assert _stderr_diag(capsys)["type"] == "SchemaError"
 
 
-class TestBench:
+class TestCommandSet:
+    """The subcommands that the parser offers are the ones README documents."""
 
-    def test_report_shape(self, capsys):
-        code = main(["bench", "--stages", "5", "--transitions", "50",
-                     "--mu", "50e-12", "--sigma", "30e-12",
-                     "--seed", "1", "--repeat", "2"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["events"] > 0
-        assert len(report["wall_clock_s"]) == 2
-        assert report["best_wall_clock_s"] == min(report["wall_clock_s"])
-        assert report["events_per_s"] > 0
-        assert report["events_per_s"] == (report["events"]
-                                          / report["best_wall_clock_s"])
+    def test_readme_sections_match_subcommands(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = re.search(r"^## Command line\n(.*?)(?=^## )", text,
+                            re.MULTILINE | re.DOTALL).group(1)
+        documented = re.findall(r"^### ([a-z][a-z-]*)$", section,
+                                re.MULTILINE)
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert documented == list(sub.choices)
 
-    def test_bad_counts_exit_2(self, capsys):
-        assert main(["bench", "--stages", "0"]) == 2
-        assert _stderr_diag(capsys)["error"] == "validation"
-
-    @pytest.mark.parametrize("flag,value", [("--mu", "inf"),
-                                            ("--sigma", "nan")])
-    def test_non_finite_stimulus_exit_2(self, capsys, flag, value):
-        assert main(["bench", "--stages", "2", "--transitions", "5",
-                     flag, value]) == 2
-        diag = _stderr_diag(capsys)
-        assert diag["type"] == "NetlistError"
-        assert all(flag[2:] in p for p in diag["problems"])
+    def test_retired_bench_is_a_usage_error(self, capsys):
+        assert main(["bench"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "usage"
+        assert "'bench'" in diag["message"]
 
 
 class TestExtremeParams:

@@ -124,6 +124,21 @@ class TestEffectiveCaps:
         for p in (NOR_A, NOR_B):
             assert all(c >= p.c_load for c in effective_caps(p))
 
+    @pytest.mark.parametrize("fields,match", [
+        # inf/inf makes c3, then c2, NaN, which min() passes over
+        # unless it comes first
+        pytest.param({"r": 1.7e308}, "capacitance is not positive",
+                     id="c3-nan"),
+        pytest.param({"r_n_a": 1.7e308, "r_n_b": 1.7e308, "r5": 0.0},
+                     "capacitance is not positive", id="c2-nan"),
+        pytest.param({"r_n_a": 5e-324, "r_n_b": 1e-45},
+                     "r_n_a \\* r_n_b underflows", id="rab-underflow"),
+    ])
+    def test_extreme_fields_raise(self, fields, match):
+        p = replace(load_fixture("nor15_l3"), **fields)
+        with pytest.raises(DomainError, match=match):
+            effective_caps(p)
+
 
 class TestNorExtremals:
     def test_equal_alphas_degenerate(self):

@@ -245,6 +245,17 @@ class TestBisectThresholdCrossing:
         with pytest.raises(ValueError, match="not finite"):
             bisect_threshold_crossing(lambda t: math.exp(-t), 0.5, t_lo, t_hi)
 
+    @pytest.mark.parametrize("t_lo,t_hi,tol_abs,match", [
+        (1.0, 0.0, 1e-12, "invalid window"),
+        (1.0, 1.0, 1e-12, "invalid window"),
+        (0.0, 1.0, 0.0, "tol.abs > 0"),
+    ])
+    def test_bad_window_or_tolerance_raises(self, t_lo, t_hi, tol_abs,
+                                            match):
+        with pytest.raises(ValueError, match=match):
+            bisect_threshold_crossing(lambda t: math.exp(-t), 0.5, t_lo,
+                                      t_hi, Tolerance(abs=tol_abs))
+
     @pytest.mark.parametrize("traj,level,t_lo,t_hi,tol,root", [
         (lambda t: 1.0 - t / 1e300, 0.5, 0.0, 1e300, 1e-17, 5e299),
         # about 2,050 halvings, down to floats near 1e-300
@@ -540,10 +551,24 @@ class TestIntegrateOde:
             integrate_ode(g, t0, t1, 1.0)
         assert calls == []
 
-    def test_nan_probe_raises(self):
+    @pytest.mark.parametrize("t,match", [
+        (math.nan, "t=nan"),
+        (-1e-3, "before solution start"),
+        (1.001, "after solution end"),
+    ])
+    def test_probe_outside_solution_raises(self, t, match):
         sol = integrate_ode(lambda t, v: -v, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="t=nan"):
-            sol(math.nan)
+        with pytest.raises(ValueError, match=match):
+            sol(t)
+
+    def test_zero_error_scale_grows_step(self):
+        # tol.abs = 0 with v = 0 throughout: the mixed scale is 0, so
+        # the zero error is measured against a tiny floor instead; each
+        # step is accepted and grows 5x
+        tol = Tolerance(rel=1e-10, abs=0.0)
+        sol = integrate_ode(lambda t, v: 0.0, 0.0, 1.0, 0.0, tol)
+        assert sol.ts == [0.0, 1 / 64, 6 / 64, 31 / 64, 1.0]
+        assert set(sol.vs) == {0.0}
 
 
 def _counting(f):

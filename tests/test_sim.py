@@ -115,6 +115,16 @@ class TestRng:
         assert abs(mean) < 0.03
         assert abs(math.sqrt(var) - 1.0) < 0.03
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_state_never_all_zero(self, k):
+        # splitmix64 mixes seed + k*gamma (gamma odd) by a bijection that
+        # fixes 0: only the seed -k*gamma zeroes word k-1, and it leaves
+        # the other three nonzero, so no seed zeroes the whole state
+        gamma = 0x9E3779B97F4A7C15
+        r = Xoshiro256StarStar(-k * gamma)
+        assert [word == 0 for word in r._s] == [i == k - 1 for i in range(4)]
+        assert any(r.next_u64() for _ in range(4))
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             Xoshiro256StarStar(1.5)
@@ -336,6 +346,11 @@ class TestSingleCGate:
 
 
 class TestChain:
+    @pytest.mark.parametrize("n_stages", [0, -1, 1.5, True])
+    def test_stage_count_validation(self, n_stages):
+        with pytest.raises(ValueError, match="positive count"):
+            build_cross_coupled_chain(n_stages)
+
     def test_smallest_chain_shape(self):
         nl = build_cross_coupled_chain(1)
         assert sum(g.kind == "nor2" for g in nl.gates) == 2

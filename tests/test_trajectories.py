@@ -719,6 +719,19 @@ class TestOracleEdges:
         with pytest.raises(DomainError, match="not positive"):
             delay_by_inversion("cgate", "falling", 0.0, p)
 
+    @pytest.mark.parametrize("delta,match", [
+        # a = fresh/2r underflows to 0 in the settled law; c' =
+        # fresh*delta/2r, and with it d - sqrt(chi), in the dual one
+        pytest.param(math.inf, "a=0.0", id="settled"),
+        pytest.param(1e-12, "sqrt\\(chi\\)=0.0", id="dual"),
+    ])
+    def test_transient_scale_underflow_is_a_domain_error(self, delta, match):
+        # both used to raise ZeroDivisionError
+        p = replace(NOR_A, alpha2=5e-324)
+        for oracle in (delay_by_inversion, delay_by_ode):
+            with pytest.raises(DomainError, match=match):
+                oracle("nor2", "rising", delta, p)
+
     def test_decay_factor_past_float_range_is_no_crossing(self):
         # the bracket end's t/a overflows, so phi there is inf; the
         # bracket used to be doubled 200 times before this error
