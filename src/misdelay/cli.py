@@ -104,6 +104,11 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
     if not math.isfinite((args.dmax - args.dmin) * (args.steps - 1)):
         raise CliUsageError("(--dmax - --dmin) * (--steps - 1) overflows; "
                             "the grid points would not be finite")
+    span = args.dmax - args.dmin
+    grid = [args.dmin + i * span / (args.steps - 1) for i in range(args.steps)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise CliUsageError("--dmax must exceed --dmin by enough for "
+                            "--steps distinct grid points")
 
     kind = _kind_of(params)
     sources: List[Tuple[str, Callable[[str, float], float]]] = [
@@ -115,8 +120,6 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
         sources.append(("ode_oracle",
                         lambda d, x: delay_by_ode(kind, d, x, params)))
 
-    span = args.dmax - args.dmin
-    grid = [args.dmin + i * span / (args.steps - 1) for i in range(args.steps)]
     rows = []
     for source, fn in sources:
         for direction, fam_pos, fam_neg in _FAMILY_AXES:

@@ -154,8 +154,8 @@ def _string(obj: dict, key: str, path: str) -> str:
     return val
 
 
-def _no_leftovers(obj: dict, path: str, strict: bool) -> None:
-    if strict and obj:
+def _no_leftovers(obj: dict, path: str) -> None:
+    if obj:
         raise SchemaError(_join(path, sorted(obj)[0]), "unknown field")
 
 
@@ -218,17 +218,17 @@ def _dumps(doc) -> str:
 
 # -- gate parameter documents -------------------------------------------
 
-def _metadata_from_doc(meta: object, path: str, strict: bool) -> Dict[str, object]:
+def _metadata_from_doc(meta: object, path: str) -> Dict[str, object]:
     meta = _object(meta, path)
     out: Dict[str, object] = {key: _string(meta, key, path)
                               for key in _METADATA_STRINGS if key in meta}
     if "wire_length_um" in meta:
         out["wire_length_um"] = _number(meta, "wire_length_um", path)
-    _no_leftovers(meta, path, strict)
+    _no_leftovers(meta, path)
     return out
 
 
-def _params_from_doc(doc: dict, path: str, strict: bool) -> GateParams:
+def _params_from_doc(doc: dict, path: str) -> GateParams:
     kind = _string(doc, "kind", path)
     if kind not in _KINDS:
         raise SchemaError(_join(path, "kind"),
@@ -239,8 +239,8 @@ def _params_from_doc(doc: dict, path: str, strict: bool) -> GateParams:
         if not isinstance(val, bool):
             raise SchemaError(_join(path, "inverted"), "expected a boolean")
         fields["inverted"] = val
-    _metadata_from_doc(doc.pop("metadata", {}), _join(path, "metadata"), strict)
-    _no_leftovers(doc, path, strict)
+    _metadata_from_doc(doc.pop("metadata", {}), _join(path, "metadata"))
+    _no_leftovers(doc, path)
     return _KIND_CLASSES[kind](**fields)
 
 
@@ -252,19 +252,18 @@ def _params_to_doc(params: GateParams,
     if kind == "cgate" and params.inverted:
         doc["inverted"] = True
     if metadata is not None:
-        doc["metadata"] = _metadata_from_doc(dict(metadata), "metadata",
-                                             strict=True)
+        doc["metadata"] = _metadata_from_doc(dict(metadata), "metadata")
     return doc
 
 
-def parse_params(text: str, strict: bool = True) -> GateParams:
+def parse_params(text: str) -> GateParams:
     """Parse a parameter document into NorGateParams or CGateParams.
 
-    With strict=True (default) unknown fields anywhere in the document
-    are rejected; parameter invariant violations surface as ParamError
-    from the dataclass constructors.
+    Unknown fields anywhere in the document are rejected; parameter
+    invariant violations surface as ParamError from the dataclass
+    constructors.
     """
-    return _params_from_doc(_load_document(text), "", strict)
+    return _params_from_doc(_load_document(text), "")
 
 
 def serialize_params(params: GateParams,
@@ -275,8 +274,8 @@ def serialize_params(params: GateParams,
 
 # -- measured-delay documents --------------------------------------------
 
-def parse_measured(text: str, c_chosen: float, delta_min: float = 0.0,
-                   strict: bool = True) -> MeasuredDelays:
+def parse_measured(text: str, c_chosen: float,
+                   delta_min: float = 0.0) -> MeasuredDelays:
     """Parse the six extremal delays of a measured-delay document.
 
     The chosen load capacitance and transport delay are not part of
@@ -284,7 +283,7 @@ def parse_measured(text: str, c_chosen: float, delta_min: float = 0.0,
     """
     doc = _load_document(text)
     fields = {attr: _number(doc, key, "") for key, attr in _MEASURED_FIELDS}
-    _no_leftovers(doc, "", strict)
+    _no_leftovers(doc, "")
     return MeasuredDelays(delta_min=delta_min, c_chosen=c_chosen, **fields)
 
 
@@ -295,8 +294,7 @@ def serialize_measured(m: MeasuredDelays) -> str:
 
 # -- netlist documents ----------------------------------------------------
 
-def parse_netlist(text: str, strict: bool = True
-                  ) -> Tuple[Netlist, Dict[str, GateParams]]:
+def parse_netlist(text: str) -> Tuple[Netlist, Dict[str, GateParams]]:
     """Parse a netlist document; returns (netlist, parameter library)."""
     doc = _load_document(text)
 
@@ -316,7 +314,7 @@ def parse_netlist(text: str, strict: bool = True
                               "expected an array of net names")
         output = _string(entry, "output", path)
         ref = _string(entry, "params_ref", path) if "params_ref" in entry else ""
-        _no_leftovers(entry, path, strict)
+        _no_leftovers(entry, path)
         gates.append(Gate(id=gid, kind=kind, inputs=tuple(inputs),
                           output=output, params_ref=ref))
 
@@ -334,16 +332,16 @@ def parse_netlist(text: str, strict: bool = True
         sigma = _number(spec, "sigma_s", spath)
         n_tr = _integer(spec, "n_transitions", spath)
         seed = _integer(spec, "seed", spath)
-        _no_leftovers(spec, spath, strict)
+        _no_leftovers(spec, spath)
         stimuli[sid] = StimulusSpec(mu=mu, sigma=sigma,
                                     n_transitions=n_tr, seed=seed)
 
     library: Dict[str, GateParams] = {}
     for ref, entry in _object(doc.pop("params", {}), "params").items():
         lpath = _join("params", ref)
-        library[ref] = _params_from_doc(_object(entry, lpath), lpath, strict)
+        library[ref] = _params_from_doc(_object(entry, lpath), lpath)
 
-    _no_leftovers(doc, "", strict)
+    _no_leftovers(doc, "")
 
     for i, g in enumerate(gates):
         if g.kind in _KINDS and g.params_ref not in library:

@@ -3,9 +3,8 @@
 The closed-form delay families in :mod:`misdelay.gates` are compact
 approximations of a mode-switched first-order circuit.  This module
 carries the underlying machinery: the exact per-mode output voltage
-trajectories (with the interconnect folded in by a constant divider),
-the implicit crossing function for the rising-output family, and two
-delay oracles:
+trajectories (with the interconnect folded in by a constant divider)
+and two delay oracles:
 
 * trajectory inversion, which chains mode trajectories and bisects the
   threshold crossing;
@@ -23,9 +22,9 @@ computed sign is the estimate's.
 
 `_mode_law` is the one table of the eight modes.  A dual-transient
 mode's decay factor and its exponent's slope are built in one place,
-`_phi`, which the trajectories, the implicit function, the inversion
-oracle and its Newton estimate call after it; the ODE right-hand side
-`_ode_rhs` reads the same table.
+`_phi`, which the trajectories, the inversion oracle and its Newton
+estimate call after it; the ODE right-hand side `_ode_rhs` reads the
+same table.
 
 The oracles share with the closed forms only the description of the
 gate and the argument checks: which parameter class each gate kind
@@ -73,7 +72,6 @@ from .numerics import (
 __all__ = [
     "ModeSwitch",
     "eval_trajectory",
-    "implicit_I",
     "delay_by_inversion",
     "integrate_full_ode",
     "delay_by_ode",
@@ -273,32 +271,6 @@ def eval_trajectory(ms: ModeSwitch, params, t: float) -> float:
     return 1.0 + (v0 - 1.0) * phi if up else v0 * phi
 
 
-def implicit_I(t: float, delta: float, params,
-               input_direction: str = "falling") -> float:
-    """Implicit crossing function of the drive-toward-supply family.
-
-    Returns phi(t, delta) - 1/2 where phi is the homogeneous decay
-    factor of the dual-transient mode whose later input switches at
-    t = 0; the root in t is the family delay before the transport term.
-    Requires delta >= 0 (the mirrored family is obtained by exchanging
-    the two transient coefficients, which delay_by_inversion does).
-    For NOR parameters input_direction is necessarily "falling"; for C
-    gate parameters it selects the input-pair direction.  At t = +inf
-    it is the limit, -1/2.
-    """
-    _check_time("delta", delta, nonnegative=True)
-    _check_time("t", t, nonnegative=True)
-    pair_rising = _is_rising("input_direction", input_direction)
-    if pair_rising and isinstance(params, NorGateParams):
-        raise ValueError("a NOR's switch-on pair is necessarily falling")
-    _, aged, fresh, r, c_eff, _ = _mode_law(
-        params, _switch_on_kind(pair_rising, delta))
-    if t == math.inf:
-        return -0.5  # phi's limit, which its exponent (inf - inf) misses
-    tau, expo, _ = _phi(aged, fresh, r, delta, c_eff)
-    return math.exp(expo(t) / tau) - 0.5
-
-
 def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
                        ) -> float:
     """Oracle delay by inverting the chained closed-form trajectories.
@@ -391,10 +363,6 @@ class PiecewiseSolution:
         self.segments = segments
 
     @property
-    def t0(self) -> float:
-        return self.segments[0][0]
-
-    @property
     def t1(self) -> float:
         start, sol = self.segments[-1]
         return start + sol.t1
@@ -450,7 +418,6 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool):
 
 
 def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
-                       tol: Tolerance = _ODE_TOL,
                        stop_past: float | None = None) -> PiecewiseSolution:
     """Numerically integrate the output through a sequence of modes.
 
@@ -487,14 +454,14 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
             # non-conducting mode: hold v
             sol = OdeSolution([0.0, seg_end], [v, v], [0.0, 0.0])
         else:
-            sol = integrate_ode(rhs, _T_EPS, seg_end, v, tol, stop_past)
+            sol = integrate_ode(rhs, _T_EPS, seg_end, v, _ODE_TOL, stop_past)
         segments.append((starts[i], sol))
         v = sol.v1
     return PiecewiseSolution(segments)
 
 
 def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
-                 exact_f: bool = True, tol: Tolerance = _ODE_TOL) -> float:
+                 exact_f: bool = True) -> float:
     """Oracle delay from full ODE integration of the canonical mode chain.
 
     Reference conventions and delta_min handling match
@@ -529,9 +496,11 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     # each chain starts at its natural level, the rail it drives away from
     last = sum(ms.delta for ms in modes[1:])
     t_end = last + horizon
+    if not t_end > last:
+        raise DomainError(f"horizon {horizon!r} s is below the float "
+                          f"spacing at {last!r} s")
 
-    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f, tol=tol,
-                             stop_past=0.5)
+    sol = integrate_full_ode(modes, params, t_end, exact_f, stop_past=0.5)
     # the crossing may sit in any segment (a falling output past the
     # single-input limit crosses before the second transition arrives),
     # so bisect the chained solution as a whole; it is monotone.  It

@@ -314,8 +314,7 @@ def reference_delay_by_ode(gate_kind, direction, delta, params,
         pair_rising = _pair_rising(params, direction == "rising")
         modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
         t_end = horizon
-    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f,
-                             tol=Tolerance(rel=1e-10, abs=1e-13))
+    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f)
     t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, sol.t1,
                                         Tolerance(abs=1e-17))
     return t_cross + params.delta_min

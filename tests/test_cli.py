@@ -14,9 +14,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import chain_of, extreme_variants, measured_from
-from misdelay import cli
+from misdelay import cli, sim
 from misdelay.cli import main
 from misdelay.fileio import (
     fixture_dir,
@@ -131,6 +133,11 @@ class TestCharacterize:
         assert _stderr_diag(capsys)["error"] == "usage"
 
 
+# float flag values at the ends of the range: zeros, subnormals, ±1e300
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-12, -1e-12, 1.0,
+                1e7, -1e7, 1e300, -1e300, 1.7e308, -1.7e308)
+
+
 class TestDelayCurve:
 
     def test_l3_down_family_endpoints(self, tmp_path):
@@ -175,10 +182,14 @@ class TestDelayCurve:
         assert "--dmax" in _stderr_diag(capsys)["message"]
 
     @pytest.mark.parametrize("dmin, dmax", [("-1.5e308", "1.5e308"),
-                                            ("0", "1.7e308")])
-    def test_overflowing_grid_exit_2(self, tmp_path, capsys, dmin, dmax):
+                                            ("0", "1.7e308"),
+                                            ("1.0", "1.0000000000000002"),
+                                            ("0", "5e-324")])
+    def test_unusable_grid_exit_2(self, tmp_path, capsys, dmin, dmax):
         # the first grid's span is inf, so its first point was 0 * inf;
-        # the second's last point was inf, a separation never asked for
+        # the second's last point was inf, a separation never asked for.
+        # The last two span one ulp, which holds no three distinct
+        # points; the CSV writer raised ValueError on them (exit 1)
         out = tmp_path / "x.csv"
         code = main(["delay-curve", "--params", L3_PATH, "--dmin", dmin,
                      "--dmax", dmax, "--steps", "3", "-o", str(out)])
@@ -215,6 +226,39 @@ class TestDelayCurve:
                          else "rising")
             assert float(r["delay_s"]) == delay_by_ode(
                 "nor2", direction, float(r["delta_s"]), p)
+
+    def test_ode_horizon_below_float_spacing_exit_3(self, tmp_path, capsys):
+        # the falling NOR's horizon (~1e-10 s) vanishes beside |delta| =
+        # 1e7 s; integrate_full_ode used to raise ValueError on t_end
+        out = tmp_path / "x.csv"
+        code = main(["delay-curve", "--params", L3_PATH, "--dmin", "-1e7",
+                     "--dmax", "1e7", "--steps", "3", "--oracle", "ode",
+                     "-o", str(out)])
+        assert code == 3
+        assert _stderr_diag(capsys)["type"] == "DomainError"
+        assert not out.exists()
+
+    @seed(7)
+    @settings(max_examples=100, deadline=None)
+    @given(dmin=st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+           dmax=st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS),
+                          st.integers(0, 3)),
+           steps=st.integers(-1, 6),
+           params=st.sampled_from([L3_PATH, CG_PATH]),
+           oracle=st.sampled_from(["none", "trajectory"]))
+    def test_numeric_flags_exit_0_2_or_3(self, tmp_path_factory, dmin, dmax,
+                                         steps, params, oracle):
+        # an int dmax is that many ulps above dmin, a sub-ulp span
+        # when steps - 1 exceeds it
+        if isinstance(dmax, int):
+            ulps, dmax = dmax, dmin
+            for _ in range(ulps):
+                dmax = math.nextafter(dmax, math.inf)
+        out = tmp_path_factory.getbasetemp() / "flags.csv"
+        code = main(["delay-curve", "--params", params, f"--dmin={dmin!r}",
+                     f"--dmax={dmax!r}", f"--steps={steps}",
+                     "--oracle", oracle, "-o", str(out)])
+        assert code in (0, 2, 3), (dmin, dmax, steps)
 
     def test_largest_grids_stay_finite(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -564,6 +608,19 @@ class TestSimulate:
         assert diag["type"] == "NetlistError"
         assert len(diag["problems"]) == 2
         assert all("overflows the time range" in p for p in diag["problems"])
+        assert not vcd.exists() and not stats.exists()
+
+    def test_negative_delay_exit_3(self, tmp_path, capsys, monkeypatch):
+        # no delay table gives a negative delay; a stand-in that does
+        # reaches run()'s causality check
+        netlist = self._write_chain(tmp_path)
+        negative = (lambda table, delta: -1e-9, None)
+        monkeypatch.setattr(sim, "_output_families",
+                            lambda params: (negative, negative))
+        vcd, stats = tmp_path / "trace.vcd", tmp_path / "stats.json"
+        assert main(["simulate", "--netlist", str(netlist), "-o", str(vcd),
+                     "--stats", str(stats)]) == 3
+        assert _stderr_diag(capsys)["type"] == "CausalityError"
         assert not vcd.exists() and not stats.exists()
 
     def test_deterministic_vcd_bytes(self, tmp_path):

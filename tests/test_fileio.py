@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -87,12 +88,11 @@ class TestParamsDocuments:
         with pytest.raises(SchemaError, match="alpha2_ohm_s"):
             parse_params(json.dumps(doc))
 
-    def test_unknown_field_rejected_in_strict_mode(self):
+    def test_unknown_field_rejected(self):
         doc = json.loads(serialize_params(NOR_A))
         doc["vt_volts"] = 0.25
         with pytest.raises(SchemaError, match="vt_volts"):
             parse_params(json.dumps(doc))
-        assert parse_params(json.dumps(doc), strict=False) == NOR_A
 
     def test_unknown_kind(self):
         doc = json.loads(serialize_params(NOR_A))
@@ -477,6 +477,22 @@ class TestStatsAndAtomicWrite:
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_atomic_write_failed_unlink_raises_the_first_error(
+            self, tmp_path, monkeypatch):
+        # the rename fails and so does removing the temp file: the
+        # rename's error is the one reported
+        def fail(name):
+            def raise_(*args):
+                raise PermissionError(f"{name} refused")
+            return raise_
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        monkeypatch.setattr(os, "replace", fail("replace"))
+        monkeypatch.setattr(os, "unlink", fail("unlink"))
+        with pytest.raises(PermissionError, match="^replace refused$"):
+            atomic_write(target, "new\n")
+        assert target.read_text() == "old\n"
+
 
 class TestFixtureLibrary:
 
@@ -541,8 +557,7 @@ _BASES = {
 _PARSERS = {
     "params": parse_params,
     "cgate": parse_params,
-    "measured": lambda text, strict=True: parse_measured(
-        text, c_chosen=1e-15, strict=strict),
+    "measured": lambda text: parse_measured(text, c_chosen=1e-15),
     "netlist": parse_netlist,
 }
 
@@ -768,10 +783,8 @@ class TestSchemaErrorsPinned:
 
 
 class TestDuplicateKeys:
-    """A repeated key is an error in both strict modes, never a silent
-    last-one-wins."""
+    """A repeated key is an error, never a silent last-one-wins."""
 
-    @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("base,old,new,key", [
         ("params", '"r_ohm": 1277.1,', '"r_ohm": 1277.1, "r_ohm": 9.0,',
          "r_ohm"),
@@ -783,11 +796,11 @@ class TestDuplicateKeys:
          '"params": {"nor": {"kind": "nor2", "kind": "nor2",', "kind"),
         ("netlist", '"stimuli":', '"nets": {}, "stimuli":', "nets"),
     ])
-    def test_rejected_naming_the_key(self, base, old, new, key, strict):
+    def test_rejected_naming_the_key(self, base, old, new, key):
         text = _malformed(base, [])
         assert text.count(old) == 1
         with pytest.raises(SchemaError) as info:
-            _PARSERS[base](text.replace(old, new), strict=strict)
+            _PARSERS[base](text.replace(old, new))
         assert (info.value.path, str(info.value)) == (
             "", f"duplicate key {key!r}")
 

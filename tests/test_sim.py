@@ -27,6 +27,7 @@ from misdelay.gates import (
 )
 from misdelay.numerics import DomainError
 from misdelay.sim import (
+    CausalityError,
     Gate,
     LivelockError,
     Netlist,
@@ -391,6 +392,17 @@ class TestChain:
         for net, tr in res.trace.items():
             for (t0, _), (t1, _) in zip(tr, tr[1:]):
                 assert t1 > t0
+
+    def test_negative_delay_is_a_causality_error(self, monkeypatch):
+        # no delay table gives a negative delay; a stand-in that does
+        # schedules the output before the input event that caused it
+        negative = (lambda table, delta: -1e-9, None)
+        monkeypatch.setattr(sim, "_output_families",
+                            lambda params: (negative, negative))
+        nl = build_cross_coupled_chain(2, mu=5e-11, sigma=0.0,
+                                       n_transitions=4, seed=1)
+        with pytest.raises(CausalityError, match="before the input event"):
+            run(nl, LIB)
 
     def test_stats_shape(self):
         nl = build_cross_coupled_chain(3, mu=5e-11, sigma=0.0,

@@ -31,11 +31,18 @@ from misdelay.trajectories import (
     delay_by_inversion,
     delay_by_ode,
     eval_trajectory,
-    implicit_I,
     integrate_full_ode,
 )
 
 LN2 = math.log(2.0)
+
+
+def _phi_minus_half(t, delta, p, direction="falling"):
+    # phi - 1/2 of the switch-on mode, t after its later input switches
+    _, aged, fresh, r, c_eff, _ = trajectories._mode_law(
+        p, trajectories._switch_on_kind(direction == "rising", delta))
+    tau, expo, _ = trajectories._phi(aged, fresh, r, delta, c_eff)
+    return math.exp(expo(t) / tau) - 0.5
 
 
 class TestEvalTrajectory:
@@ -135,12 +142,13 @@ class TestIntBeyondFloatRange:
 
     @pytest.mark.parametrize("name,call", [
         ("delta", lambda h: ModeSwitch("10->11", h)),
-        ("delta", lambda h: implicit_I(1e-12, h, NOR_A)),
-        ("t", lambda h: implicit_I(h, 1e-12, NOR_A)),
         ("t", lambda h: eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A, h)),
         ("t", lambda h: eval_trajectory(ModeSwitch("00->10"), NOR_A, h)),
         ("delta", lambda h: delay_by_inversion("nor2", "rising", h, NOR_A)),
         ("delta", lambda h: delay_by_inversion("nor2", "falling", -h, NOR_A)),
+        ("delta",
+         lambda h: delay_by_inversion("cgate", "falling", h, CG_W3)),
+        ("delta", lambda h: delay_by_ode("nor2", "falling", h, NOR_A)),
         ("delta", lambda h: delay_by_ode("cgate", "rising", h, CG_W3)),
     ])
     def test_value_error(self, name, call):
@@ -150,12 +158,13 @@ class TestIntBeyondFloatRange:
     @pytest.mark.parametrize("value", [True, "1e-12"])
     @pytest.mark.parametrize("name,call", [
         ("delta", lambda v: ModeSwitch("10->11", v)),
-        ("delta", lambda v: implicit_I(1e-12, v, NOR_A)),
-        ("t", lambda v: implicit_I(v, 1e-12, NOR_A)),
         ("t", lambda v: eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A, v)),
         ("t", lambda v: eval_trajectory(ModeSwitch("00->10"), NOR_A, v)),
         ("delta", lambda v: delay_by_inversion("nor2", "rising", v, NOR_A)),
         ("delta", lambda v: delay_by_inversion("nor2", "falling", v, NOR_A)),
+        ("delta",
+         lambda v: delay_by_inversion("cgate", "falling", v, CG_W3)),
+        ("delta", lambda v: delay_by_ode("nor2", "falling", v, NOR_A)),
         ("delta", lambda v: delay_by_ode("cgate", "rising", v, CG_W3)),
     ])
     def test_bool_and_str_are_value_errors(self, name, call, value):
@@ -166,7 +175,7 @@ class TestIntBeyondFloatRange:
 
     def test_infinite_separations_stay_valid(self):
         assert ModeSwitch("10->11", math.inf).delta == math.inf
-        assert 0.0 < implicit_I(1e-12, math.inf, NOR_A) < 0.5
+        assert 0.0 < _phi_minus_half(1e-12, math.inf, NOR_A) < 0.5
         assert eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A,
                                math.inf) == 0.0
         for delta in (math.inf, -math.inf):
@@ -176,20 +185,19 @@ class TestIntBeyondFloatRange:
 
 
 class TestLimitAtInfiniteTime:
-    """At t = +inf every mode has settled: a dual-transient decay factor
-    is 0, so implicit_I is -1/2 and the output sits on the rail its mode
-    drives to, the value it already holds a microsecond in."""
+    """At t = +inf every mode has settled: the output sits on the rail
+    its mode drives to, the value it already holds a microsecond in,
+    where a dual-transient decay factor is already 0."""
 
     DELTAS = (0.0, 1e-15, 1e-12, 1e-9, math.inf)
 
     @pytest.mark.parametrize("name", ["nor15_l3", "cgate15_l3"])
-    def test_implicit_function_limit(self, name):
+    def test_decay_factor_settles(self, name):
         p = load_fixture(name)
         nor = isinstance(p, NorGateParams)
         for direction in (("falling",) if nor else ("falling", "rising")):
             for delta in self.DELTAS:
-                assert implicit_I(1e-6, delta, p, direction) == -0.5
-                assert implicit_I(math.inf, delta, p, direction) == -0.5
+                assert _phi_minus_half(1e-6, delta, p, direction) == -0.5
 
     @pytest.mark.parametrize("name", ["nor15_l3", "cgate15_l3"])
     def test_trajectory_limit_is_the_rail(self, name):
@@ -203,47 +211,30 @@ class TestLimitAtInfiniteTime:
                     assert eval_trajectory(ms, p, math.inf) == settled
 
 
-class TestImplicitFunction:
+class TestDecayFactor:
+    """The switch-on decay factor that `_mode_law` and `_phi` build, and
+    the inversion oracle solves for 1/2."""
+
     def test_at_time_zero(self):
         for delta in (1e-15, 1e-12, 2e-9):
-            assert implicit_I(0.0, delta, NOR_A) == 0.5
+            assert _phi_minus_half(0.0, delta, NOR_A) == 0.5
 
     def test_root_at_zero_delta_is_extremal(self):
         ext = nor_extremal_rising(NOR_A)
         root = oracles.crossing_time_bisect(
-            lambda t: implicit_I(t, 0.0, NOR_A), 0.0, 0.0, 10 * ext.d0)
+            lambda t: _phi_minus_half(t, 0.0, NOR_A), 0.0, 0.0, 10 * ext.d0)
         assert abs(root - ext.d0) <= 1e-12
 
     def test_large_delta_approaches_single_input_limit(self):
         ext = nor_extremal_rising(NOR_A)
         big = 1e6 * ((NOR_A.alpha1 + NOR_A.alpha2) / (2.0 * NOR_A.r))
         root = oracles.crossing_time_bisect(
-            lambda t: implicit_I(t, big, NOR_A), 0.0, 0.0, 10 * ext.d0)
+            lambda t: _phi_minus_half(t, big, NOR_A), 0.0, 0.0, 10 * ext.d0)
         assert math.isclose(root, ext.d_inf, rel_tol=1e-4)
         root = oracles.crossing_time_bisect(
-            lambda t: implicit_I(t, math.inf, NOR_A), 0.0, 0.0, 10 * ext.d0)
+            lambda t: _phi_minus_half(t, math.inf, NOR_A), 0.0, 0.0,
+            10 * ext.d0)
         assert abs(root - ext.d_inf) <= 1e-12
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError):
-            implicit_I(1e-12, -1e-12, NOR_A)
-        with pytest.raises(ValueError):
-            implicit_I(-1e-12, 0.0, NOR_A)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            implicit_I(math.nan, 0.0, NOR_A)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            implicit_I(math.nan, 1e-12, CG_W3, "rising")
-
-    def test_rejects_unknown_direction(self):
-        # neither gate reads an unknown direction as the falling pair
-        for p in (NOR_A, CG_W3):
-            for direction in ("up", "Rising", ""):
-                with pytest.raises(ValueError, match="input_direction"):
-                    implicit_I(2e-12, 1e-12, p, direction)
-
-    def test_nor_has_no_rising_pair(self):
-        with pytest.raises(ValueError, match="necessarily falling"):
-            implicit_I(2e-12, 1e-12, NOR_A, "rising")
 
 
 class TestInversionOracle:
@@ -345,6 +336,17 @@ class TestInversionOracle:
             delay_by_inversion("nor2", "rising", math.nan, NOR_A)
         with pytest.raises(TypeError):
             delay_by_inversion("cgate", "rising", 0.0, NOR_A)
+
+    @pytest.mark.parametrize("oracle", [delay_by_inversion, delay_by_ode])
+    def test_rejects_unknown_direction(self, oracle):
+        # neither gate reads an unknown direction as the falling pair
+        for kind, p in (("nor2", NOR_A), ("cgate", CG_W3)):
+            for direction in ("up", "Rising", ""):
+                with pytest.raises(ValueError) as info:
+                    oracle(kind, direction, 1e-12, p)
+                assert str(info.value) == (
+                    "direction must be one of ('rising', 'falling'), "
+                    f"got {direction!r}")
 
 
 class TestFullOde:
@@ -529,9 +531,9 @@ class TestOdeEarlyStop:
 class TestTrajectoryLayerPinned:
     """Outputs of the closed-form trajectory layer on every fixture, hashed.
 
-    eval_trajectory over all mode kinds, implicit_I over both C-gate
-    pair directions and delay_by_inversion from 1e-9 to 40 times each
-    fixture's largest MIS length: a refactor of this layer must leave
+    eval_trajectory over all mode kinds, the switch-on decay factor's
+    phi - 1/2 over both C-gate pair directions and delay_by_inversion
+    from 1e-9 to 40 times each fixture's largest MIS length: a refactor of this layer must leave
     every one bit-identical.
     """
 
@@ -557,7 +559,8 @@ class TestTrajectoryLayerPinned:
                     out.extend(eval_trajectory(ms, p, t) for t in ts)
         for direction in (("falling",) if nor else ("falling", "rising")):
             for delta in deltas:
-                out.extend(implicit_I(t, delta, p, direction) for t in ts)
+                out.extend(_phi_minus_half(t, delta, p, direction)
+                           for t in ts)
         for direction in ("falling", "rising"):
             for delta in (0.0, -0.0, math.inf, -math.inf) + tuple(
                     s * m * bp for m in self.MULTIPLES for s in (1.0, -1.0)):
@@ -732,6 +735,14 @@ class TestOracleEdges:
             with pytest.raises(DomainError, match=match):
                 oracle("nor2", "rising", delta, p)
 
+    def test_ode_horizon_below_float_spacing_is_a_domain_error(self):
+        # the falling NOR chain's horizon, 12 delays, is below the float
+        # spacing at |delta| = 1e7 s, so t_end == last; that used to be
+        # integrate_full_ode's ValueError on t_end
+        for delta in (1e7, -1e7):
+            with pytest.raises(DomainError, match="float spacing"):
+                delay_by_ode("nor2", "falling", delta, NOR_A)
+
     def test_decay_factor_past_float_range_is_no_crossing(self):
         # the bracket end's t/a overflows, so phi there is inf; the
         # bracket used to be doubled 200 times before this error
@@ -763,4 +774,4 @@ class TestOracleEdges:
             assert d == pytest.approx(
                 delay_by_inversion("nor2", "rising", delta * nudge, p),
                 rel=1e-8)
-        assert -0.5 < implicit_I(d - p.delta_min, delta, p) < 0.5
+        assert -0.5 < _phi_minus_half(d - p.delta_min, delta, p) < 0.5
