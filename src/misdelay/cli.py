@@ -26,8 +26,8 @@ from .fileio import (SchemaError, _dumps, _read_document, atomic_write,
                      list_fixtures, load_fixture, parse_measured,
                      parse_netlist, parse_params, serialize_params,
                      serialize_stats, write_curve_csv, write_vcd)
-from .gates import (DelayQuery, NorGateParams, ParamError, _kind_of,
-                    _output_families, cgate_delay, nor_delay)
+from .gates import (DelayQuery, ParamError, _kind_of, _output_families,
+                    nor_delay)
 from .numerics import (ConvergenceError, DomainError, NoCrossingError,
                        NoSignChangeError, StepUnderflowError)
 from .sim import CausalityError, LivelockError, NetlistError, run
@@ -64,11 +64,6 @@ def _diagnostic(category: str, exc: BaseException) -> None:
     if path:
         doc["path"] = path
     print(json.dumps(doc), file=sys.stderr)
-
-
-def _closed_delay(params) -> Callable[[str, float], float]:
-    fn = nor_delay if isinstance(params, NorGateParams) else cgate_delay
-    return lambda direction, delta: fn(params, DelayQuery(direction, delta))
 
 
 # -- characterize -----------------------------------------------------------
@@ -112,7 +107,7 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
 
     kind = _kind_of(params)
     sources: List[Tuple[str, Callable[[str, float], float]]] = [
-        ("closed_form", _closed_delay(params))]
+        ("closed_form", lambda d, x: nor_delay(params, DelayQuery(d, x)))]
     if args.oracle == "trajectory":
         sources.append(("trajectory_oracle",
                         lambda d, x: delay_by_inversion(kind, d, x, params)))
@@ -157,7 +152,7 @@ def _verify_params(params) -> Dict[str, Dict[str, float]]:
     ode: Dict[str, float] = {}
     for direction, fam_pos, fam_neg in _FAMILY_AXES:
         # the family table is bound once per direction; evaluate(table, d)
-        # is what nor_delay/cgate_delay return for DelayQuery(direction, d)
+        # is what nor_delay returns for DelayQuery(direction, d)
         evaluate, table = _output_families(params)[direction == "rising"]
         is_exact = kind == "nor2" and direction == "falling"
         # each point is inverted and integrated once; keyed on the

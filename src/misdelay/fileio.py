@@ -244,15 +244,12 @@ def _params_from_doc(doc: dict, path: str) -> GateParams:
     return _KIND_CLASSES[kind](**fields)
 
 
-def _params_to_doc(params: GateParams,
-                   metadata: Mapping[str, object] = None) -> Dict[str, object]:
+def _params_to_doc(params: GateParams) -> Dict[str, object]:
     kind = _kind_of(params)
     doc: Dict[str, object] = {"kind": kind}
     doc.update((key, getattr(params, attr)) for key, attr in _KINDS[kind])
     if kind == "cgate" and params.inverted:
         doc["inverted"] = True
-    if metadata is not None:
-        doc["metadata"] = _metadata_from_doc(dict(metadata), "metadata")
     return doc
 
 
@@ -266,10 +263,9 @@ def parse_params(text: str) -> GateParams:
     return _params_from_doc(_load_document(text), "")
 
 
-def serialize_params(params: GateParams,
-                     metadata: Mapping[str, object] = None) -> str:
+def serialize_params(params: GateParams) -> str:
     """Render a parameter document through `_dumps`."""
-    return _dumps(_params_to_doc(params, metadata))
+    return _dumps(_params_to_doc(params))
 
 
 # -- measured-delay documents --------------------------------------------

@@ -3,10 +3,11 @@
 A 2-input gate hit by transitions on both inputs does not show a single
 pair of up/down delays: the delay depends on the separation
 ``delta = t_b - t_a`` between the two input transitions (the Charlie
-effect).  This module provides the piecewise closed forms for the four
-delay families of a 2-input NOR gate and of a Muller C gate, their
-single-input limits, and the breakpoints where the finite-separation
-branch hands over to the clamped branch.
+effect).  This module holds the piecewise closed forms for the four
+delay families of a 2-input NOR gate and of a Muller C gate, read by
+one delay function for both kinds (nor_delay, also bound as
+cgate_delay), and the breakpoints where the finite-separation branch
+hands over to the clamped branch.
 
 Sign convention: delta > 0 means input B switched after input A.
 delta = +/-inf selects the single-input-switching limits directly.
@@ -35,14 +36,11 @@ __all__ = [
     "NorGateParams",
     "CGateParams",
     "EffectiveCaps",
-    "ExtremalDelays",
     "Breakpoints",
     "DelayQuery",
     "effective_caps",
-    "nor_extremal_rising",
     "nor_breakpoints",
     "nor_delay",
-    "cgate_extremal",
     "cgate_breakpoints",
     "cgate_delay",
 ]
@@ -172,14 +170,6 @@ class EffectiveCaps(NamedTuple):
     c1_prime: float
     c2: float
     c3: float
-
-
-class ExtremalDelays(NamedTuple):
-    """Delays of one family at delta = 0, +inf and -inf (no transport term)."""
-
-    d0: float
-    d_inf: float
-    d_minus_inf: float
 
 
 class Breakpoints(NamedTuple):
@@ -422,42 +412,34 @@ def _output_families(p: NorGateParams | CGateParams):
     return entry[1]
 
 
-def _nor_family(p: NorGateParams, rising: bool) -> _Family:
-    """The family driving a rising (or falling) NOR output."""
-    if not isinstance(p, NorGateParams):
-        raise TypeError(f"expected NorGateParams, got {type(p).__name__}")
-    return _output_families(p)[rising][1]
-
-
-def _cgate_family(p: CGateParams, pair_rising: bool) -> _Family:
-    """The family a rising (or falling) input pair of a C gate drives."""
-    if not isinstance(p, CGateParams):
-        raise TypeError(f"expected CGateParams, got {type(p).__name__}")
-    return _output_families(p)[pair_rising != p.inverted][1]
-
-
-def nor_extremal_rising(p: NorGateParams) -> ExtremalDelays:
-    """Rising-output delays at delta = 0 and in the two one-sided limits.
-
-    The transport term delta_min is not included.
-    """
-    fam = _nor_family(p, True)
-    return ExtremalDelays(fam.d0, fam.d_inf, fam.d_minus_inf)
-
-
 def nor_breakpoints(p: NorGateParams) -> Breakpoints:
     """|delta| beyond which each family sits on its single-input branch."""
-    fall, rise = _nor_family(p, False), _nor_family(p, True)
+    if not isinstance(p, NorGateParams):
+        raise TypeError(f"expected NorGateParams, got {type(p).__name__}")
+    (_, fall), (_, rise) = _output_families(p)
     return Breakpoints(fall.bp_plus, fall.bp_minus, rise.bp_plus,
                        rise.bp_minus)
 
 
-def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
-    """Delay of a NOR output transition for input separation q.delta.
+def cgate_breakpoints(p: CGateParams, input_direction: str) -> Tuple[float, float]:
+    """(plus, minus) |delta| values where this input pair's family clamps."""
+    pair_rising = _is_rising("input_direction", input_direction)
+    if not isinstance(p, CGateParams):
+        raise TypeError(f"expected CGateParams, got {type(p).__name__}")
+    fam = _output_families(p)[pair_rising != p.inverted][1]
+    return fam.bp_plus, fam.bp_minus
 
-    Falling outputs are referenced to the first rising input, rising
-    outputs to the second falling input.  The result includes the
-    interconnect transport delay delta_min.
+
+def nor_delay(p: NorGateParams | CGateParams, q: DelayQuery) -> float:
+    """Delay of a NOR or C gate output transition for separation q.delta.
+
+    The query names the output direction.  A NOR's falling output is
+    referenced to the first rising input, its rising output to the
+    second falling input.  A C gate's output is referenced to the
+    second input transition; with inverted=True a rising output is
+    produced by a falling input pair and vice versa.  The result
+    includes the interconnect transport delay delta_min.  cgate_delay
+    is this same function: the gate kind comes from p.
     """
     # _output_families written out: a query is one lookup and the flops
     entry = _tables.get(id(p))
@@ -467,31 +449,4 @@ def nor_delay(p: NorGateParams, q: DelayQuery) -> float:
     return evaluate(table, q.delta)
 
 
-def cgate_extremal(p: CGateParams, input_direction: str) -> ExtremalDelays:
-    """C gate family extremals for a rising or falling input pair.
-
-    The transport term delta_min is not included.
-    """
-    fam = _cgate_family(p, _is_rising("input_direction", input_direction))
-    return ExtremalDelays(fam.d0, fam.d_inf, fam.d_minus_inf)
-
-
-def cgate_breakpoints(p: CGateParams, input_direction: str) -> Tuple[float, float]:
-    """(plus, minus) |delta| values where this input pair's family clamps."""
-    fam = _cgate_family(p, _is_rising("input_direction", input_direction))
-    return fam.bp_plus, fam.bp_minus
-
-
-def cgate_delay(p: CGateParams, q: DelayQuery) -> float:
-    """Delay of a C gate output transition for input separation q.delta.
-
-    The query names the output direction; with inverted=True a rising
-    output is produced by a falling input pair and vice versa.  Delays
-    are referenced to the second input transition and include
-    delta_min.
-    """
-    entry = _tables.get(id(p))
-    families = (entry[1] if entry is not None and entry[0]() is p
-                else _output_families(p))
-    evaluate, table = families[q.output_direction == "rising"]
-    return evaluate(table, q.delta)
+cgate_delay = nor_delay

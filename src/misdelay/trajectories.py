@@ -151,7 +151,9 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     if not tau > 0.0:
         raise DomainError(f"time constant 2r*c_eff={tau!r} is not positive")
     log1p = math.log1p
-    settled = math.isinf(delta)
+    # the aged transistor has settled at delta = inf, and wherever
+    # delta's square overflows, which would zero d - sqrt(chi) below
+    settled = delta * delta == math.inf
     a = (fresh if settled else aged + fresh) / two_r
     if not a > 0.0:
         raise DomainError(f"transient scale a={a!r} is not positive")
@@ -450,8 +452,9 @@ def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
             break
         seg_end = (starts[i + 1] if i + 1 < len(modes) else t_end) - starts[i]
         rhs = _ode_rhs(params, ms.kind, ms.delta, exact_f)
-        if rhs is None:
-            # non-conducting mode: hold v
+        if rhs is None or seg_end <= _T_EPS:
+            # non-conducting mode, or one that ends within the tick every
+            # conducting mode skips: hold v
             sol = OdeSolution([0.0, seg_end], [v, v], [0.0, 0.0])
         else:
             sol = integrate_ode(rhs, _T_EPS, seg_end, v, _ODE_TOL, stop_past)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from misdelay.characterize import MeasuredDelays
 from misdelay.fileio import load_fixture
 from misdelay.gates import (CGateParams, DelayQuery, NorGateParams,
-                            cgate_delay, nor_delay)
+                            _output_families, nor_delay)
 from misdelay.sim import build_cross_coupled_chain
 
 # 15 nm NOR gate behind a 3 um wire (nor15_l3)
@@ -37,16 +37,23 @@ CG_W3 = CGateParams(r_n=964.76, r_p=1146.0,
                     c_load=2.6331e-15, r5=545.49, delta_min=1.7e-12)
 
 
+def output_family(p, rising: bool):
+    """p's table of the family driving a rising (or falling) output: its
+    d0, d_inf and d_minus_inf (without delta_min), slopes and
+    breakpoints.  For a C gate that is not inverted, the output moves
+    with its input pair."""
+    return _output_families(p)[rising][1]
+
+
 def measured_from(p, **overrides) -> MeasuredDelays:
     """The six extremal delays of p's closed forms, referred to p's own
     load and delta_min; overrides replace any field."""
-    delay = nor_delay if isinstance(p, NorGateParams) else cgate_delay
     fields = {}
     for direction, prefix in (("falling", "d_down"), ("rising", "d_up")):
         for delta, suffix in ((-math.inf, "minus_inf"), (0.0, "zero"),
                               (math.inf, "inf")):
-            fields[f"{prefix}_{suffix}"] = delay(p, DelayQuery(direction,
-                                                               delta))
+            fields[f"{prefix}_{suffix}"] = nor_delay(
+                p, DelayQuery(direction, delta))
     fields.update(delta_min=p.delta_min, c_chosen=p.c_load)
     fields.update(overrides)
     return MeasuredDelays(**fields)

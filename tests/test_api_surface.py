@@ -1,11 +1,15 @@
 """The public surface: `misdelay.__all__` and the parameter names of
-each callable it exports.
+each callable it exports, and the `__all__` of the modules below it.
 
 A public name or keyword added or removed fails here, so the change
 that makes it has to restate the surface below and say why.
 """
 
+import importlib
 import inspect
+import types
+
+import pytest
 
 import misdelay
 
@@ -43,13 +47,30 @@ SURFACE = {
     "run": ("nl", "library", "t_end", "max_events"),
     "SchemaError": ("path", "message"),
     "parse_params": ("text",),
-    "serialize_params": ("params", "metadata"),
+    "serialize_params": ("params",),
     "parse_measured": ("text", "c_chosen", "delta_min"),
     "serialize_measured": ("m",),
     "parse_netlist": ("text",),
     "serialize_netlist": ("nl", "library"),
     "load_fixture": ("name",),
     "list_fixtures": (),
+}
+
+
+# module -> its __all__, in order; misdelay.__all__ re-exports part of it
+MODULE_ALL = {
+    "gates": ["ParamError", "NorGateParams", "CGateParams", "EffectiveCaps",
+              "Breakpoints", "DelayQuery", "effective_caps",
+              "nor_breakpoints", "nor_delay", "cgate_breakpoints",
+              "cgate_delay"],
+    "trajectories": ["ModeSwitch", "eval_trajectory", "delay_by_inversion",
+                     "integrate_full_ode", "delay_by_ode",
+                     "PiecewiseSolution", "NOR_MODE_KINDS"],
+    "numerics": ["Tolerance", "DomainError", "NoSignChangeError",
+                 "NoCrossingError", "ConvergenceError", "StepUnderflowError",
+                 "lambert_w_m1", "find_root_bracketed",
+                 "bisect_threshold_crossing", "integrate_ode",
+                 "OdeSolution"],
 }
 
 
@@ -70,3 +91,16 @@ def test_parameter_names():
     got = {name: _parameters(getattr(misdelay, name))
            for name in misdelay.__all__}
     assert got == SURFACE
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ALL))
+def test_module_names(name):
+    module = importlib.import_module(f"misdelay.{name}")
+    assert module.__all__ == MODULE_ALL[name]
+    # every public name the module defines is listed, and exists
+    defined = [key for key, obj in vars(module).items()
+               if not key.startswith("_")
+               and not isinstance(obj, types.ModuleType)
+               and getattr(obj, "__module__", module.__name__)
+               == module.__name__]
+    assert sorted(defined) == sorted(MODULE_ALL[name])

@@ -8,8 +8,10 @@ import math
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,8 +31,8 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import (DelayQuery, NorGateParams, _output_families,
-                            cgate_delay, nor_delay)
+from misdelay.gates import (DelayQuery, _output_families, cgate_delay,
+                            nor_delay)
 from misdelay.numerics import DomainError
 from misdelay.sim import build_cross_coupled_chain
 from misdelay.trajectories import delay_by_ode
@@ -226,6 +228,19 @@ class TestDelayCurve:
                          else "rising")
             assert float(r["delay_s"]) == delay_by_ode(
                 "nor2", direction, float(r["delta_s"]), p)
+
+    def test_ode_oracle_within_the_skipped_tick_exit_0(self, tmp_path):
+        # the falling NOR's first mode ends within the 1e-18 s tick that
+        # each conducting mode skips; that was a traceback (exit 1)
+        out = tmp_path / "curve.csv"
+        code = main(["delay-curve", "--params", L3_PATH,
+                     "--dmin", "-1e-18", "--dmax", "1e-18",
+                     "--steps", "5", "--oracle", "ode", "-o", str(out)])
+        assert code == 0
+        rows = [r for r in csv.DictReader(out.open())
+                if r["source"] == "ode_oracle"]
+        assert len(rows) == 10
+        assert all(math.isfinite(float(r["delay_s"])) for r in rows)
 
     def test_ode_horizon_below_float_spacing_exit_3(self, tmp_path, capsys):
         # the falling NOR's horizon (~1e-10 s) vanishes beside |delta| =
@@ -503,6 +518,18 @@ class TestParserReuse:
                               capture_output=True, text=True, check=True)
         assert proc.stdout == "0\n"
 
+    def test_module_entry_exits_with_the_code_of_main(self, monkeypatch,
+                                                      capsys):
+        # `python -m misdelay.cli`, run here in process
+        monkeypatch.setattr(sys, "argv", ["misdelay", "verify", "--params",
+                                          CG_PATH, "--bogus"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+            # runpy warns that the module is already imported
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("misdelay.cli", run_name="__main__")
+        assert info.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
     def test_appended_params_do_not_leak(self, capsys):
         assert main(["verify", "--params", L3_PATH]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -559,14 +586,13 @@ class TestBoundTables:
     @pytest.mark.parametrize("name", list_fixtures())
     def test_bound_table_matches_public_delay(self, name):
         p = load_fixture(name)
-        fn = nor_delay if name.startswith("nor") else cgate_delay
         for direction in ("falling", "rising"):
             evaluate, table = _output_families(p)[direction == "rising"]
             points = _verify_points(table)
             assert {math.copysign(1.0, d) for d in points if d == 0.0} \
                 == {1.0, -1.0}
             for d in points:
-                want = fn(p, DelayQuery(direction, d))
+                want = nor_delay(p, DelayQuery(direction, d))
                 assert evaluate(table, d).hex() == want.hex(), (direction, d)
 
 
@@ -744,11 +770,10 @@ class TestExtremeParams:
             rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -9.0)
             for _ in range(6)]
         for name, field, value, p in extreme_variants():
-            fn = nor_delay if isinstance(p, NorGateParams) else cgate_delay
             for direction in ("rising", "falling"):
                 for delta in deltas:
                     try:
-                        d = fn(p, DelayQuery(direction, delta))
+                        d = nor_delay(p, DelayQuery(direction, delta))
                     except DomainError:
                         continue
                     assert math.isfinite(d), (name, field, value, delta)

@@ -129,13 +129,6 @@ class TestParamsDocuments:
         with pytest.raises(ParamError, match="r_n_a"):
             parse_params(json.dumps(doc))
 
-    def test_metadata_carried_and_checked(self):
-        text = serialize_params(NOR_A, {"label": "a gate", "technology": "15nm",
-                                        "wire_length_um": 3.0})
-        assert parse_params(text) == NOR_A
-        with pytest.raises(SchemaError, match="metadata"):
-            serialize_params(NOR_A, {"spice_deck": "x.sp"})
-
     def test_serialize_parse_identity_500_random(self):
         rng = random.Random(12345)
         for _ in range(500):
@@ -769,17 +762,6 @@ class TestSchemaErrorsPinned:
         assert info.value.path == ""
         assert str(info.value).startswith(message)
 
-    @pytest.mark.parametrize("metadata,path,message", [
-        ({"spice_deck": "x.sp"}, "metadata.spice_deck", "unknown field"),
-        ({"label": 3}, "metadata.label", "expected a string"),
-        ({"wire_length_um": math.inf}, "metadata.wire_length_um",
-         "expected a finite number"),
-    ])
-    def test_serialize_checks_metadata(self, metadata, path, message):
-        with pytest.raises(SchemaError) as info:
-            serialize_params(NOR_A, metadata)
-        assert (info.value.path, str(info.value)) == (path,
-                                                      f"{path}: {message}")
 
 
 class TestDuplicateKeys:
@@ -809,7 +791,7 @@ class TestSerializerBytesPinned:
     """SHA-256 of the serializers' output; any byte that moves fails."""
 
     PARAMS_SHA256 = (
-        "14f21c5f6fa3a470825020234c1f2ceabcf1476de477a92eeaf38575dbf4eab5")
+        "d1c9f7df6a611628ba7c30c3178e5ea34efeecc1dd8e0021b5896e06b53844ba")
     NETLIST_SHA256 = (
         "81e979baa529f627912282b09088a25ad72728fdfa7d1b98b3b5ee052d054b5b")
     STATS_SHA256 = (
@@ -817,9 +799,6 @@ class TestSerializerBytesPinned:
 
     def test_params_and_measured_bytes(self):
         out = [serialize_params(load_fixture(name)) for name in list_fixtures()]
-        out.append(serialize_params(NOR_A, {"wire_length_um": 3.0,
-                                            "technology": "15nm",
-                                            "label": "a gate"}))
         out.append(serialize_params(dataclasses.replace(CG_W3, inverted=True)))
         out.append(serialize_measured(TestMeasuredDocuments()._measured()))
         assert hashlib.sha256("".join(out).encode()).hexdigest() == (

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (CG_ISO, CG_W3, NOR_A, NOR_B, CountingFloat,
-                     cgate_params, nor_params)
+                     cgate_params, nor_params, output_family)
 from misdelay import gates
 from misdelay.gates import (
     Breakpoints,
@@ -19,17 +19,12 @@ from misdelay.gates import (
     DelayQuery,
     NorGateParams,
     ParamError,
-    _cgate_family,
-    _nor_family,
     _output_families,
-    _pair_rising,
     cgate_breakpoints,
     cgate_delay,
-    cgate_extremal,
     effective_caps,
     nor_breakpoints,
     nor_delay,
-    nor_extremal_rising,
 )
 from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.numerics import DomainError
@@ -143,19 +138,19 @@ class TestEffectiveCaps:
 class TestNorExtremals:
     def test_equal_alphas_degenerate(self):
         p = replace(NOR_A, alpha1=8e-10, alpha2=8e-10)
-        ext = nor_extremal_rising(p)
+        ext = output_family(p, True)
         assert ext.d_inf == ext.d_minus_inf
         assert ext.d0 > ext.d_inf
 
     def test_all_positive_and_zero_delta_dominates(self):
         for p in (NOR_A, NOR_B):
-            ext = nor_extremal_rising(p)
+            ext = output_family(p, True)
             assert 0.0 < ext.d_inf < ext.d0
             assert 0.0 < ext.d_minus_inf < ext.d0
 
     def test_matches_trajectory_bisection(self):
         caps = effective_caps(NOR_A)
-        ext = nor_extremal_rising(NOR_A)
+        ext = output_family(NOR_A, True)
         pairs = [
             (ext.d0, NOR_A.alpha1 + NOR_A.alpha2),
             (ext.d_inf, NOR_A.alpha2),
@@ -176,7 +171,7 @@ class TestNorExtremals:
         p = replace(NOR_A, alpha1=0.6e-12, alpha2=0.6e-12,
                     c_load=2.6331e-15, r5=801.28)
         with pytest.raises(DomainError):
-            nor_extremal_rising(p)
+            output_family(p, True)
 
 
 class TestNorFallingFamily:
@@ -219,7 +214,7 @@ class TestNorFallingFamily:
 
 class TestNorRisingFamily:
     def test_single_input_limits(self):
-        ext = nor_extremal_rising(NOR_A)
+        ext = output_family(NOR_A, True)
         assert nor_delay(NOR_A, DelayQuery("rising", math.inf)) == \
             ext.d_inf + NOR_A.delta_min
         assert nor_delay(NOR_A, DelayQuery("rising", -math.inf)) == \
@@ -228,7 +223,7 @@ class TestNorRisingFamily:
     def test_linear_slope(self):
         # the linear region of this gate ends below 1 ps, so probe at
         # half the breakpoint rather than a fixed separation
-        ext = nor_extremal_rising(NOR_A)
+        ext = output_family(NOR_A, True)
         bps = nor_breakpoints(NOR_A)
         asum = NOR_A.alpha1 + NOR_A.alpha2
         d_plus = 0.5 * bps.up_plus
@@ -254,7 +249,7 @@ class TestNorRisingFamily:
     def test_symmetric_breakpoints(self):
         p = NorGateParams(r_n_a=2000.0, r_n_b=2000.0, r=1500.0,
                           alpha1=9e-10, alpha2=9e-10, c_load=2e-15)
-        ext = nor_extremal_rising(p)
+        ext = output_family(p, True)
         bps = nor_breakpoints(p)
         assert math.isclose(bps.up_plus, 2 * (ext.d0 - ext.d_inf),
                             rel_tol=1e-15)
@@ -264,7 +259,7 @@ class TestNorRisingFamily:
 class TestNorBreakpoints:
     def test_values(self):
         caps = effective_caps(NOR_A)
-        ext = nor_extremal_rising(NOR_A)
+        ext = output_family(NOR_A, True)
         asum = NOR_A.alpha1 + NOR_A.alpha2
         bps = nor_breakpoints(NOR_A)
         assert bps == Breakpoints(
@@ -281,10 +276,11 @@ class TestNorBreakpoints:
         # clamp today; a wider clamp changes this test and no other grid
         p = load_fixture(name)
         if isinstance(p, NorGateParams):
-            rise, bps = _nor_family(p, True), nor_breakpoints(p)
+            rise, bps = output_family(p, True), nor_breakpoints(p)
             pairs = [(rise, (bps.up_plus, bps.up_minus))]
         else:
-            pairs = [(_cgate_family(p, d == "rising"), cgate_breakpoints(p, d))
+            # no fixture is inverted: an input pair drives its own direction
+            pairs = [(output_family(p, d == "rising"), cgate_breakpoints(p, d))
                      for d in ("rising", "falling")]
         for fam, reported in pairs:
             assert (fam.bp0_plus.hex(), fam.bp0_minus.hex()) == \
@@ -319,20 +315,20 @@ class TestNorBreakpoints:
 class TestCGateFamilies:
     def test_zero_delta_is_extremal(self):
         for direction in ("rising", "falling"):
-            ext = cgate_extremal(CG_ISO, direction)
+            ext = output_family(CG_ISO, direction == "rising")
             want = ext.d0 + CG_ISO.delta_min
             assert cgate_delay(CG_ISO, DelayQuery(direction, 0.0)) == want
             assert cgate_delay(CG_ISO, DelayQuery(direction, -0.0)) == want
 
     def test_rising_slope(self):
-        ext = cgate_extremal(CG_ISO, "rising")
+        ext = output_family(CG_ISO, True)
         asum = CG_ISO.alpha1 + CG_ISO.alpha2
         got = cgate_delay(CG_ISO, DelayQuery("rising", 2e-12))
         want = ext.d0 - (CG_ISO.alpha1 / asum) * 2e-12 + CG_ISO.delta_min
         assert math.isclose(got, want, rel_tol=1e-14)
 
     def test_falling_slope_uses_mirrored_pair(self):
-        ext = cgate_extremal(CG_ISO, "falling")
+        ext = output_family(CG_ISO, False)
         asum = CG_ISO.alpha3 + CG_ISO.alpha4
         got = cgate_delay(CG_ISO, DelayQuery("falling", 2e-12))
         want = ext.d0 - (CG_ISO.alpha4 / asum) * 2e-12 + CG_ISO.delta_min
@@ -340,15 +336,15 @@ class TestCGateFamilies:
 
     def test_equal_falling_alphas_degenerate(self):
         p = replace(CG_ISO, alpha3=1.6, alpha4=1.6)
-        ext = cgate_extremal(p, "falling")
+        ext = output_family(p, False)
         assert ext.d_inf == ext.d_minus_inf
 
     def test_extremal_matches_trajectory_bisection(self):
-        ext = cgate_extremal(CG_ISO, "rising")
+        ext = output_family(CG_ISO, True)
         t_ref = rising_crossing_oracle(CG_ISO.alpha1 + CG_ISO.alpha2,
                                        CG_ISO.r_n, CG_ISO.r5, CG_ISO.c_load)
         assert abs(ext.d0 - t_ref) <= 1e-12
-        ext = cgate_extremal(CG_ISO, "falling")
+        ext = output_family(CG_ISO, False)
         t_ref = rising_crossing_oracle(CG_ISO.alpha3 + CG_ISO.alpha4,
                                        CG_ISO.r_p, CG_ISO.r5, CG_ISO.c_load)
         assert abs(ext.d0 - t_ref) <= 1e-12
@@ -362,7 +358,7 @@ class TestCGateFamilies:
                 cgate_delay(CG_ISO, DelayQuery("rising", delta))
 
     def test_clamps(self):
-        ext = cgate_extremal(CG_ISO, "rising")
+        ext = output_family(CG_ISO, True)
         asum = CG_ISO.alpha1 + CG_ISO.alpha2
         bp_plus = asum * (ext.d0 - ext.d_inf) / CG_ISO.alpha1
         assert cgate_delay(CG_ISO, DelayQuery("rising", 2 * bp_plus)) == \
@@ -370,7 +366,7 @@ class TestCGateFamilies:
 
     def test_breakpoints_mark_the_clamp(self):
         for direction in ("rising", "falling"):
-            ext = cgate_extremal(CG_ISO, direction)
+            ext = output_family(CG_ISO, direction == "rising")
             bp_plus, bp_minus = cgate_breakpoints(CG_ISO, direction)
             at_plus = cgate_delay(CG_ISO, DelayQuery(direction, bp_plus))
             at_minus = cgate_delay(CG_ISO, DelayQuery(direction, -bp_minus))
@@ -545,7 +541,7 @@ class TestCGateProperties:
     @settings(max_examples=80, deadline=None)
     def test_continuity_and_clamping(self, p):
         for direction in ("rising", "falling"):
-            ext = cgate_extremal(p, direction)
+            ext = output_family(p, direction == "rising")
             first, second = ((p.alpha1, p.alpha2) if direction == "rising"
                              else (p.alpha4, p.alpha3))
             asum = first + second
@@ -608,26 +604,20 @@ class TestDelayPinned:
 
     SHA256 = "c6db3839ab48bcae67e5606120aa2a9f554f549f39a715fb2a4895bb77c33348"
 
-    @staticmethod
-    def _table(p, rising):
-        if isinstance(p, NorGateParams):
-            return _nor_family(p, rising)
-        return _cgate_family(p, _pair_rising(p, rising))
-
     def test_outputs_bit_identical(self):
         sets = [load_fixture(name) for name in list_fixtures()]
         sets += [replace(p, inverted=True) for p in sets
                   if isinstance(p, CGateParams)]
         out = []
         for p in sets:
-            delay = nor_delay if isinstance(p, NorGateParams) else cgate_delay
             for direction in ("falling", "rising"):
-                fam = self._table(p, direction == "rising")
+                fam = output_family(p, direction == "rising")
                 plus, minus = fam.bp0_plus, fam.bp0_minus
                 deltas = (0.0, math.inf, -math.inf) + tuple(
                     m * bp for m in (0.5, 1.0, 2.0)
                     for bp in (plus, -minus))
-                out.extend(delay(p, DelayQuery(direction, d)) for d in deltas)
+                out.extend(nor_delay(p, DelayQuery(direction, d))
+                           for d in deltas)
         assert len(out) == 30 * 2 * 9
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.SHA256
 
@@ -636,24 +626,27 @@ class TestParamTypes:
     """A delay or table of the wrong kind of object is a TypeError, found
     where the tables are built, so a query pays no check."""
 
-    @pytest.mark.parametrize("delay", [nor_delay, cgate_delay])
-    @pytest.mark.parametrize("bad", [None, "x", 1.0])
-    def test_delay_of_a_non_gate(self, delay, bad):
-        with pytest.raises(TypeError, match="expected gate params"):
-            delay(bad, DelayQuery("rising", 0.0))
+    def test_one_delay_function_for_both_kinds(self):
+        # the gate kind comes from the parameter set, not the name
+        assert cgate_delay is nor_delay
+        assert nor_delay(CG_ISO, DelayQuery("rising", 0.0)) == \
+            output_family(CG_ISO, True).d0 + CG_ISO.delta_min
 
-    @pytest.mark.parametrize("table", [nor_breakpoints, nor_extremal_rising])
-    def test_nor_table_of_a_c_gate(self, table):
+    @pytest.mark.parametrize("bad", [None, "x", 1.0])
+    def test_delay_of_a_non_gate(self, bad):
+        with pytest.raises(TypeError, match="expected gate params"):
+            nor_delay(bad, DelayQuery("rising", 0.0))
+
+    def test_nor_table_of_a_c_gate(self):
         with pytest.raises(TypeError,
                            match="expected NorGateParams, got CGateParams"):
-            table(CG_ISO)
+            nor_breakpoints(CG_ISO)
 
-    @pytest.mark.parametrize("table", [cgate_breakpoints, cgate_extremal])
     @pytest.mark.parametrize("direction", ["rising", "falling"])
-    def test_c_gate_table_of_a_nor(self, table, direction):
+    def test_c_gate_table_of_a_nor(self, direction):
         with pytest.raises(TypeError,
                            match="expected CGateParams, got NorGateParams"):
-            table(NOR_A, direction)
+            cgate_breakpoints(NOR_A, direction)
 
 
 class TestTableCache:
@@ -679,19 +672,18 @@ class TestTableCache:
         monkeypatch.setattr(gates, "_family", counting_family)
         p = replace(base)   # a new object, so its first query misses
         nor = isinstance(p, NorGateParams)
-        delay = nor_delay if nor else cgate_delay
-        first = delay(p, DelayQuery("rising", 0.0))
+        first = nor_delay(p, DelayQuery("rising", 0.0))
         # a NOR has one switch-on family; a C gate one per input pair
         assert (len(misses), len(families)) == (1, 1 if nor else 2)
         for direction in ("falling", "rising"):
             for d in (0.0, 1e-12, -1e-12, math.inf, -math.inf):
-                delay(p, DelayQuery(direction, d))
+                nor_delay(p, DelayQuery(direction, d))
             if nor:
-                nor_breakpoints(p), nor_extremal_rising(p)
+                nor_breakpoints(p)
             else:
-                cgate_breakpoints(p, direction), cgate_extremal(p, direction)
+                cgate_breakpoints(p, direction)
         assert (len(misses), len(families)) == (1, 1 if nor else 2)
-        assert first == delay(base, DelayQuery("rising", 0.0))
+        assert first == nor_delay(base, DelayQuery("rising", 0.0))
 
     def test_equal_sets_built_separately_get_their_own_entry(self):
         a, b = replace(CG_W3), replace(CG_W3)

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CG_W3, NOR_A, CountingFloat, chain_of, extreme_variants
+from helpers import (CG_W3, NOR_A, CountingFloat, chain_of, extreme_variants,
+                     output_family)
 from misdelay import load_fixture, sim
 from misdelay.fileio import list_fixtures, write_vcd
 from misdelay.gates import (
     CGateParams,
     DelayQuery,
     NorGateParams,
-    _cgate_family,
-    _nor_family,
     _output_families,
     cgate_delay,
     nor_delay,
@@ -608,7 +607,7 @@ class TestBoundPathMatchesClosedForms:
         assert p.r5 > 0.0 and p.delta_min > 0.0
         # multiples of the family's MIS length: the switch-on family's
         # bp0, the falling family's breakpoints
-        fam = _output_families(p)[rising][1]
+        fam = output_family(p, rising)
         bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
         bp = bp_plus if multiple >= 0 else bp_minus
         t_a = T_FIRST
@@ -631,7 +630,7 @@ class TestBoundPathMatchesClosedForms:
     def test_single_cgate(self, inverted, pair_rising, multiple):
         p = replace(load_fixture("cgate15_l3"), inverted=inverted)
         assert p.r5 > 0.0 and p.delta_min > 0.0
-        fam = _cgate_family(p, pair_rising)
+        fam = output_family(p, pair_rising != inverted)
         t_a = T_FIRST
         t_b = T_FIRST + multiple * (fam.bp0_plus if multiple >= 0
                                     else fam.bp0_minus)
@@ -664,8 +663,7 @@ class TestSharedInputNet:
         nor = isinstance(p, NorGateParams)
         if inverted:
             p = replace(p, inverted=True)
-        delay = nor_delay if nor else cgate_delay
-        mu = 10.0 * max(delay(p, DelayQuery(d, 0.0))
+        mu = 10.0 * max(nor_delay(p, DelayQuery(d, 0.0))
                         for d in ("rising", "falling"))
         # the output level an input level drives
         follow = (lambda v: 1 - v) if nor or inverted else (lambda v: v)
@@ -681,14 +679,15 @@ class TestSharedInputNet:
         for t_in, v in res.trace["x"]:
             level = follow(v)
             direction = "rising" if level else "falling"
-            want.append((t_in + delay(p, DelayQuery(direction, 0.0)), level))
+            want.append((t_in + nor_delay(p, DelayQuery(direction, 0.0)),
+                         level))
         assert res.trace["out"] == want
 
 
 def _symmetry_chain(p, seed):
     # separations and gaps on the scale of the switch-on family, so the
     # trace runs through MIS windows, revisions and cancellations
-    fam = _output_families(p)[True][1]
+    fam = output_family(p, True)
     mu = 2.0 * (fam.d0 + max(fam.bp0_plus, fam.bp0_minus))
     return build_cross_coupled_chain(4, params_ref="g", mu=mu, sigma=mu,
                                      n_transitions=40, seed=seed)
@@ -717,7 +716,7 @@ class TestTraceSymmetries:
         res = run(nl, {"g": p})
         assert len(res.changes) > 80  # the gates switch, not only the sources
         got = run(mirror, {"g": swapped}).changes
-        if _nor_family(swapped, False).d0 == _nor_family(p, False).d0:
+        if output_family(swapped, False).d0 == output_family(p, False).d0:
             assert got == res.changes
         else:
             # d0 = ln2*c2*ra*rb/(ra + rb) rounds differently once ra

@@ -10,18 +10,16 @@ import pytest
 
 import oracles
 from helpers import (CG_ISO, CG_W3, NOR_A, NOR_B, extreme_variants,
-                     random_cgate, random_nor)
+                     output_family, random_cgate, random_nor)
 from misdelay import trajectories
 from misdelay.gates import (
     DelayQuery,
     NorGateParams,
-    _cgate_family,
     _output_families,
     cgate_delay,
     effective_caps,
     nor_breakpoints,
     nor_delay,
-    nor_extremal_rising,
 )
 from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.numerics import DomainError, NoCrossingError, OdeSolution
@@ -220,13 +218,13 @@ class TestDecayFactor:
             assert _phi_minus_half(0.0, delta, NOR_A) == 0.5
 
     def test_root_at_zero_delta_is_extremal(self):
-        ext = nor_extremal_rising(NOR_A)
+        ext = output_family(NOR_A, True)
         root = oracles.crossing_time_bisect(
             lambda t: _phi_minus_half(t, 0.0, NOR_A), 0.0, 0.0, 10 * ext.d0)
         assert abs(root - ext.d0) <= 1e-12
 
     def test_large_delta_approaches_single_input_limit(self):
-        ext = nor_extremal_rising(NOR_A)
+        ext = output_family(NOR_A, True)
         big = 1e6 * ((NOR_A.alpha1 + NOR_A.alpha2) / (2.0 * NOR_A.r))
         root = oracles.crossing_time_bisect(
             lambda t: _phi_minus_half(t, big, NOR_A), 0.0, 0.0, 10 * ext.d0)
@@ -269,7 +267,7 @@ class TestInversionOracle:
         # for 0 < |delta| <= bp0, so the worst deviation sits at the MIS
         # length bp0 and stays inside the recorded 5% envelope for these
         # two gates
-        fam = _output_families(p)[True][1]
+        fam = output_family(p, True)
         bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
         worst = 0.0
         for i in range(1, 51):
@@ -294,7 +292,7 @@ class TestInversionOracle:
         for p, bound in ((CG_ISO, 0.27), (CG_W3, 0.065)):
             worst = 0.0
             for direction in ("rising", "falling"):
-                fam = _cgate_family(p, direction == "rising")
+                fam = output_family(p, direction == "rising")
                 bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
                 for i in range(1, 26):
                     for delta in (i / 25.0 * bp_plus, -i / 25.0 * bp_minus):
@@ -319,7 +317,7 @@ class TestInversionOracle:
         inv = replace(base, inverted=True)
         for direction, other in (("rising", "falling"),
                                  ("falling", "rising")):
-            fam = _cgate_family(base, other == "rising")
+            fam = output_family(base, other == "rising")
             bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
             for delta in (0.0, 0.5 * bp_plus, -0.5 * bp_minus,
                           1.5 * bp_plus, -1.5 * bp_minus,
@@ -490,7 +488,7 @@ class TestOdeEarlyStop:
 
     @staticmethod
     def _grid(p, direction):
-        fam = _output_families(p)[direction == "rising"][1]
+        fam = output_family(p, direction == "rising")
         bp_plus, bp_minus = fam.bp0_plus, fam.bp0_minus
         return (0.0, -0.0, 0.5 * bp_plus, -0.5 * bp_minus,
                 1.5 * bp_plus, -1.5 * bp_minus, math.inf, -math.inf)
@@ -511,7 +509,7 @@ class TestOdeEarlyStop:
         # past the single-input crossing the falling output passes V_dd/2
         # before the second input arrives: the second mode is skipped
         p = load_fixture("nor15_l3")
-        delta = 1.5 * _output_families(p)[False][1].bp_plus
+        delta = 1.5 * output_family(p, False).bp_plus
         single = delay_by_inversion("nor2", "falling", math.inf, p)
         assert delta > single - p.delta_min
         modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
@@ -631,7 +629,7 @@ def crossings(monkeypatch):
 
 def _grid(p, direction, n):
     # 0, +-inf and n points per side on (0, 3 bp]
-    fam = _output_families(p)[direction == "rising"][1]
+    fam = output_family(p, direction == "rising")
     bp = max(fam.bp0_plus, fam.bp0_minus)
     return [0.0, math.inf, -math.inf] + [
         s * 3.0 * bp * i / n for i in range(1, n + 1) for s in (1.0, -1.0)]
@@ -742,6 +740,35 @@ class TestOracleEdges:
         for delta in (1e7, -1e7):
             with pytest.raises(DomainError, match="float spacing"):
                 delay_by_ode("nor2", "falling", delta, NOR_A)
+
+    @pytest.mark.parametrize("delta", [1e-19, -1e-19, 1e-18, -1e-18,
+                                       2e-18])
+    def test_ode_first_mode_within_the_skipped_tick(self, delta):
+        # the falling NOR's first mode ends at |delta| <= 1e-18 s, within
+        # the tick each conducting mode skips; that used to be
+        # integrate_ode's ValueError on t0 == t1
+        at_zero = delay_by_ode("nor2", "falling", 0.0, NOR_A)
+        got = delay_by_ode("nor2", "falling", delta, NOR_A)
+        assert math.isfinite(got)
+        assert abs(got - at_zero) <= 1e-16
+
+    @pytest.mark.parametrize("name", ["nor15_l3", "cgate15_l3",
+                                      "cgate15_isolated"])
+    def test_separation_whose_square_overflows_is_settled(self, name):
+        # delta*delta overflows from |delta| ~ 1.34e154, which zeroed
+        # d - sqrt(chi): a DomainError on every switch-on family there
+        p = load_fixture(name)
+        kind = "nor2" if isinstance(p, NorGateParams) else "cgate"
+        for direction in (("rising",) if kind == "nor2"
+                          else ("rising", "falling")):
+            for sign in (1.0, -1.0):
+                limit = delay_by_inversion(kind, direction, sign * math.inf,
+                                           p)
+                for mag in (1.4e154, 1e200, 1e300):
+                    assert delay_by_inversion(kind, direction, sign * mag,
+                                              p) == limit
+            assert delay_by_ode(kind, direction, 1e200, p) == \
+                delay_by_ode(kind, direction, math.inf, p)
 
     def test_decay_factor_past_float_range_is_no_crossing(self):
         # the bracket end's t/a overflows, so phi there is inf; the
