@@ -68,15 +68,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_time(name: str, value, nonnegative: bool = False) -> None:
+def _check_time(name: str, value) -> None:
     """ValueError unless a separation or time is a float, or an int in
-    the float range, other than NaN (and with nonnegative, >= 0)."""
+    the float range, other than NaN."""
     if not (isinstance(value, float) or _is_real(value)):
         raise ValueError(f"{name} must be a float, got {value!r}")
-    if nonnegative:
-        if not value >= 0.0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
-    elif value != value:
+    if value != value:
         raise ValueError(f"{name} must not be NaN")
 
 

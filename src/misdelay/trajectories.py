@@ -2,9 +2,9 @@
 
 The closed-form delay families in :mod:`misdelay.gates` are compact
 approximations of a mode-switched first-order circuit.  This module
-carries the underlying machinery: the exact per-mode output voltage
-trajectories (with the interconnect folded in by a constant divider)
-and two delay oracles:
+exports two delay oracles of that circuit, built on its exact per-mode
+output voltage trajectories (with the interconnect folded in by a
+constant divider):
 
 * trajectory inversion, which chains mode trajectories and bisects the
   threshold crossing;
@@ -22,9 +22,10 @@ computed sign is the estimate's.
 
 `_mode_law` is the one table of the eight modes.  A dual-transient
 mode's decay factor and its exponent's slope are built in one place,
-`_phi`, which the trajectories, the inversion oracle and its Newton
-estimate call after it; the ODE right-hand side `_ode_rhs` reads the
-same table.
+`_phi`, which the inversion oracle and its Newton estimate call after
+it; the ODE right-hand side `_ode_rhs` reads the same table, and
+`_integrate_chain` chains its modes from the natural level, the rail
+the first mode drives away from.
 
 The oracles share with the closed forms only the description of the
 gate and the argument checks: which parameter class each gate kind
@@ -47,7 +48,7 @@ that difference, not an approximation error.
 Voltages are ratiometric: the supply is 1 and the switching threshold
 is 1/2, so delays are independent of the supply; there is no supply
 argument.  Mode kinds name the input-state transition, e.g. "01->00"
-means input A was already low and input B falls now.  ModeSwitch.delta
+means input A was already low and input B falls now.  A mode's delta
 is the nonnegative separation between the two input transitions of a
 double transition; the order is carried by the kind itself.
 """
@@ -55,11 +56,10 @@ double transition; the order is carried by the kind itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .gates import (_KIND_CLASSES, _LN2, CGateParams, NorGateParams,
-                    _check_time, _is_real, _is_rising, _pair_rising,
-                    _switch_on_pair, effective_caps)
+from .gates import (_KIND_CLASSES, _LN2, NorGateParams, _check_time,
+                    _is_rising, _pair_rising, _switch_on_pair,
+                    effective_caps)
 from .numerics import (
     DomainError,
     NoCrossingError,
@@ -69,22 +69,10 @@ from .numerics import (
     integrate_ode,
 )
 
-__all__ = [
-    "ModeSwitch",
-    "eval_trajectory",
-    "delay_by_inversion",
-    "integrate_full_ode",
-    "delay_by_ode",
-    "PiecewiseSolution",
-    "NOR_MODE_KINDS",
-]
+__all__ = ["delay_by_inversion", "delay_by_ode"]
 
-# input-state transitions; "ab->a'b'" with a = input A, b = input B
-NOR_MODE_KINDS = frozenset({
-    "00->10", "00->01", "10->11", "01->11",
-    "11->10", "11->01", "01->00", "10->00",
-})
-
+# mode kinds are input-state transitions "ab->a'b'", with a = input A
+# and b = input B
 _DOUBLE_UP = {"10->11", "01->11"}     # second input rises
 _DOUBLE_DOWN = {"01->00", "10->00"}   # second input falls
 _A_FIRST = {"10->11", "01->00"}       # input A switched first
@@ -102,33 +90,6 @@ _ODE_TOL = Tolerance(rel=1e-10, abs=1e-13)
 # fixtures, about 20 where the transient scale dwarfs tau
 # (cgate15_isolated)
 _NEWTON_STEPS = 64
-
-
-@dataclass(frozen=True)
-class ModeSwitch:
-    """One conduction-mode change of a gate.
-
-    kind: the input-state transition ("ab->a'b'").
-    delta: separation in seconds between the two input transitions of a
-        double transition (nonnegative; +inf means the first input
-        switched in the unbounded past).  Ignored for single
-        transitions out of a settled state.
-    initial_v: output voltage when the mode begins, a finite number in
-        units of the supply; None selects the natural steady level
-        (1 for discharging modes, 0 for the drive-up modes).
-    """
-
-    kind: str
-    delta: float = 0.0
-    initial_v: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in NOR_MODE_KINDS:
-            raise ValueError(f"unknown mode kind {self.kind!r}")
-        _check_time("delta", self.delta, nonnegative=True)
-        if not (self.initial_v is None or _is_real(self.initial_v)):
-            raise ValueError("initial_v must be None or a finite number, "
-                             f"got {self.initial_v!r}")
 
 
 def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
@@ -157,10 +118,11 @@ def _phi(aged: float, fresh: float, r: float, delta: float, c_eff: float):
     a = (fresh if settled else aged + fresh) / two_r
     if not a > 0.0:
         raise DomainError(f"transient scale a={a!r} is not positive")
-    if settled or delta < 1e-6 * a:
+    if settled or delta < 2.0 ** -53 * a:
         # single-transient law: the aged transistor has fully settled,
-        # or it switched with the fresh one, where the exact form
-        # degenerates and loses all precision (its analytic limit)
+        # or it switched with the fresh one (the exact form's limit).
+        # The law drops a correction of relative order delta/a, which
+        # is below one rounding of a only where delta < 2^-53 a
         return (tau, lambda t: -t + a * log1p(t / a),
                 lambda t: a / (a + t) - 1.0)
     d = a + delta
@@ -213,9 +175,8 @@ def _mode_law(params, kind: str):
     c_eff is the divider-corrected load; aged is the coefficient of the
     earlier input's transistor; up tells whether the mode drives the
     output toward the supply (the NOR pullup, the C gate's nMOS side).
+    The oracles have checked params' type before they call it.
     """
-    if not isinstance(params, (NorGateParams, CGateParams)):
-        raise TypeError(f"unsupported params type {type(params).__name__}")
     nor = isinstance(params, NorGateParams)
     up = kind in _DOUBLE_UP
     if nor and kind not in _DOUBLE_DOWN:
@@ -240,37 +201,6 @@ def _switch_on_kind(pair_rising: bool, delta: float) -> str:
     if pair_rising:
         return "10->11" if delta >= 0.0 else "01->11"
     return "01->00" if delta >= 0.0 else "10->00"
-
-
-def _start_level(ms: ModeSwitch, law) -> float:
-    # initial_v, or the natural level: the rail the mode drives away from
-    if ms.initial_v is not None:
-        return ms.initial_v
-    return 0.0 if law[0] == "dual" and law[-1] else 1.0
-
-
-def eval_trajectory(ms: ModeSwitch, params, t: float) -> float:
-    """Closed-form output voltage of one mode, t seconds after its start.
-
-    At t = +inf it is the mode's limit: the rail it drives to, or the
-    held level.
-    """
-    _check_time("t", t, nonnegative=True)
-    law = _mode_law(params, ms.kind)
-    v0 = _start_level(ms, law)
-    if law[0] == "hold":
-        return v0
-    if law[0] == "exp":
-        _, rg, c_eff = law
-        return v0 * math.exp(-t / (c_eff * rg))
-    _, aged, fresh, r, c_eff, up = law
-    # phi's exponent is inf - inf at t = +inf, where its limit is 0
-    if t == math.inf:
-        phi = 0.0
-    else:
-        tau, expo, _ = _phi(aged, fresh, r, ms.delta, c_eff)
-        phi = math.exp(expo(t) / tau)
-    return 1.0 + (v0 - 1.0) * phi if up else v0 * phi
 
 
 def delay_by_inversion(gate_kind: str, direction: str, delta: float, params,
@@ -314,6 +244,13 @@ def _nor_fall_by_inversion(p: NorGateParams, delta: float) -> float:
 
     hi = _LN2 * tau1 * 1.0000001 if math.isinf(sep) else \
         min(sep, _LN2 * tau1) + 40.0 * tau2
+    if hi == math.inf:
+        # 40 tau2 overflowed; the crossing lies at or below
+        # min(sep, ln2 tau1) + ln2 tau2
+        hi = min(sep, _LN2 * tau1) + tau2
+        if hi == math.inf:
+            raise NoCrossingError("falling trajectory's window ends past "
+                                  f"the float range (tau2={tau2!r} s)")
     # the crossing in closed form, so the bisection evaluates traj only
     # at the last levels; tau1 > 0 wherever sep / tau1 is formed
     near = _LN2 * tau1
@@ -357,34 +294,23 @@ def _switch_on_by_inversion(p, pair_rising: bool, delta: float) -> float:
     return t_cross + p.delta_min
 
 
-class PiecewiseSolution:
+class _ChainSolution:
     """Chained dense ODE solutions over consecutive modes."""
 
     def __init__(self, segments: list[tuple[float, OdeSolution]]):
         # segments: (absolute start time, solution in local mode time)
         self.segments = segments
 
-    @property
-    def t1(self) -> float:
-        start, sol = self.segments[-1]
-        return start + sol.t1
-
-    @property
-    def v1(self) -> float:
-        return self.segments[-1][1].v1
-
     def __call__(self, t: float) -> float:
+        # the last segment starting at or before t, else the first, whose
+        # solution raises ValueError for a NaN t
         for start, sol in reversed(self.segments):
             if t >= start:
-                # min(max(s, ts[0]), ts[-1]), spelled out as in
-                # integrate_ode
-                s, ts = t - start, sol.ts
-                s = ts[0] if ts[0] > s else s
-                return sol(ts[-1] if ts[-1] < s else s)
-        if t != t:
-            raise ValueError(f"t={t!r} is not a number")
-        start, sol = self.segments[0]
-        return sol(sol.t0)
+                break
+        # min(max(s, ts[0]), ts[-1]), spelled out as in integrate_ode
+        s, ts = t - start, sol.ts
+        s = ts[0] if ts[0] > s else s
+        return sol(ts[-1] if ts[-1] < s else s)
 
 
 def _ode_rhs(params, kind: str, delta: float, exact_f: bool):
@@ -419,48 +345,48 @@ def _ode_rhs(params, kind: str, delta: float, exact_f: bool):
     return rhs
 
 
-def integrate_full_ode(modes, params, t_end: float, exact_f: bool = True,
-                       stop_past: float | None = None) -> PiecewiseSolution:
-    """Numerically integrate the output through a sequence of modes.
+def _integrate_chain(modes, params, t_end: float, exact_f: bool,
+                     stop_past: float | None) -> _ChainSolution:
+    """Numerically integrate the output through a chain of modes.
 
-    modes[0] starts at t = 0 with its initial_v (or the natural steady
-    level); each later mode starts its own delta after the previous one
-    and inherits the running voltage, so the trajectory is continuous.
-    Integration runs to t_end; the last mode must contain it.  With
-    stop_past set, each mode stops at its first node strictly past that
-    level (see integrate_ode), and once the running voltage is past it
-    from the starting side, later modes are not integrated: the
-    solution then ends before t_end, and evaluating it beyond its end
-    reads the last value.
+    modes is a sequence of (kind, delta) pairs.  modes[0] starts at
+    t = 0 at its natural level, the rail it drives away from; each later
+    mode starts its own delta after the previous one and inherits the
+    running voltage, so the trajectory is continuous.  Integration runs
+    to t_end, past the last mode's start.  With stop_past set, each mode
+    stops at its first node strictly past that level (see
+    integrate_ode), and once the running voltage is past it from the
+    starting side, later modes are not integrated: the solution then
+    ends before t_end, and evaluating it beyond its end reads the last
+    value.
     """
-    if not modes:
-        raise ValueError("empty mode sequence")
     starts = [0.0]
-    for ms in modes[1:]:
-        if math.isinf(ms.delta):
-            raise ValueError("only the first mode may have infinite delta")
-        starts.append(starts[-1] + ms.delta)
-    if not starts[-1] < t_end < math.inf:
-        raise ValueError(
-            f"t_end={t_end!r} must be finite and reach the last mode")
-
-    v = v_start = _start_level(modes[0], _mode_law(params, modes[0].kind))
+    for _, delta in modes[1:]:
+        starts.append(starts[-1] + delta)
+    law = _mode_law(params, modes[0][0])
+    v = v_start = 0.0 if law[0] == "dual" and law[-1] else 1.0
     segments: list[tuple[float, OdeSolution]] = []
-    for i, ms in enumerate(modes):
+    for i, (kind, delta) in enumerate(modes):
         if stop_past is not None and (v < stop_past < v_start
                                       or v_start < stop_past < v):
             break
         seg_end = (starts[i + 1] if i + 1 < len(modes) else t_end) - starts[i]
-        rhs = _ode_rhs(params, ms.kind, ms.delta, exact_f)
+        rhs = _ode_rhs(params, kind, delta, exact_f)
         if rhs is None or seg_end <= _T_EPS:
             # non-conducting mode, or one that ends within the tick every
             # conducting mode skips: hold v
             sol = OdeSolution([0.0, seg_end], [v, v], [0.0, 0.0])
         else:
-            sol = integrate_ode(rhs, _T_EPS, seg_end, v, _ODE_TOL, stop_past)
+            try:
+                sol = integrate_ode(rhs, _T_EPS, seg_end, v, _ODE_TOL,
+                                    stop_past)
+            except ZeroDivisionError:
+                # C * rg underflowed to 0 where rg settles
+                raise DomainError("ODE rate divides by a load times gate "
+                                  "resistance that underflows to 0") from None
         segments.append((starts[i], sol))
         v = sol.v1
-    return PiecewiseSolution(segments)
+    return _ChainSolution(segments)
 
 
 def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
@@ -488,22 +414,21 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     if gate_kind == "nor2" and direction == "falling":
         chain = ("00->10", "10->11") if delta >= 0.0 else ("00->01", "01->11")
         if math.isinf(sep):
-            modes = [ModeSwitch(chain[0], delta=math.inf)]
+            modes = [(chain[0], sep)]
         elif sep == 0.0:
-            modes = [ModeSwitch(chain[1])]
+            modes = [(chain[1], sep)]
         else:
-            modes = [ModeSwitch(chain[0]), ModeSwitch(chain[1], delta=sep)]
+            modes = [(chain[0], 0.0), (chain[1], sep)]
     else:
         pair_rising = _pair_rising(params, direction == "rising")
-        modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
-    # each chain starts at its natural level, the rail it drives away from
-    last = sum(ms.delta for ms in modes[1:])
+        modes = [(_switch_on_kind(pair_rising, delta), sep)]
+    last = sum(d for _, d in modes[1:])
     t_end = last + horizon
-    if not t_end > last:
+    if not last < t_end < math.inf:
         raise DomainError(f"horizon {horizon!r} s is below the float "
-                          f"spacing at {last!r} s")
+                          f"spacing at {last!r} s or past the float range")
 
-    sol = integrate_full_ode(modes, params, t_end, exact_f, stop_past=0.5)
+    sol = _integrate_chain(modes, params, t_end, exact_f, 0.5)
     # the crossing may sit in any segment (a falling output past the
     # single-input limit crosses before the second transition arrives),
     # so bisect the chained solution as a whole; it is monotone.  It
@@ -515,7 +440,7 @@ def delay_by_ode(gate_kind: str, direction: str, delta: float, params,
     return t_cross + params.delta_min
 
 
-def _hermite_root(sol: PiecewiseSolution) -> float | None:
+def _hermite_root(sol: _ChainSolution) -> float | None:
     # Newton on the cubic Hermite of the solution's last step, which a
     # stop_past=0.5 run ends on the step that crosses 0.5; None unless
     # that step's node values straddle the level

@@ -291,12 +291,12 @@ def reference_delay_by_ode(gate_kind, direction, delta, params,
                            exact_f=True):
     """ODE oracle delay integrated to 12x the inversion delay, then bisected.
 
-    The window is the chained solution's own end, sol.t1.
+    The window is the chained solution's own end.
     """
     from misdelay.gates import _pair_rising
     from misdelay.numerics import Tolerance, bisect_threshold_crossing
-    from misdelay.trajectories import (ModeSwitch, _switch_on_kind,
-                                       delay_by_inversion, integrate_full_ode)
+    from misdelay.trajectories import (_integrate_chain, _switch_on_kind,
+                                       delay_by_inversion)
 
     inv_hint = delay_by_inversion(gate_kind, direction, delta, params)
     horizon = 12.0 * max(inv_hint - params.delta_min, 1e-15)
@@ -304,18 +304,19 @@ def reference_delay_by_ode(gate_kind, direction, delta, params,
     if gate_kind == "nor2" and direction == "falling":
         chain = ["00->10", "10->11"] if delta >= 0.0 else ["00->01", "01->11"]
         if math.isinf(sep):
-            modes = [ModeSwitch(chain[0], delta=math.inf)]
+            modes = [(chain[0], math.inf)]
         elif sep == 0.0:
-            modes = [ModeSwitch(chain[1], delta=0.0, initial_v=1.0)]
+            modes = [(chain[1], 0.0)]
         else:
-            modes = [ModeSwitch(chain[0]), ModeSwitch(chain[1], delta=sep)]
+            modes = [(chain[0], 0.0), (chain[1], sep)]
         t_end = (0.0 if math.isinf(sep) else sep) + horizon
     else:
         pair_rising = _pair_rising(params, direction == "rising")
-        modes = [ModeSwitch(_switch_on_kind(pair_rising, delta), delta=sep)]
+        modes = [(_switch_on_kind(pair_rising, delta), sep)]
         t_end = horizon
-    sol = integrate_full_ode(modes, params, t_end, exact_f=exact_f)
-    t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, sol.t1,
+    sol = _integrate_chain(modes, params, t_end, exact_f, None)
+    start, seg = sol.segments[-1]
+    t_cross = bisect_threshold_crossing(sol, 0.5, 0.0, start + seg.t1,
                                         Tolerance(abs=1e-17))
     return t_cross + params.delta_min
 

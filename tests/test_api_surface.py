@@ -63,9 +63,7 @@ MODULE_ALL = {
               "Breakpoints", "DelayQuery", "effective_caps",
               "nor_breakpoints", "nor_delay", "cgate_breakpoints",
               "cgate_delay"],
-    "trajectories": ["ModeSwitch", "eval_trajectory", "delay_by_inversion",
-                     "integrate_full_ode", "delay_by_ode",
-                     "PiecewiseSolution", "NOR_MODE_KINDS"],
+    "trajectories": ["delay_by_inversion", "delay_by_ode"],
     "numerics": ["Tolerance", "DomainError", "NoSignChangeError",
                  "NoCrossingError", "ConvergenceError", "StepUnderflowError",
                  "lambert_w_m1", "find_root_bracketed",

@@ -31,8 +31,8 @@ from misdelay.fileio import (
     serialize_netlist,
     serialize_params,
 )
-from misdelay.gates import (DelayQuery, _output_families, cgate_delay,
-                            nor_delay)
+from misdelay.gates import (DelayQuery, NorGateParams, _output_families,
+                            cgate_delay, nor_delay)
 from misdelay.numerics import DomainError
 from misdelay.sim import build_cross_coupled_chain
 from misdelay.trajectories import delay_by_ode
@@ -244,7 +244,7 @@ class TestDelayCurve:
 
     def test_ode_horizon_below_float_spacing_exit_3(self, tmp_path, capsys):
         # the falling NOR's horizon (~1e-10 s) vanishes beside |delta| =
-        # 1e7 s; integrate_full_ode used to raise ValueError on t_end
+        # 1e7 s; the ODE chain used to raise ValueError on t_end
         out = tmp_path / "x.csv"
         code = main(["delay-curve", "--params", L3_PATH, "--dmin", "-1e7",
                      "--dmax", "1e7", "--steps", "3", "--oracle", "ode",
@@ -794,6 +794,32 @@ class TestExtremeParams:
                          ["simulate", "--netlist", str(netlist), "-o", vcd,
                           "--stats", stats]):
                 assert main(argv) in (0, 2, 3), (name, field, value, argv[0])
+
+    def test_falling_window_past_float_range(self, tmp_path, capsys):
+        # 40 tau2 overflows the falling NOR oracles' window end; both
+        # commands used to end in a bare ValueError (exit 1)
+        p = NorGateParams(r_n_a=10, r_n_b=10, r=7e-104, alpha1=1e100,
+                          alpha2=1e100, c_load=1e306, r5=0,
+                          delta_min=4.32e-12)
+        path, out = tmp_path / "p.json", tmp_path / "c.csv"
+        path.write_text(serialize_params(p))
+        closed = nor_delay(p, DelayQuery("falling", 0.0))
+        for oracle in ("trajectory", "ode"):
+            assert main(["delay-curve", "--params", str(path), "--dmin",
+                         "-1e-12", "--dmax", "1e-12", "--steps", "3",
+                         "--oracle", oracle, "-o", str(out)]) == 0
+            falling = [float(r["delay_s"]) for r in csv.DictReader(out.open())
+                       if r["source"] == f"{oracle}_oracle"
+                       and r["family"].startswith("down")]
+            assert len(falling) == 3
+            assert all(math.isclose(d, closed, rel_tol=1e-6)
+                       for d in falling)
+        capsys.readouterr()
+        # the exact families miss the absolute 1e-12 s bound by far at
+        # delays of 3.5e306 s: a failed report, not a traceback
+        assert main(["verify", "--params", str(path)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["fixtures"]["p"]["ode_rel"]["down_plus"] < 1e-6
 
     def test_time_constant_underflow_exits_3(self, tmp_path, capsys):
         # three extreme fields together: with r5 = 0 the switch-on time

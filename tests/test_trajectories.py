@@ -23,15 +23,13 @@ from misdelay.gates import (
 )
 from misdelay.fileio import list_fixtures, load_fixture
 from misdelay.numerics import DomainError, NoCrossingError, OdeSolution
-from misdelay.trajectories import (
-    NOR_MODE_KINDS,
-    ModeSwitch,
-    delay_by_inversion,
-    delay_by_ode,
-    eval_trajectory,
-    integrate_full_ode,
-)
+from misdelay.trajectories import (_integrate_chain, delay_by_inversion,
+                                   delay_by_ode)
 
+# the input-state transitions "ab->a'b'" (a = input A, b = input B)
+# that name the modes, sorted
+MODE_KINDS = ("00->01", "00->10", "01->00", "01->11", "10->00", "10->11",
+              "11->01", "11->10")
 LN2 = math.log(2.0)
 
 
@@ -43,14 +41,39 @@ def _phi_minus_half(t, delta, p, direction="falling"):
     return math.exp(expo(t) / tau) - 0.5
 
 
-class TestEvalTrajectory:
+def _trajectory(kind, delta, v0, p, t):
+    # closed-form output voltage of one mode, t >= 0 after it starts at
+    # v0, or at its natural level (the rail it drives away from) for None
+    law = trajectories._mode_law(p, kind)
+    if v0 is None:
+        v0 = 0.0 if law[0] == "dual" and law[-1] else 1.0
+    if law[0] == "hold":
+        return v0
+    if law[0] == "exp":
+        _, rg, c_eff = law
+        return v0 * math.exp(-t / (c_eff * rg))
+    _, aged, fresh, r, c_eff, up = law
+    tau, expo, _ = trajectories._phi(aged, fresh, r, delta, c_eff)
+    phi = math.exp(expo(t) / tau)
+    return 1.0 + (v0 - 1.0) * phi if up else v0 * phi
+
+
+def _end(sol):
+    # where a chained ODE solution ends
+    start, seg = sol.segments[-1]
+    return start + seg.t1
+
+
+class TestModeTrajectory:
+    """The closed-form output voltage each mode's conduction law gives."""
+
     def test_single_discharge_crosses_at_ln2_tau(self):
         caps = effective_caps(NOR_A)
-        v = eval_trajectory(ModeSwitch("00->10"), NOR_A,
-                            LN2 * caps.c1 * NOR_A.r_n_a)
+        v = _trajectory("00->10", 0.0, None, NOR_A,
+                        LN2 * caps.c1 * NOR_A.r_n_a)
         assert math.isclose(v, 0.5, rel_tol=1e-14)
-        v = eval_trajectory(ModeSwitch("00->01"), NOR_A,
-                            LN2 * caps.c1_prime * NOR_A.r_n_b)
+        v = _trajectory("00->01", 0.0, None, NOR_A,
+                        LN2 * caps.c1_prime * NOR_A.r_n_b)
         assert math.isclose(v, 0.5, rel_tol=1e-14)
 
     def test_double_discharge_time_constant(self):
@@ -58,90 +81,41 @@ class TestEvalTrajectory:
         rpar = (NOR_A.r_n_a * NOR_A.r_n_b
                 / (NOR_A.r_n_a + NOR_A.r_n_b))
         tau = caps.c2 * rpar
-        ms = ModeSwitch("10->11", delta=1e-12, initial_v=0.8)
         for t in (0.2 * tau, tau, 3.0 * tau):
-            assert math.isclose(eval_trajectory(ms, NOR_A, t),
+            assert math.isclose(_trajectory("10->11", 1e-12, 0.8, NOR_A, t),
                                 0.8 * math.exp(-t / tau), rel_tol=1e-14)
 
     def test_drive_up_starts_at_initial_value(self):
         for v0 in (0.0, 0.3):
-            ms = ModeSwitch("01->00", delta=2e-12, initial_v=v0)
-            assert eval_trajectory(ms, NOR_A, 0.0) == pytest.approx(v0, abs=1e-15)
+            assert _trajectory("01->00", 2e-12, v0, NOR_A, 0.0) == \
+                pytest.approx(v0, abs=1e-15)
+        assert _trajectory("01->00", 2e-12, None, NOR_A, 0.0) == 0.0
 
     def test_drive_up_saturates_at_supply(self):
-        ms = ModeSwitch("01->00", delta=2e-12, initial_v=0.0)
         caps = effective_caps(NOR_A)
         t_late = 60.0 * NOR_A.r * caps.c3
-        assert eval_trajectory(ms, NOR_A, t_late) > 0.999
-
-    def test_near_zero_delta_continuous_with_limit_form(self):
-        # the product form degenerates as delta -> 0; the limit branch
-        # must join it smoothly across the switchover
-        a = (NOR_A.alpha1 + NOR_A.alpha2) / (2.0 * NOR_A.r)
-        t = 2e-12
-        below = eval_trajectory(ModeSwitch("01->00", delta=0.99e-6 * a,
-                                           initial_v=0.0), NOR_A, t)
-        above = eval_trajectory(ModeSwitch("01->00", delta=1.01e-6 * a,
-                                           initial_v=0.0), NOR_A, t)
-        # the limit branch discards the O(delta/a) correction, so the
-        # residual jump is of that order, not roundoff
-        assert math.isclose(below, above, rel_tol=1e-5)
+        assert _trajectory("01->00", 2e-12, 0.0, NOR_A, t_late) > 0.999
 
     def test_infinite_delta_single_transient(self):
         # with one transistor settled long ago only the fresh alpha acts
         t = 3e-12
-        lone = eval_trajectory(ModeSwitch("01->00", delta=math.inf,
-                                          initial_v=0.0), NOR_A, t)
-        far = eval_trajectory(ModeSwitch("01->00", delta=1.0,
-                                         initial_v=0.0), NOR_A, t)
+        lone = _trajectory("01->00", math.inf, 0.0, NOR_A, t)
+        far = _trajectory("01->00", 1.0, 0.0, NOR_A, t)
         assert math.isclose(lone, far, rel_tol=1e-9)
 
     def test_cgate_hold_modes_keep_value(self):
         for kind in ("00->10", "11->01"):
-            ms = ModeSwitch(kind, initial_v=0.42)
-            assert eval_trajectory(ms, CG_ISO, 5e-12) == 0.42
-
-    def test_mode_switch_validation(self):
-        with pytest.raises(ValueError):
-            ModeSwitch("00->11")
-        with pytest.raises(ValueError):
-            ModeSwitch("01->00", delta=-1e-12)
-        with pytest.raises(ValueError):
-            eval_trajectory(ModeSwitch("01->00"), NOR_A, -1e-15)
-        for kind in ("01->00", "00->10", "10->11"):
-            with pytest.raises(ValueError, match="t must be >= 0"):
-                eval_trajectory(ModeSwitch(kind), NOR_A, math.nan)
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            eval_trajectory(ModeSwitch("11->01"), CG_ISO, math.nan)
-        with pytest.raises(TypeError, match="unsupported params type dict"):
-            eval_trajectory(ModeSwitch("00->10"), {}, 0.0)
-
-    @pytest.mark.parametrize("bad", [True, False, math.nan, math.inf,
-                                     -math.inf, "0.5", 10 ** 400],
-                             ids=["true", "false", "nan", "inf", "-inf",
-                                  "str", "huge-int"])
-    def test_initial_v_must_be_a_finite_number(self, bad):
-        with pytest.raises(ValueError) as info:
-            ModeSwitch("01->00", initial_v=bad)
-        assert str(info.value) == ("initial_v must be None or a finite "
-                                   f"number, got {bad!r}")
-
-    def test_initial_v_accepts_an_int(self):
-        ms = ModeSwitch("10->11", initial_v=1)
-        assert eval_trajectory(ms, NOR_A, 0.0) == 1.0
+            assert _trajectory(kind, 0.0, 0.42, CG_ISO, 5e-12) == 0.42
 
 
 class TestIntBeyondFloatRange:
     """An int that float() cannot hold is a ValueError, not an
-    OverflowError, wherever a separation or a mode time is taken; so is
-    a bool or a str, which are not numbers."""
+    OverflowError, wherever an oracle takes a separation; so is a bool
+    or a str, which are not numbers."""
 
     HUGE = 10 ** 400
 
     @pytest.mark.parametrize("name,call", [
-        ("delta", lambda h: ModeSwitch("10->11", h)),
-        ("t", lambda h: eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A, h)),
-        ("t", lambda h: eval_trajectory(ModeSwitch("00->10"), NOR_A, h)),
         ("delta", lambda h: delay_by_inversion("nor2", "rising", h, NOR_A)),
         ("delta", lambda h: delay_by_inversion("nor2", "falling", -h, NOR_A)),
         ("delta",
@@ -155,9 +129,6 @@ class TestIntBeyondFloatRange:
 
     @pytest.mark.parametrize("value", [True, "1e-12"])
     @pytest.mark.parametrize("name,call", [
-        ("delta", lambda v: ModeSwitch("10->11", v)),
-        ("t", lambda v: eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A, v)),
-        ("t", lambda v: eval_trajectory(ModeSwitch("00->10"), NOR_A, v)),
         ("delta", lambda v: delay_by_inversion("nor2", "rising", v, NOR_A)),
         ("delta", lambda v: delay_by_inversion("nor2", "falling", v, NOR_A)),
         ("delta",
@@ -172,10 +143,7 @@ class TestIntBeyondFloatRange:
         assert str(info.value) == f"{name} must be a float, got {value!r}"
 
     def test_infinite_separations_stay_valid(self):
-        assert ModeSwitch("10->11", math.inf).delta == math.inf
         assert 0.0 < _phi_minus_half(1e-12, math.inf, NOR_A) < 0.5
-        assert eval_trajectory(ModeSwitch("10->11", 1e-12), NOR_A,
-                               math.inf) == 0.0
         for delta in (math.inf, -math.inf):
             assert math.isclose(
                 delay_by_inversion("nor2", "rising", delta, NOR_A),
@@ -183,9 +151,9 @@ class TestIntBeyondFloatRange:
 
 
 class TestLimitAtInfiniteTime:
-    """At t = +inf every mode has settled: the output sits on the rail
-    its mode drives to, the value it already holds a microsecond in,
-    where a dual-transient decay factor is already 0."""
+    """A microsecond into a mode the output has settled: a switch-on
+    mode's dual-transient decay factor is already 0, and the output sits
+    on the rail its mode drives to."""
 
     DELTAS = (0.0, 1e-15, 1e-12, 1e-9, math.inf)
 
@@ -199,14 +167,16 @@ class TestLimitAtInfiniteTime:
 
     @pytest.mark.parametrize("name", ["nor15_l3", "cgate15_l3"])
     def test_trajectory_limit_is_the_rail(self, name):
+        # every mode has settled a microsecond in, on its rail or, for a
+        # hold, on its start value, and stays there
         p = load_fixture(name)
-        for kind in sorted(NOR_MODE_KINDS):
+        for kind in MODE_KINDS:
             for delta in self.DELTAS:
                 for v0 in (None, 0.3):
-                    ms = ModeSwitch(kind, delta, v0)
-                    settled = eval_trajectory(ms, p, 1e-6)
+                    settled = _trajectory(kind, delta, v0, p, 1e-6)
                     assert settled in (0.0, 1.0, 0.3)
-                    assert eval_trajectory(ms, p, math.inf) == settled
+                    for t in (1e-3, 1.0):
+                        assert _trajectory(kind, delta, v0, p, t) == settled
 
 
 class TestDecayFactor:
@@ -233,6 +203,19 @@ class TestDecayFactor:
             lambda t: _phi_minus_half(t, math.inf, NOR_A), 0.0, 0.0,
             10 * ext.d0)
         assert abs(root - ext.d_inf) <= 1e-12
+
+    def test_near_zero_delta_continuous_with_limit_form(self):
+        # the limit branch, the single-transient law, discards an
+        # O(delta/a) correction; below its edge delta = 2^-53 a that is
+        # less than one rounding of a, so the output jumps by roundoff
+        # only across the edge
+        a = (NOR_A.alpha1 + NOR_A.alpha2) / (2.0 * NOR_A.r)
+        for t in (2e-12, 1e-11):
+            below = _trajectory("01->00", 0.99 * 2.0 ** -53 * a, None,
+                                NOR_A, t)
+            above = _trajectory("01->00", 1.01 * 2.0 ** -53 * a, None,
+                                NOR_A, t)
+            assert math.isclose(below, above, rel_tol=1e-15)
 
 
 class TestInversionOracle:
@@ -351,7 +334,7 @@ class TestFullOde:
     def test_matches_trajectory_on_constant_mode(self):
         caps = effective_caps(NOR_A)
         tau = caps.c1 * NOR_A.r_n_a
-        sol = integrate_full_ode([ModeSwitch("00->10")], NOR_A, 5 * tau)
+        sol = _integrate_chain([("00->10", 0.0)], NOR_A, 5 * tau, True, None)
         # dense output is cubic Hermite between the accepted nodes, so
         # mid-step accuracy is coarser than the step controller's target
         for t in (0.3 * tau, tau, 4 * tau):
@@ -368,13 +351,14 @@ class TestFullOde:
     def test_constant_divider_reproduces_closed_trajectory(self):
         # drive-up mode with interconnect: constant-F integration must
         # land on the closed-form trajectory to integrator accuracy
-        ms = ModeSwitch("01->00", delta=1e-12, initial_v=0.0)
         caps = effective_caps(NOR_A)
         horizon = 20 * NOR_A.r * caps.c3
-        sol = integrate_full_ode([ms], NOR_A, horizon, exact_f=False)
+        sol = _integrate_chain([("01->00", 1e-12)], NOR_A, horizon, False,
+                               None)
         for frac in (0.05, 0.2, 0.5, 1.0):
             t = frac * horizon
-            assert abs(sol(t) - eval_trajectory(ms, NOR_A, t)) <= 1e-7
+            closed = _trajectory("01->00", 1e-12, None, NOR_A, t)
+            assert abs(sol(t) - closed) <= 1e-7
 
     def test_delay_against_inversion_oracle(self):
         # constant-F ODE delays and trajectory-inversion delays describe
@@ -406,8 +390,8 @@ class TestFullOde:
 
     def test_falling_chain_is_continuous(self):
         delta = 1.5e-12
-        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
-        sol = integrate_full_ode(modes, NOR_A, delta + 2e-11)
+        modes = [("00->10", 0.0), ("10->11", delta)]
+        sol = _integrate_chain(modes, NOR_A, delta + 2e-11, True, None)
         step = 1e-18
         assert abs(sol(delta - step) - sol(delta + step)) <= 1e-6
         samples = [sol(i * (delta + 2e-11) / 40) for i in range(1, 41)]
@@ -418,8 +402,8 @@ class TestFullOde:
         # local time clamped into [t0, t1]; checked bit for bit before,
         # at and after every segment's ends, and before the chain starts
         delta = 1.5e-12
-        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
-        sol = integrate_full_ode(modes, NOR_A, delta + 2e-11)
+        modes = [("00->10", 0.0), ("10->11", delta)]
+        sol = _integrate_chain(modes, NOR_A, delta + 2e-11, True, None)
         assert len(sol.segments) == 2
 
         def clamped(t):
@@ -428,7 +412,7 @@ class TestFullOde:
                     return seg(min(max(t - start, seg.t0), seg.t1))
             return sol.segments[0][1](sol.segments[0][1].t0)
 
-        probes = [-1e-15, 2.0 * sol.t1]
+        probes = [-1e-15, 2.0 * _end(sol)]
         for start, seg in sol.segments:
             for edge in (start, start + seg.t0, start + seg.t1):
                 probes += [edge - 1e-16, math.nextafter(edge, -math.inf),
@@ -438,29 +422,26 @@ class TestFullOde:
             assert sol(t).hex() == clamped(t).hex(), t
 
     def test_nan_probe_raises(self):
-        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=1.5e-12)]
-        sol = integrate_full_ode(modes, NOR_A, 2e-11)
+        modes = [("00->10", 0.0), ("10->11", 1.5e-12)]
+        sol = _integrate_chain(modes, NOR_A, 2e-11, True, None)
         with pytest.raises(ValueError, match="t=nan"):
             sol(math.nan)
 
-    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
-    def test_end_not_finite_raises_up_front(self, t_end):
-        with pytest.raises(ValueError, match="t_end"):
-            integrate_full_ode([ModeSwitch("00->10")], NOR_A, t_end)
-
     def test_cgate_single_transition_holds(self):
-        modes = [ModeSwitch("11->01", initial_v=0.9),
-                 ModeSwitch("01->00", delta=4e-12)]
-        sol = integrate_full_ode(modes, CG_W3, 8e-12)
-        assert sol(2e-12) == 0.9
+        modes = [("11->01", 0.0), ("01->00", 4e-12)]
+        sol = _integrate_chain(modes, CG_W3, 8e-12, True, None)
+        assert sol(2e-12) == 1.0
 
     def test_horizon_sliver_does_not_underflow(self):
-        # rounding leaves a 3e-27 s sliver before t_end on this chain
+        # the output holds at the supply, then its drive to the supply
+        # leaves it there; rounding leaves a 3e-27 s sliver before t_end
         p = load_fixture("cgate15_halfres")
         s = delay_by_inversion("cgate", "rising", 0.0, p) - p.delta_min
-        sol = integrate_full_ode(
-            [ModeSwitch("10->11", 0.5 * s, initial_v=1.0)], p, 3.5 * s)
-        assert sol.t1 == 3.5 * s
+        sol = _integrate_chain([("11->01", 0.0), ("01->11", 0.5 * s)], p,
+                               4.0 * s, True, None)
+        ts = sol.segments[-1][1].ts
+        assert ts[-1] - ts[-2] < 1e-26
+        assert _end(sol) == 4.0 * s
 
     def test_near_simultaneous_inputs_integrate(self):
         # a first mode of 1e-17 s is shorter than 64 steps at the floor
@@ -470,17 +451,31 @@ class TestFullOde:
             inv = delay_by_inversion("nor2", "falling", delta, p)
             assert math.isclose(ode, inv, rel_tol=1e-5)
 
-    def test_mode_sequence_validation(self):
-        with pytest.raises(ValueError):
-            integrate_full_ode([], NOR_A, 1e-11)
-        with pytest.raises(ValueError):
-            integrate_full_ode([ModeSwitch("00->10"),
-                                ModeSwitch("10->11", delta=math.inf)],
-                               NOR_A, 1e-11)
-        with pytest.raises(ValueError):
-            integrate_full_ode([ModeSwitch("00->10"),
-                                ModeSwitch("10->11", delta=5e-12)],
-                               NOR_A, 4e-12)
+
+class TestSingleTransientBand:
+    """Near-simultaneous switch-ons, where the inversion oracle's decay
+    factor takes the single-transient law for tiny separations, agree
+    with the constant-divider ODE, which integrates the same gate."""
+
+    DELTAS = (5e-324, 1e-300, 1e-20, 1e-16, 1e-12, 3e-12, 5e-11, 3e-10,
+              7e-10, 1e-9)
+
+    @pytest.mark.parametrize("name", list_fixtures())
+    def test_inversion_matches_constant_divider_ode(self, name):
+        # every switch-on family of every fixture; the band used to reach
+        # 1e-6 a, up to 7.65e-10 s on cgate15_isolated, where inversion
+        # was 0.41% off.  1e-5 is the bisection floor of the two oracles
+        p = load_fixture(name)
+        kind = _kind(p)
+        far = []
+        for direction in (("rising",) if kind == "nor2"
+                          else ("falling", "rising")):
+            for delta in self.DELTAS + tuple(-d for d in self.DELTAS):
+                ode = delay_by_ode(kind, direction, delta, p, exact_f=False)
+                inv = delay_by_inversion(kind, direction, delta, p)
+                if not abs(inv - ode) <= 1e-5 * ode:
+                    far.append((direction, delta, inv, ode))
+        assert far == []
 
 
 class TestOdeEarlyStop:
@@ -512,16 +507,17 @@ class TestOdeEarlyStop:
         delta = 1.5 * output_family(p, False).bp_plus
         single = delay_by_inversion("nor2", "falling", math.inf, p)
         assert delta > single - p.delta_min
-        modes = [ModeSwitch("00->10"), ModeSwitch("10->11", delta=delta)]
+        modes = [("00->10", 0.0), ("10->11", delta)]
         t_end = 2.0 * delta
-        stopped = integrate_full_ode(modes, p, t_end, stop_past=0.5)
-        full = integrate_full_ode(modes, p, t_end)
+        stopped = _integrate_chain(modes, p, t_end, True, 0.5)
+        full = _integrate_chain(modes, p, t_end, True, None)
         assert len(stopped.segments) == 1 and len(full.segments) == 2
-        assert stopped.v1 < 0.5 < stopped.segments[0][1].vs[-2]
-        assert stopped.t1 < delta
+        first = stopped.segments[0][1]
+        assert first.v1 < 0.5 < first.vs[-2]
+        assert _end(stopped) < delta
         # beyond its end the stopped solution reads its last value
-        assert stopped(delta) == stopped(t_end) == stopped.v1
-        assert full.t1 == t_end
+        assert stopped(delta) == stopped(t_end) == first.v1
+        assert _end(full) == t_end
         assert delay_by_ode("nor2", "falling", delta, p) == \
             oracles.reference_delay_by_ode("nor2", "falling", delta, p)
 
@@ -529,7 +525,7 @@ class TestOdeEarlyStop:
 class TestTrajectoryLayerPinned:
     """Outputs of the closed-form trajectory layer on every fixture, hashed.
 
-    eval_trajectory over all mode kinds, the switch-on decay factor's
+    Each mode's closed-form trajectory, the switch-on decay factor's
     phi - 1/2 over both C-gate pair directions and delay_by_inversion
     from 1e-9 to 40 times each fixture's largest MIS length: a refactor of this layer must leave
     every one bit-identical.
@@ -537,7 +533,7 @@ class TestTrajectoryLayerPinned:
 
     MULTIPLES = (1e-9, 1e-6, 1e-3, 0.02, 0.1, 0.5, 1.0, 1.5, 2.0, 5.0,
                  10.0, 40.0)
-    SHA256 = "158fff8217ecce09245902a21efa75195402d85d83c120fd70106f7ad367c123"
+    SHA256 = "33bececff8f8897d819c60f3c2198b9cadd721af7fd8d51b167e9a0cfd604884"
 
     def _outputs(self, p):
         nor = isinstance(p, NorGateParams)
@@ -546,15 +542,17 @@ class TestTrajectoryLayerPinned:
                  for _, fam in _output_families(p))
         scale = delay_by_inversion(kind, "rising", 0.0, p) - p.delta_min
         ts = tuple(m * scale for m in (0.0, 0.1, 0.5, 1.0, 3.0))
-        # 1e-8 sits in the near-simultaneous limit branch, 1e-3 above it
+        # 0 takes the single-transient law; 1e-8 and up take the dual
+        # law, whose band edge 2^-53 a lies far below 1e-8 (1e-8 and, on
+        # cgate15_isolated, 1e-3 sat in the old band under 1e-6 a)
         deltas = tuple(m * scale for m in (0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0)
                        ) + (math.inf,)
         out = []
-        for mode in sorted(NOR_MODE_KINDS):
+        for mode in MODE_KINDS:
             for delta in deltas:
                 for v0 in (None, 0.3):
-                    ms = ModeSwitch(mode, delta, v0)
-                    out.extend(eval_trajectory(ms, p, t) for t in ts)
+                    out.extend(_trajectory(mode, delta, v0, p, t)
+                               for t in ts)
         for direction in (("falling",) if nor else ("falling", "rising")):
             for delta in deltas:
                 out.extend(_phi_minus_half(t, delta, p, direction)
@@ -733,10 +731,49 @@ class TestOracleEdges:
             with pytest.raises(DomainError, match=match):
                 oracle("nor2", "rising", delta, p)
 
+    def test_falling_window_past_float_range(self):
+        # 40 tau2 overflows the falling NOR's window end, which used to
+        # be bisect_threshold_crossing's ValueError in both oracles; the
+        # crossing lies below min(sep, ln2 tau1) + ln2 tau2
+        p = NorGateParams(r_n_a=10, r_n_b=10, r=7e-104, alpha1=1e100,
+                          alpha2=1e100, c_load=1e306, r5=0,
+                          delta_min=4.32e-12)
+        for delta in (0.0, 1e-12, -1e-12):
+            closed = nor_delay(p, DelayQuery("falling", delta))
+            assert delay_by_inversion("nor2", "falling", delta, p) == closed
+            assert math.isclose(delay_by_ode("nor2", "falling", delta, p),
+                                closed, rel_tol=1e-6)
+        # tau2 = c2 * r_n_a*r_n_b/(r_n_a + r_n_b) is inf with c2 = inf
+        p = replace(NOR_A, r_n_a=1e-300, r_n_b=1.7e308)
+        for oracle in (delay_by_inversion, delay_by_ode):
+            with pytest.raises(NoCrossingError, match="float range"):
+                oracle("nor2", "falling", -6e-9, p)
+
+    @pytest.mark.parametrize("name,direction,fields", [
+        ("nor65_l5", "rising", {"r": 1e-300, "c_load": 5e-324}),
+        ("cgate15_l3", "rising", {"r_n": 1e-300, "c_load": 1e-300}),
+        ("cgate15_l15", "falling", {"r_p": 1e-300, "c_load": 5e-324}),
+    ])
+    def test_ode_rate_divisor_underflow_is_a_domain_error(self, name,
+                                                          direction,
+                                                          fields):
+        # C * 2r underflows to 0 in the constant-divider rate, which
+        # used to raise ZeroDivisionError once rg settled
+        p = replace(load_fixture(name), **fields)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            delay_by_ode(_kind(p), direction, -1e-12, p, exact_f=False)
+
+    def test_ode_horizon_past_float_range_is_a_domain_error(self):
+        # 12 delays overflow; that used to be the ODE chain's ValueError
+        # on t_end
+        p = replace(load_fixture("nor15_l3"), c_load=1e304)
+        with pytest.raises(DomainError, match="float range"):
+            delay_by_ode("nor2", "falling", math.inf, p)
+
     def test_ode_horizon_below_float_spacing_is_a_domain_error(self):
         # the falling NOR chain's horizon, 12 delays, is below the float
         # spacing at |delta| = 1e7 s, so t_end == last; that used to be
-        # integrate_full_ode's ValueError on t_end
+        # the ODE chain's ValueError on t_end
         for delta in (1e7, -1e7):
             with pytest.raises(DomainError, match="float spacing"):
                 delay_by_ode("nor2", "falling", delta, NOR_A)
@@ -785,7 +822,7 @@ class TestOracleEdges:
         assert trajectories._newton(lambda t: t * t + 1.0,
                                     lambda t: 2.0 * t, 0.0, 0.5,
                                     1e-19) is None
-        flat = trajectories.PiecewiseSolution(
+        flat = trajectories._ChainSolution(
             [(0.0, OdeSolution([0.0, 1.0], [0.0, 1.0], [3.0, 3.0]))])
         assert trajectories._hermite_root(flat) is None
 
