@@ -346,20 +346,6 @@ def parse_netlist(text: str) -> Tuple[Netlist, Dict[str, GateParams]]:
     return Netlist(gates=tuple(gates), nets=nets, stimuli=stimuli), library
 
 
-def _gate_json(g: Gate, pad: str) -> str:
-    # one gates[] entry as _json renders its dict, fields written in place
-    inner = pad + "  "
-    text = f'{{{inner}"id": {_str(g.id)},{inner}"kind": {_str(g.kind)},'
-    if g.inputs:
-        item = inner + "  "
-        names = ("," + item).join(map(_str, g.inputs))
-        text += f'{inner}"inputs": [{item}{names}{inner}],'
-    text += f'{inner}"output": {_str(g.output)}'
-    if g.params_ref:
-        text += f',{inner}"params_ref": {_str(g.params_ref)}'
-    return text + pad + "}"
-
-
 def serialize_netlist(nl: Netlist, library: Mapping[str, GateParams]) -> str:
     """Render a netlist document through `_dumps`'s writer.
 
@@ -369,17 +355,35 @@ def serialize_netlist(nl: Netlist, library: Mapping[str, GateParams]) -> str:
     a document that `parse_netlist` rejects.
     """
     pad = "\n  "
+    # a gates[] entry closes on `end`; its fields start on `key` lines
+    # and its input names on `item` lines, one level deeper each
+    end = pad + "  "
+    key = end + "  "
+    item = key + "  "
+    sep = "," + item
     gates = []
     for i, g in enumerate(nl.gates):
         try:
-            gates.append(_gate_json(g, pad + "  "))
+            inputs = (f'{key}"inputs": [{item}{sep.join(map(_str, g.inputs))}'
+                      f'{key}],' if g.inputs else "")
+            ref = (f',{key}"params_ref": {_str(g.params_ref)}'
+                   if g.params_ref else "")
+            gates.append(f'{{{key}"id": {_str(g.id)},{key}"kind": '
+                         f'{_str(g.kind)},{inputs}{key}"output": '
+                         f'{_str(g.output)}{ref}{end}}}')
         except TypeError:
             raise TypeError(f"gates[{i}]: every field must be a string "
                             f"(inputs a sequence of them), got {g!r}"
                             ) from None
+    # every net value parse_netlist accepts is an int, which renders as
+    # its repr; anything else takes the general writer
+    nets = []
+    for name in sorted(nl.nets):
+        value = nl.nets[name]
+        text = f"{value}" if type(value) is int else _json(value, pad + "  ")
+        nets.append(f"{_str(_key(name))}: {text}")
     members = ['"gates": ' + _wrap("[", gates, pad, "]"),
-               '"nets": ' + _json({name: nl.nets[name]
-                                   for name in sorted(nl.nets)}, pad)]
+               '"nets": ' + _wrap("{", nets, pad, "}")]
     if nl.stimuli:
         members.append('"stimuli": ' + _json({
             sid: {"mu_s": s.mu, "sigma_s": s.sigma,

@@ -80,13 +80,17 @@ def _check_time(name: str, value) -> None:
 def _check_fields(params, positive: Tuple[str, ...]) -> None:
     """Raise ParamError naming the first field out of range; a message
     is formatted only for the check that fails."""
+    # a float is checked by its range alone, which NaN fails; any other
+    # value takes the full test
     for name in positive:
         value = getattr(params, name)
-        if not (_is_real(value) and value > 0.0):
+        if not ((type(value) is float and 0.0 < value <= _FLOAT_MAX)
+                or (_is_real(value) and value > 0.0)):
             raise ParamError(f"{name} must be finite and > 0, got {value!r}")
     for name in ("r5", "delta_min"):
         value = getattr(params, name)
-        if not (_is_real(value) and value >= 0.0):
+        if not ((type(value) is float and 0.0 <= value <= _FLOAT_MAX)
+                or (_is_real(value) and value >= 0.0)):
             raise ParamError(f"{name} must be finite and >= 0, got {value!r}")
 
 

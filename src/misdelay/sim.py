@@ -48,7 +48,7 @@ class LivelockError(RuntimeError):
     """Event count exceeded the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimEvent:
     """One stimulus transition: net goes to value (0 or 1) at time (s);
     seq is its index in the pulse train."""
@@ -57,6 +57,14 @@ class SimEvent:
     net: str
     value: int
     seq: int
+
+    def __init__(self, time: float, net: str, value: int, seq: int) -> None:
+        # see Gate.__init__
+        fields = self.__dict__
+        fields["time"] = time
+        fields["net"] = net
+        fields["value"] = value
+        fields["seq"] = seq
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class StimulusSpec:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     """One netlist element.
 
@@ -83,6 +91,19 @@ class Gate:
     inputs: Tuple[str, ...]
     output: str
     params_ref: str = ""
+
+    def __init__(self, id: str, kind: str, inputs: Tuple[str, ...],
+                 output: str, params_ref: str = "") -> None:
+        # the generated __init__ of a frozen dataclass makes one
+        # object.__setattr__ call per field; filling the instance dict
+        # in field order costs about half of that and keeps its keys
+        # shared
+        fields = self.__dict__
+        fields["id"] = id
+        fields["kind"] = kind
+        fields["inputs"] = inputs
+        fields["output"] = output
+        fields["params_ref"] = params_ref
 
 
 @dataclass

@@ -838,13 +838,17 @@ _GATES = st.builds(
 _STIMULI = st.builds(StimulusSpec, mu=st.floats(), sigma=st.floats(),
                      n_transitions=st.integers(0, 10 ** 6),
                      seed=st.integers(0, 2 ** 64))
-_NETLISTS = st.builds(
-    Netlist, gates=st.lists(_GATES, max_size=4).map(tuple),
-    nets=st.dictionaries(_NAMES, st.integers(0, 1), max_size=4),
-    stimuli=st.dictionaries(_NAMES, _STIMULI, max_size=2))
-
 _FLOATS = st.one_of(st.floats(),
                     st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+# net values past what parse_netlist accepts, so the serializer's int
+# path and its general writer are both held to the reference
+_NET_VALUES = st.one_of(st.integers(0, 1), st.booleans(),
+                        st.integers(-(2 ** 70), 2 ** 70), _FLOATS, st.none())
+_NETLISTS = st.builds(
+    Netlist, gates=st.lists(_GATES, max_size=4).map(tuple),
+    nets=st.dictionaries(_NAMES, _NET_VALUES, max_size=4),
+    stimuli=st.dictionaries(_NAMES, _STIMULI, max_size=2))
+
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
                      st.integers(-(2 ** 200), -(2 ** 64)),
                      st.integers(2 ** 64, 2 ** 200), _NAMES)
@@ -863,6 +867,9 @@ class TestIndentWriter:
 
     @given(_NETLISTS, st.dictionaries(_NAMES, _LIBRARY_PARAMS, max_size=2))
     @settings(max_examples=25, deadline=None)
+    @example(Netlist(gates=(), nets={
+        "a": 1, "b": True, "c": False, "d": -(2 ** 70), "e": 2.5, "f": -0.0,
+        "g": math.nan, "h": -math.inf, "i": None}), {})
     def test_netlist_matches_reference(self, nl, library):
         assert serialize_netlist(nl, library) == (
             oracles.reference_serialize_netlist(nl, library))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import weakref
 from dataclasses import fields, replace
 
@@ -47,6 +48,21 @@ BAD_NUMBERS = [
 
 class PlainSubFloat(float):
     """A float subclass with float's own behaviour."""
+
+
+_MAX = sys.float_info.max
+# every kind of value a parameter field can be handed: floats at both
+# ends of the range and across zero, ints past the float range, bools
+# and float subclasses, which the float fast path must leave to the
+# full test
+_FIELD_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     _MAX, -_MAX, math.inf, -math.inf, math.nan]),
+    st.integers(-(2 ** 1100), 2 ** 1100),
+    st.sampled_from([int(_MAX), int(_MAX) + 1, -int(_MAX) - 1, 0, 1]),
+    st.booleans(),
+    st.floats().map(PlainSubFloat))
 
 
 _NOT_A_FLOAT = "delta must be a float, got "
@@ -414,6 +430,28 @@ class TestValidation:
                 replace(base, **{n: bad for n in names[i:]})
             assert str(info.value) == \
                 f"{name} must be finite and {bound}, got {text}"
+
+    @given(st.sampled_from([NOR_A, CG_ISO]), st.data(), _FIELD_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_what_the_full_test_accepts(self, base, data, value):
+        # a float takes a range test alone; the outcome and the message
+        # are those of the full test on every value
+        name = data.draw(st.sampled_from(
+            [f.name for f in fields(base) if f.name != "inverted"]))
+        nonneg = name in ("r5", "delta_min")
+        accepted = (isinstance(value, (int, float))
+                    and not isinstance(value, bool) and -_MAX <= value <= _MAX
+                    and (value >= 0.0 if nonneg else value > 0.0))
+        try:
+            p = replace(base, **{name: value})
+        except ParamError as exc:
+            assert not accepted
+            bound = ">= 0" if nonneg else "> 0"
+            assert str(exc) == (f"{name} must be finite and {bound}, "
+                                f"got {value!r}")
+        else:
+            assert accepted
+            assert getattr(p, name) is value
 
     @pytest.mark.parametrize("bad,text", [(1, "1"), ("yes", "'yes'"),
                                           (None, "None")])

@@ -1,12 +1,16 @@
 """Tests for the event-driven simulator and its RNG."""
 
+import copy
 import gc
 import hashlib
 import heapq
+import inspect
 import math
+import pickle
 import re
 import sys
-from dataclasses import replace
+from dataclasses import (MISSING, FrozenInstanceError, field, fields,
+                         make_dataclass, replace)
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from misdelay.sim import (
     LivelockError,
     Netlist,
     NetlistError,
+    SimEvent,
     StimulusSpec,
     Xoshiro256StarStar,
     build_cross_coupled_chain,
@@ -79,6 +84,108 @@ def single_cgate(stim_a=None, stim_b=None, params_ref="cg", out0=0,
                Gate("g1", "cgate", ("na", "nb"), "out", params_ref)),
         nets={"na": level, "nb": level, "out": out0},
         stimuli=stimuli)
+
+
+def _twin(cls):
+    """A class with cls's name and fields under the __init__ that a
+    frozen dataclass generates."""
+    specs = [(f.name, f.type) if f.default is MISSING
+             else (f.name, f.type, field(default=f.default))
+             for f in fields(cls)]
+    return make_dataclass(cls.__name__, specs, frozen=True)
+
+
+def _signature(cls):
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(cls).parameters.values()]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# each value type that fills its instance dict, with one call's
+# arguments and a change of one field
+_VALUE_TYPES = [
+    pytest.param(Gate, ("g1", "nor2", ("na", "nb"), "out", "nor"),
+                 {"kind": "cgate"}, id="Gate"),
+    pytest.param(SimEvent, (2.5e-11, "na", 1, 7), {"value": 0},
+                 id="SimEvent"),
+]
+
+
+@pytest.mark.parametrize("cls, args, change", _VALUE_TYPES)
+class TestValueTypes:
+    """Gate and SimEvent write their fields into the instance dict; in
+    everything else they are frozen dataclasses, as a twin that keeps
+    the generated __init__ shows."""
+
+    def test_fields_and_signature(self, cls, args, change):
+        twin = _twin(cls)
+        assert [(f.name, f.type, f.default, f.init) for f in fields(cls)] \
+            == [(f.name, f.type, f.default, f.init) for f in fields(twin)]
+        assert _signature(cls) == _signature(twin)
+        assert cls.__match_args__ == twin.__match_args__
+
+    def test_positional_keyword_and_default_calls(self, cls, args, change):
+        twin = _twin(cls)
+        names = [f.name for f in fields(cls)]
+        n_required = sum(f.default is MISSING for f in fields(cls))
+        kwargs = dict(zip(names, args))
+        mixed = dict(list(kwargs.items())[2:])
+        calls = [(args, {}), ((), kwargs), (args[:2], mixed),
+                 (args[:n_required], {})]
+        for call_args, call_kwargs in calls:
+            obj = cls(*call_args, **call_kwargs)
+            ref = twin(*call_args, **call_kwargs)
+            assert type(obj) is cls
+            assert list(vars(obj).items()) == list(vars(ref).items())
+        bad_calls = [(args[:n_required - 1], {}), (args + (None,), {}),
+                     (args, {"extra": 1}), (args, {names[0]: args[0]})]
+        for call_args, call_kwargs in bad_calls:
+            assert _raised(lambda: cls(*call_args, **call_kwargs)) == \
+                _raised(lambda: twin(*call_args, **call_kwargs))
+
+    def test_eq_hash_repr(self, cls, args, change):
+        obj, ref = cls(*args), _twin(cls)(*args)
+        assert repr(obj) == repr(ref)
+        assert hash(obj) == hash(ref) == hash(cls(*args))
+        assert obj == cls(*args)
+        assert obj != replace(obj, **change)
+        assert obj != ref and ref != obj
+
+    def test_replace(self, cls, args, change):
+        obj, ref = cls(*args), _twin(cls)(*args)
+        new = replace(obj, **change)
+        assert type(new) is cls
+        assert list(vars(new).items()) == \
+            list(vars(replace(ref, **change)).items())
+        assert obj == cls(*args)
+        assert _raised(lambda: replace(obj, extra=1)) == \
+            _raised(lambda: replace(ref, extra=1))
+
+    def test_frozen(self, cls, args, change):
+        obj, ref = cls(*args), _twin(cls)(*args)
+        for name in [*change, "extra"]:
+            got = _raised(lambda: setattr(obj, name, 0))
+            assert got[0] is FrozenInstanceError
+            assert got == _raised(lambda: setattr(ref, name, 0))
+            got = _raised(lambda: delattr(obj, name))
+            assert got[0] is FrozenInstanceError
+            assert got == _raised(lambda: delattr(ref, name))
+        assert obj == cls(*args)
+
+    def test_copy_and_pickle(self, cls, args, change):
+        obj = cls(*args)
+        dups = [copy.copy(obj), copy.deepcopy(obj)]
+        dups += [pickle.loads(pickle.dumps(obj, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for dup in dups:
+            assert type(dup) is cls
+            assert dup == obj and hash(dup) == hash(obj)
+            assert list(vars(dup).items()) == list(vars(obj).items())
 
 
 class TestRng:
